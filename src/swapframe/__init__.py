@@ -29,7 +29,6 @@ from .basis import (
     basis_from_states,
     dual_basis,
     decompose_generator,
-    alpha_max_bound,
     gell_mann_generators,
 )
 from .conservation import (
@@ -38,8 +37,6 @@ from .conservation import (
     lift_extensive,
     commutator_norm,
     audit_evolution,
-    embed,
-    partial_sum,
 )
 from .protocol import (
     ProtocolSpec,

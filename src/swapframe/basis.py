@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,11 +63,19 @@ class OperatorBasis:
     dim: int
     states: tuple
     duals: tuple
-    alpha_max: float
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def alpha_max(self) -> float:
+        """Upper bound sqrt(D)·pi·max_k ||dual_k||_HS on any |alpha_k|.
+
+        Holds for every generator with spectrum inside (-pi, pi], by
+        Cauchy-Schwarz on the Hilbert-Schmidt inner product.
+        """
+        return float(np.sqrt(self.size) * np.pi * max(hs_norm(t) for t in self.duals[1:]))
 
     def to_json(self) -> str:
         doc = {
@@ -122,8 +131,7 @@ def basis_from_states(d: int, states) -> OperatorBasis:
     if len(states) != d * d - 1:
         raise ValueError(f"need {d * d - 1} states for dimension {d}, got {len(states)}")
     duals = dual_basis([np.eye(d, dtype=complex)] + list(states))
-    amax = float(np.sqrt(d * d - 1) * np.pi * max(hs_norm(t) for t in duals[1:]))
-    return OperatorBasis(dim=d, states=tuple(states), duals=tuple(duals), alpha_max=amax)
+    return OperatorBasis(dim=d, states=tuple(states), duals=tuple(duals))
 
 
 def build_state_basis(d: int) -> OperatorBasis:
@@ -170,13 +178,3 @@ def decompose_generator(h, basis: OperatorBasis) -> GeneratorDecomposition:
     residual = operator_norm(h - recon)
     return GeneratorDecomposition(alphas=alphas, identity_coefficient=c0, residual=residual)
 
-
-def alpha_max_bound(basis: OperatorBasis) -> float:
-    """Upper bound sqrt(D)·pi·max_k ||dual_k||_HS on any |alpha_k|.
-
-    Holds for every generator with spectrum inside (-pi, pi], by
-    Cauchy-Schwarz on the Hilbert-Schmidt inner product.
-    """
-    return float(
-        np.sqrt(basis.size) * np.pi * max(hs_norm(t) for t in basis.duals[1:])
-    )

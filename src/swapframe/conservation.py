@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_hermitian, operator_norm, tensor
+from .linalg import is_hermitian, operator_norm, partial_trace, tensor
 
 # Dense joint spaces beyond this dimension are refused rather than attempted.
 DEFAULT_DIMENSION_CAP = 4096
@@ -41,45 +41,57 @@ class ExtensiveObservable:
         return self.matrix.shape[0]
 
 
-def embed(op, dims, slot: int) -> np.ndarray:
-    """Place ``op`` at subsystem ``slot`` of a joint space, identity elsewhere."""
-    op = np.asarray(op, dtype=complex)
-    dims = [int(d) for d in dims]
-    if op.shape != (dims[slot], dims[slot]):
-        raise ValueError(
-            f"operator of dimension {op.shape[0]} does not fit slot {slot} of dims {tuple(dims)}"
-        )
-    left = int(np.prod(dims[:slot])) if slot else 1
-    right = int(np.prod(dims[slot + 1:])) if slot + 1 < len(dims) else 1
-    return tensor(np.eye(left), op, np.eye(right))
+def _charge_matrix(charge) -> np.ndarray:
+    if isinstance(charge, ExtensiveObservable):
+        return charge.matrix
+    return np.asarray(charge, dtype=complex)
 
 
-def lift_extensive(
-    charge: ExtensiveObservable | np.ndarray,
-    n: int,
-    cap: int = DEFAULT_DIMENSION_CAP,
-) -> np.ndarray:
-    """Extensive total of a charge over n identical subsystems."""
-    a = charge.matrix if isinstance(charge, ExtensiveObservable) else np.asarray(charge, dtype=complex)
+def lift_extensive(charge, n: int, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+    """Dense extensive total of a charge over n identical subsystems.
+
+    Meant for commutator checks; expectations of the total go through
+    ``extensive_expectation`` instead, which never forms this matrix.
+    """
+    a = _charge_matrix(charge)
     if n < 1:
         raise ValueError("need at least one subsystem")
     d = a.shape[0]
     if d**n > cap:
         raise CapacityError(f"joint dimension {d}^{n} exceeds cap {cap}")
-    dims = [d] * n
     total = np.zeros((d**n, d**n), dtype=complex)
     for slot in range(n):
-        total += embed(a, dims, slot)
+        total += tensor(np.eye(d**slot), a, np.eye(d ** (n - slot - 1)))
     return total
 
 
-def partial_sum(charge, dims, slots) -> np.ndarray:
-    """Sum of one copy of the charge on each of ``slots`` of a joint space."""
-    a = charge.matrix if isinstance(charge, ExtensiveObservable) else np.asarray(charge, dtype=complex)
-    total = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+def extensive_expectation(charge, op, dims, slots) -> complex:
+    """Sum over ``slots`` of tr(A · Tr_{not s} op), one charge copy per slot.
+
+    Equals tr(A_total · op) for the charge summed over those slots of a joint
+    space with subsystem ``dims``, computed from single-slot reduced operators.
+    """
+    a = _charge_matrix(charge)
+    total = 0j
     for slot in slots:
-        total += embed(a, dims, slot)
-    return total
+        if dims[slot] != a.shape[0]:
+            raise ValueError(
+                f"charge of dimension {a.shape[0]} does not fit slot {slot} of dims {tuple(dims)}"
+            )
+        total += np.trace(a @ partial_trace(op, dims, slot))
+    return complex(total)
+
+
+def uniform_dims(total: int, d: int, n: int | None = None) -> list[int]:
+    """Subsystem dims ``[d] * n`` of a joint space of dimension ``total``.
+
+    ``n`` is inferred when omitted; raises ValueError unless total == d**n.
+    """
+    if n is None:
+        n = max(1, int(round(np.log(total) / np.log(d)))) if d > 1 else 1
+    if d**n != total:
+        raise ValueError(f"joint dimension {total} is not {d}^{n}")
+    return [d] * n
 
 
 def commutator_norm(v, a_tot) -> float:
@@ -101,12 +113,5 @@ def audit_evolution(before, after, charge: ExtensiveObservable, n: int | None = 
     after = np.asarray(after, dtype=complex)
     if before.shape != after.shape:
         raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape}")
-    d = charge.dim
-    if n is None:
-        n = int(round(np.log(before.shape[0]) / np.log(d)))
-    if d**n != before.shape[0]:
-        raise ValueError(
-            f"joint dimension {before.shape[0]} is not {d}^{n} for charge {charge.label!r}"
-        )
-    a_tot = lift_extensive(charge, n)
-    return float(np.trace(a_tot @ (after - before)).real)
+    dims = uniform_dims(before.shape[0], charge.dim, n)
+    return extensive_expectation(charge, after - before, dims, range(len(dims))).real

@@ -124,17 +124,20 @@ class BatteryLedger:
 
 def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
                     charges=(), ledger: BatteryLedger | None = None,
-                    round_index: int = 0):
+                    round_index: int = 0, *, frames: list | None = None):
     """One sweep of collisions, slot k against a fresh particle in basis state k.
 
     Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k.
     Returns the updated system state; ledger entries (one per slot and charge)
-    are appended to ``ledger`` when given.
+    are appended to ``ledger`` and the consumed particles' states to
+    ``frames`` when given.
     """
     if len(alphas) != basis.size:
         raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
     for slot, (alpha, sigma) in enumerate(zip(alphas, basis.states)):
         rho_next, frame_out = step_channel(rho, sigma, alpha, n_rounds)
+        if frames is not None:
+            frames.append(frame_out)
         if ledger is not None:
             for charge in charges:
                 a = charge.matrix
@@ -168,6 +171,9 @@ class ProtocolSpec:
         for charge in self.charges:
             if charge.dim != d:
                 raise ValueError(f"charge {charge.label!r} has dimension {charge.dim}, expected {d}")
+        labels = [c.label for c in self.charges]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"charge labels are not distinct: {labels}")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rho_s", rho)
         object.__setattr__(self, "charges", tuple(self.charges))
@@ -234,12 +240,8 @@ def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> Protoco
     rho = rho0
     round_errors = []
     for t in range(1, n + 1):
-        if keep_frame_states:
-            rho = _collision_round_keeping_frames(
-                rho, basis, dec.alphas, n, spec.charges, ledger, t, frame_states
-            )
-        else:
-            rho = collision_round(rho, basis, dec.alphas, n, spec.charges, ledger, t)
+        rho = collision_round(rho, basis, dec.alphas, n, spec.charges, ledger, t,
+                              frames=frame_states)
         u_t = (v * np.exp(-1j * w * (t / n))) @ dagger(v)
         round_errors.append(trace_norm(rho - u_t @ rho0 @ dagger(u_t)))
 
@@ -253,24 +255,8 @@ def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> Protoco
         n_min=n_min,
         ledger=ledger,
         decomposition=dec,
-        frame_states=tuple(frame_states) if keep_frame_states else None,
+        frame_states=None if frame_states is None else tuple(frame_states),
     )
-
-
-def _collision_round_keeping_frames(rho, basis, alphas, n_rounds, charges,
-                                    ledger, round_index, frame_states):
-    for slot, (alpha, sigma) in enumerate(zip(alphas, basis.states)):
-        rho_next, frame_out = step_channel(rho, sigma, alpha, n_rounds)
-        frame_states.append(frame_out)
-        for charge in charges:
-            a = charge.matrix
-            ledger.record(
-                round_index, slot, charge.label,
-                float(np.trace(a @ (rho_next - rho)).real),
-                float(np.trace(a @ (frame_out - sigma)).real),
-            )
-        rho = rho_next
-    return rho
 
 
 def two_subsystem_step(rho_ab, sigma_a, sigma_b, alpha: float, n_rounds: int) -> np.ndarray:

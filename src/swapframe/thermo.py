@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conservation import partial_sum
+from .conservation import extensive_expectation, uniform_dims
 from .linalg import (
     check_density,
     hermitize,
@@ -48,6 +48,9 @@ class ThermalSpec:
         dims = {c.dim for c in charges}
         if len(dims) != 1:
             raise ValueError(f"charges act on mixed dimensions {sorted(dims)}")
+        labels = [c.label for c in charges]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"charge labels are not distinct: {labels}")
         object.__setattr__(self, "charges", charges)
         object.__setattr__(self, "betas", betas)
 
@@ -78,12 +81,16 @@ def thermal_state(spec: ThermalSpec, d: int):
 
 
 def free_entropy(rho, spec: ThermalSpec) -> float:
-    """F = sum_i beta_i <A_i> - S(rho); minimized by the thermal state at -ln Z."""
+    """F = sum_i beta_i <A_i total> - S(rho) for a state on n charge-sized subsystems.
+
+    n is inferred from the state dimension, which must be a power of the
+    charge dimension. For n = 1 the thermal state minimizes F at -ln Z.
+    """
     rho = check_density(rho)
-    if rho.shape[0] != spec.dim:
-        raise ValueError(f"state dimension {rho.shape[0]} does not match charges ({spec.dim})")
+    dims = uniform_dims(rho.shape[0], spec.dim)
     weighted = sum(
-        b * float(np.trace(c.matrix @ rho).real) for b, c in zip(spec.betas, spec.charges)
+        b * extensive_expectation(c, rho, dims, range(len(dims))).real
+        for b, c in zip(spec.betas, spec.charges)
     )
     return weighted - von_neumann_entropy(rho)
 
@@ -141,19 +148,15 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     diff = after - before
     works = {}
     for charge in spec.charges:
-        delta_bath = float(np.trace(partial_sum(charge, dims, bath) @ diff).real)
-        delta_sys = 0.0
-        if system:
-            delta_sys = float(np.trace(partial_sum(charge, dims, system) @ diff).real)
+        delta_bath = extensive_expectation(charge, diff, dims, bath).real
+        delta_sys = extensive_expectation(charge, diff, dims, system).real
         works[charge.label] = -delta_sys - delta_bath
 
     delta_f = 0.0
     if system:
         rho_before = partial_trace(before, dims, system)
         rho_after = partial_trace(after, dims, system)
-        delta_f = _block_free_entropy(rho_after, dims, system, spec) - _block_free_entropy(
-            rho_before, dims, system, spec
-        )
+        delta_f = free_entropy(rho_after, spec) - free_entropy(rho_before, spec)
 
     weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))
     return WorkRecord(
@@ -164,15 +167,6 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     )
 
 
-def _block_free_entropy(rho_block, dims, slots, spec: ThermalSpec) -> float:
-    block_dims = [dims[s] for s in slots]
-    weighted = sum(
-        b * float(np.trace(partial_sum(c, block_dims, range(len(slots))) @ rho_block).real)
-        for b, c in zip(spec.betas, spec.charges)
-    )
-    return weighted - von_neumann_entropy(hermitize(rho_block))
-
-
 def implicit_work(before, after, charges, dims=None) -> dict:
     """Work each charge type would register if the evolution were ideal: -d<A total>."""
     before = np.asarray(before, dtype=complex)
@@ -180,11 +174,10 @@ def implicit_work(before, after, charges, dims=None) -> dict:
     charges = tuple(charges)
     if dims is None:
         dims = [charges[0].dim]
-    works = {}
-    for charge in charges:
-        a_tot = partial_sum(charge, dims, range(len(dims)))
-        works[charge.label] = -float(np.trace(a_tot @ (after - before)).real)
-    return works
+    diff = after - before
+    return {
+        c.label: -extensive_expectation(c, diff, dims, range(len(dims))).real for c in charges
+    }
 
 
 @dataclass(frozen=True)
@@ -215,9 +208,8 @@ def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float,
         if charge.label not in cumulative:
             raise ValueError(f"ledger has no entries for charge {charge.label!r}")
         deviation = abs(cumulative[charge.label] - works[charge.label])
-        bound = epsilon * operator_norm(
-            partial_sum(charge, [charge.dim] * n_sys_bath, range(n_sys_bath))
-        )
+        # The lifted total's extreme eigenvalues are n·λ_max and n·λ_min.
+        bound = epsilon * n_sys_bath * operator_norm(charge.matrix)
         checks[charge.label] = BatteryCheck(
             deviation, bound, deviation <= bound + BATTERY_FP_SLACK
         )

@@ -4,14 +4,13 @@ import pytest
 from swapframe.basis import (
     DegenerateBasisError,
     OperatorBasis,
-    alpha_max_bound,
     basis_from_states,
     build_state_basis,
     decompose_generator,
     dual_basis,
     gell_mann_generators,
 )
-from swapframe.linalg import check_density, operator_norm
+from swapframe.linalg import check_density, hs_norm, operator_norm
 from swapframe.rand import random_bounded_generator, rng_from_seed
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -124,14 +123,14 @@ def test_reconstruction_of_random_generators(d):
 def test_alpha_max_qubit_value():
     basis = build_state_basis(2)
     assert basis.alpha_max == pytest.approx(np.pi * np.sqrt(6.0), abs=1e-9)
-    assert alpha_max_bound(basis) == pytest.approx(basis.alpha_max)
+    assert np.sqrt(3.0) * np.pi * max(hs_norm(t) for t in basis.duals[1:]) == pytest.approx(basis.alpha_max)
 
 
 def test_alpha_max_unit_norm_duals():
     # duals of unit Hilbert-Schmidt norm and three generators give sqrt(3)*pi
     unit_duals = (I2 / np.sqrt(2), X / np.sqrt(2), Y / np.sqrt(2), Z / np.sqrt(2))
-    basis = OperatorBasis(dim=2, states=unit_duals[1:], duals=unit_duals, alpha_max=0.0)
-    assert alpha_max_bound(basis) == pytest.approx(np.pi * np.sqrt(3.0))
+    basis = OperatorBasis(dim=2, states=unit_duals[1:], duals=unit_duals)
+    assert basis.alpha_max == pytest.approx(np.pi * np.sqrt(3.0))
 
 
 @pytest.mark.parametrize("d", [2, 3])

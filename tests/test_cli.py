@@ -140,6 +140,17 @@ def test_battery_mode(tmp_path):
         assert check["deviation"] <= check["bound"]
 
 
+def test_battery_duplicate_charge_labels_exit_2(tmp_path):
+    config = write_config(tmp_path / "c.json", {
+        "mode": "battery",
+        "dimension": 2,
+        "N": 20,
+        "unitary": {"exp": "X", "scale": np.pi / 4},
+        "charges": [{"matrix": "X", "label": "A"}, {"matrix": "Z", "label": "A"}],
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_mode_override(tmp_path):
     config = write_config(tmp_path / "c.json", {
         "mode": "converge",

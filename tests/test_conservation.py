@@ -6,15 +6,16 @@ from swapframe.conservation import (
     ExtensiveObservable,
     audit_evolution,
     commutator_norm,
-    embed,
+    extensive_expectation,
     lift_extensive,
 )
 from swapframe.linalg import dagger, exp_neg_i, tensor
 from swapframe.protocol import partial_swap
-from swapframe.rand import random_density, random_hermitian, rng_from_seed
+from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
+I2 = np.eye(2, dtype=complex)
 
 
 def test_extensive_observable_validates():
@@ -51,7 +52,7 @@ def test_lift_linear_and_additive():
     )
     np.testing.assert_allclose(
         lift_extensive(a, 2),
-        embed(a, [2, 2], 0) + embed(a, [2, 2], 1),
+        np.kron(a, I2) + np.kron(I2, a),
         atol=1e-14,
     )
 
@@ -123,3 +124,25 @@ def test_audit_dimension_mismatch():
         audit_evolution(np.eye(4) / 4, np.eye(8) / 8, ExtensiveObservable(Z, "Z"))
     with pytest.raises(ValueError):
         audit_evolution(np.eye(3) / 3, np.eye(3) / 3, ExtensiveObservable(Z, "Z"))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extensive_expectation_matches_dense_lift(d, n):
+    rng = rng_from_seed(45 + 10 * d + n)
+    a = random_hermitian(d, rng)
+    dims = [d] * n
+    for x in (random_hermitian(d**n, rng), gaussian_matrix(d**n, rng)):
+        dense = np.trace(lift_extensive(a, n) @ x)
+        assert abs(extensive_expectation(a, x, dims, range(n)) - dense) <= 1e-12
+        # a proper subset of the slots: every slot but the first
+        subset = np.zeros((d**n, d**n), dtype=complex)
+        for slot in range(1, n):
+            subset += np.kron(np.kron(np.eye(d**slot), a), np.eye(d ** (n - slot - 1)))
+        got = extensive_expectation(ExtensiveObservable(a, "A"), x, dims, range(1, n))
+        assert abs(got - np.trace(subset @ x)) <= 1e-12
+
+
+def test_extensive_expectation_rejects_misfit_slot():
+    with pytest.raises(ValueError):
+        extensive_expectation(Z, np.eye(6) / 6, [2, 3], [1])

@@ -247,6 +247,21 @@ def test_run_protocol_debug_frame_states():
     assert run_protocol(spec).frame_states is None
 
 
+def test_keeping_frame_states_leaves_the_run_unchanged():
+    spec = ProtocolSpec(
+        target=exp_neg_i(Y, 0.3), n_rounds=6, basis=QUBIT_BASIS,
+        rho_s=random_density(2, rng_from_seed(58)),
+        charges=(ExtensiveObservable(X, "X"), ExtensiveObservable(Z, "Z")),
+    )
+    kept = run_protocol(spec, keep_frame_states=True)
+    plain = run_protocol(spec)
+    assert len(kept.frame_states) == 6 * 3
+    assert np.array_equal(kept.final_state, plain.final_state)
+    assert kept.round_errors == plain.round_errors
+    assert kept.total_error == plain.total_error
+    assert kept.ledger.entries == plain.ledger.entries
+
+
 def test_protocol_spec_validation():
     with pytest.raises(ValueError):
         ProtocolSpec(target=I2, n_rounds=0, basis=QUBIT_BASIS, rho_s=PLUS)
@@ -255,6 +270,9 @@ def test_protocol_spec_validation():
     with pytest.raises(ValueError):
         ProtocolSpec(target=I2, n_rounds=5, basis=QUBIT_BASIS, rho_s=PLUS,
                      charges=(ExtensiveObservable(np.eye(3), "bad3"),))
+    with pytest.raises(ValueError):
+        ProtocolSpec(target=I2, n_rounds=5, basis=QUBIT_BASIS, rho_s=PLUS,
+                     charges=(ExtensiveObservable(X, "A"), ExtensiveObservable(Z, "A")))
 
 
 def test_two_subsystem_step_zero_angle():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from swapframe.basis import build_state_basis
-from swapframe.conservation import ExtensiveObservable
-from swapframe.linalg import dagger, exp_neg_i, swap_operator, tensor
+from swapframe.conservation import ExtensiveObservable, lift_extensive
+from swapframe.linalg import dagger, exp_neg_i, operator_norm, swap_operator, tensor
 from swapframe.protocol import ProtocolSpec, run_protocol
-from swapframe.rand import haar_unitary, random_density, rng_from_seed
+from swapframe.rand import haar_unitary, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import (
     ThermalSpec,
     battery_deviation_check,
@@ -33,6 +33,12 @@ def test_thermal_spec_validation():
         ThermalSpec(charges=(), betas=())
     with pytest.raises(ValueError):
         ThermalSpec(charges=(CHARGE_Z, ExtensiveObservable(np.eye(3), "I3")), betas=(1.0, 1.0))
+
+
+def test_thermal_spec_rejects_duplicate_labels():
+    with pytest.raises(ValueError):
+        ThermalSpec(charges=(ExtensiveObservable(X, "A"), ExtensiveObservable(Z, "A")),
+                    betas=(0.3, 0.7))
 
 
 def test_thermal_state_infinite_temperature():
@@ -66,6 +72,20 @@ def test_free_entropy_maximally_mixed():
 def test_free_entropy_pure_state():
     rho = np.diag([1.0, 0.0]).astype(complex)
     assert free_entropy(rho, ZX_SPEC) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_free_entropy_additive_on_product_states():
+    rng = rng_from_seed(74)
+    rho = random_density(2, rng)
+    sigma = random_density(2, rng)
+    assert free_entropy(tensor(rho, sigma), ZX_SPEC) == pytest.approx(
+        free_entropy(rho, ZX_SPEC) + free_entropy(sigma, ZX_SPEC), abs=1e-12
+    )
+
+
+def test_free_entropy_rejects_non_power_dimension():
+    with pytest.raises(ValueError):
+        free_entropy(np.eye(3) / 3, ZX_SPEC)
 
 
 def test_thermal_state_minimizes_free_entropy():
@@ -179,3 +199,16 @@ def test_battery_deviation_requires_ledger():
     result = run_protocol(spec)  # no charges -> empty ledger
     with pytest.raises(ValueError):
         battery_deviation_check(result, {"Z": 0.0}, 0.0, (CHARGE_Z,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_battery_bound_matches_dense_lift(n):
+    rng = rng_from_seed(75)
+    charge = ExtensiveObservable(random_hermitian(2, rng), "A")
+    spec = ProtocolSpec(target=exp_neg_i(X, 0.4), n_rounds=5, basis=build_state_basis(2),
+                        rho_s=random_density(2, rng), charges=(charge,))
+    epsilon = 0.0123
+    checks = battery_deviation_check(run_protocol(spec), {"A": 0.0}, epsilon, (charge,),
+                                     n_sys_bath=n)
+    expected = epsilon * operator_norm(lift_extensive(charge, n))
+    assert abs(checks["A"].bound - expected) <= 1e-12
