@@ -127,7 +127,10 @@ def load_basis(config: dict, d: int) -> OperatorBasis:
     name = config.get("basis", "default")
     if name == "default":
         return build_state_basis(d)
-    text = Path(name).read_text()
+    try:
+        text = Path(name).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read basis file: {exc}") from None
     basis = OperatorBasis.from_json(text)
     if basis.dim != d:
         raise ConfigError(f"basis file has dimension {basis.dim}, config says {d}")
@@ -187,7 +190,7 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
         "total_error": result.total_error,
         "total_bound": result.total_bound,
         "bound_valid": result.bound_valid,
-        "ledger": result.ledger.to_json_dict(include_entries=True),
+        "ledger": result.ledger.to_json_dict(),
     })
     print(f"conserve: {len(result.ledger.entries)} collision entries, "
           f"max closure residual {residual:.3e}")
@@ -199,9 +202,13 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
 def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
     d = int(_require(config, "dimension"))
     charges = parse_charges(config, d)
-    betas = tuple(float(b) for b in _require(config, "betas"))
+    betas = _require(config, "betas")
+    if not isinstance(betas, list):
+        raise ConfigError(f"'betas' must be a list with one number per charge, got {betas!r}")
     spec = ThermalSpec(charges=charges, betas=betas)
     bath_subsystems = int(config.get("bath_subsystems", 2))
+    if bath_subsystems < 1:
+        raise ConfigError(f"'bath_subsystems' must be at least 1, got {bath_subsystems}")
     draws = int(config.get("draws", 200))
 
     tau, ln_z = thermal_state(spec, d)
@@ -294,6 +301,9 @@ def main(argv=None) -> int:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(config, dict):
+        print(f"error: config must be a JSON object, got a {type(config).__name__}", file=sys.stderr)
         return 2
 
     mode = args.mode or config.get("mode")

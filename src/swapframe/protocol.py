@@ -11,6 +11,13 @@ Each frame particle starts in product form and is touched exactly once, so
 the frame is never materialized; the protocol consumes one fresh particle per
 collision, which is mathematically identical to acting on the full
 tensor-power frame state.
+
+Collisions use the exact closed form of their reduced action, the
+density-matrix exponentiation identity (Lloyd, Mohseni, Rebentrost,
+arXiv:1307.0401): with c, s = cos, sin of alpha/N and K = i·c·s·[sigma, rho],
+the system leaves as c²·rho + s²·sigma - K and the particle as
+c²·sigma + s²·rho + K. The dense d²×d² gate ``partial_swap`` is kept only as
+the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -26,10 +33,8 @@ from .linalg import (
     check_unitary,
     dagger,
     hermitian_eig,
-    partial_trace,
     principal_generator,
     swap_operator,
-    tensor,
     trace_norm,
 )
 
@@ -40,8 +45,6 @@ def partial_swap(alpha: float, n_rounds: int, d: int) -> np.ndarray:
     SWAP is an involution, so this is exactly cos(a)·1 - i·sin(a)·SWAP with
     a = alpha/N; no series truncation is involved.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     if n_rounds < 1:
         raise ValueError("round count must be >= 1")
     a = alpha / n_rounds
@@ -54,16 +57,23 @@ def step_channel(rho, sigma, alpha: float, n_rounds: int):
 
     Returns ``(system_out, frame_out)``, the reduced states of the system and
     of the consumed frame particle. Extensive charges are conserved: the
-    system's loss of any charge expectation is the particle's gain.
+    system's loss of any charge expectation is the particle's gain. Evaluated
+    in closed form (arXiv:1307.0401), without the joint space: with
+    c, s = cos, sin of alpha/N and K = i·c·s·(sigma·rho - rho·sigma), the
+    outputs are c²·rho + s²·sigma - K and c²·sigma + s²·rho + K. The dense
+    gate ``partial_swap`` is kept only as the reference.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    d = rho.shape[0]
-    if sigma.shape != (d, d):
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or sigma.shape != rho.shape:
         raise ValueError(f"dimension mismatch: system {rho.shape} vs frame particle {sigma.shape}")
-    v = partial_swap(alpha, n_rounds, d)
-    joint = v @ tensor(rho, sigma) @ dagger(v)
-    return partial_trace(joint, [d, d], 0), partial_trace(joint, [d, d], 1)
+    if n_rounds < 1:
+        raise ValueError("round count must be >= 1")
+    if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
+        raise ValueError("matrix has non-finite entries")
+    c, s = np.cos(alpha / n_rounds), np.sin(alpha / n_rounds)
+    k = (1j * c * s) * (sigma @ rho - rho @ sigma)
+    return c * c * rho + s * s * sigma - k, c * c * sigma + s * s * rho + k
 
 
 @dataclass(frozen=True)
@@ -103,13 +113,11 @@ class BatteryLedger:
         """Worst per-collision violation of system+particle charge conservation."""
         return max((e.closure_residual for e in self.entries), default=0.0)
 
-    def to_json_dict(self, include_entries: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "cumulative": self.cumulative(),
             "max_closure_residual": self.max_closure_residual(),
-        }
-        if include_entries:
-            doc["entries"] = [
+            "entries": [
                 {
                     "round": e.round,
                     "slot": e.slot,
@@ -118,8 +126,8 @@ class BatteryLedger:
                     "frame_delta": e.frame_delta,
                 }
                 for e in self.entries
-            ]
-        return doc
+            ],
+        }
 
 
 def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
@@ -202,18 +210,6 @@ class ProtocolResult:
     decomposition: GeneratorDecomposition
     frame_states: tuple | None = None
 
-    def to_json_dict(self, include_entries: bool = False) -> dict:
-        return {
-            "schema": 1,
-            "total_error": self.total_error,
-            "total_bound": self.total_bound,
-            "bound_valid": self.bound_valid,
-            "n_min": self.n_min,
-            "round_errors": list(self.round_errors),
-            "alphas": list(self.decomposition.alphas),
-            "identity_coefficient": self.decomposition.identity_coefficient,
-            "ledger": self.ledger.to_json_dict(include_entries=include_entries),
-        }
 
 
 def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> ProtocolResult:
@@ -268,14 +264,5 @@ def two_subsystem_step(rho_ab, sigma_a, sigma_b, alpha: float, n_rounds: int) ->
     the composite space; its first-order action on the system is generated by
     sigma_a ⊗ sigma_b.
     """
-    sigma_a = np.asarray(sigma_a, dtype=complex)
-    sigma_b = np.asarray(sigma_b, dtype=complex)
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    d = sigma_a.shape[0] * sigma_b.shape[0]
-    if rho_ab.shape != (d, d):
-        raise ValueError(
-            f"system of dimension {rho_ab.shape[0]} does not match frame dims "
-            f"{sigma_a.shape[0]}x{sigma_b.shape[0]}"
-        )
-    rho_out, _ = step_channel(rho_ab, tensor(sigma_a, sigma_b), alpha, n_rounds)
+    rho_out, _ = step_channel(rho_ab, np.kron(sigma_a, sigma_b), alpha, n_rounds)
     return rho_out

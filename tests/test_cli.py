@@ -202,3 +202,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "conserve" in proc.stdout
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "basis": "no-such-basis.json"}, "no-such-basis.json"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": 1.0}, "betas"),
+    ([1, 2], "object"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0],
+      "bath_subsystems": 0}, "bath_subsystems"),
+], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems"])
+def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
+    config = write_config(tmp_path / "c.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapframe.cli", "--config", config,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, single_step_bound
@@ -102,6 +104,55 @@ def test_step_channel_error_within_bound():
 def test_step_channel_dimension_mismatch():
     with pytest.raises(ValueError):
         step_channel(np.eye(2) / 2, np.eye(3) / 3, 1.0, 5)
+
+
+@pytest.mark.parametrize("rho, sigma, n_rounds", [
+    (PLUS, KET0, 0),
+    (np.ones((2, 3)) / 2, KET0, 5),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), KET0, 5),
+    (PLUS, np.array([[np.inf, 0.0], [0.0, 0.0]]), 5),
+], ids=["zero_rounds", "non_square", "nan_entry", "inf_entry"])
+def test_step_channel_rejects_bad_input(rho, sigma, n_rounds):
+    with pytest.raises(ValueError):
+        step_channel(rho, sigma, 1.0, n_rounds)
+
+
+def _oracle_density(d, rng, pure):
+    rank = 1 if pure else d
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _oracle_collision(rho, sigma, alpha, n_rounds):
+    """One collision on the joint space, sharing no code with swapframe."""
+    d = rho.shape[0]
+    # SWAP|i j> = |j i>, by permuting the row indices of the identity.
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    gate = scipy.linalg.expm(-1j * (alpha / n_rounds) * swap)
+    joint = (gate @ np.kron(rho, sigma) @ gate.conj().T).reshape(d, d, d, d)
+    return np.einsum("ijkj->ik", joint), np.einsum("ijil->jl", joint)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+@settings(max_examples=15)
+@given(alpha=st.floats(-12.0, 12.0), n_rounds=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+@example(alpha=-1.0, n_rounds=7, seed=1, pure=False)
+@example(alpha=-5.0, n_rounds=2, seed=2, pure=True)
+@example(alpha=2.0, n_rounds=1, seed=3, pure=False)
+def test_step_channel_matches_dense_oracle(d, alpha, n_rounds, seed, pure):
+    rng = np.random.default_rng(seed)
+    rho = _oracle_density(d, rng, pure)
+    sigma = _oracle_density(d, rng, not pure)
+    out, frame = step_channel(rho, sigma, alpha, n_rounds)
+    ref_out, ref_frame = _oracle_collision(rho, sigma, alpha, n_rounds)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(frame, ref_frame, rtol=0, atol=1e-12)
+    for state in (out, frame):
+        assert np.max(np.abs(state - state.conj().T)) <= 1e-12
+        assert abs(np.trace(state) - 1) <= 1e-12
+        assert np.linalg.eigvalsh((state + state.conj().T) / 2)[0] >= -1e-12
 
 
 def test_frame_locality_full_space_equals_sequential():
@@ -215,6 +266,20 @@ def test_run_protocol_ledger_closure():
     result = run_protocol(spec)
     assert len(result.ledger.entries) == 60 * 3 * 3
     assert result.ledger.max_closure_residual() <= 1e-10
+
+
+def test_ledger_total_matches_telescoped_system_change():
+    # the frame's cumulative gain must equal the system's net loss, -tr(A(rho_N - rho_0))
+    rng = rng_from_seed(62)
+    charge = ExtensiveObservable(random_hermitian(3, rng), "A")
+    spec = ProtocolSpec(
+        target=haar_unitary(3, rng), n_rounds=400, basis=build_state_basis(3),
+        rho_s=random_density(3, rng), charges=(charge,),
+    )
+    result = run_protocol(spec)
+    telescoped = -np.trace(charge.matrix @ (result.final_state - spec.rho_s)).real
+    assert abs(result.ledger.cumulative()["A"] - telescoped) <= 1e-12
+    assert result.ledger.max_closure_residual() <= 1e-13
 
 
 def test_run_protocol_below_threshold_flagged():
