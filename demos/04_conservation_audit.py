@@ -60,7 +60,7 @@ charges = tuple(ExtensiveObservable(a, n) for n, a in (("X", X), ("Y", Y), ("Z",
 spec = ProtocolSpec(target=exp_neg_i(Y, 0.7), n_rounds=100, basis=basis,
                     rho_s=random_density(2, rng), charges=charges)
 result = run_protocol(spec)
-print(f"{len(result.ledger.entries)} ledger entries "
+print(f"{result.ledger.frame.size} ledger entries "
       f"({spec.n_rounds} rounds x {basis.size} slots x {len(charges)} charges)")
 print(f"worst |system delta + particle delta| = {result.ledger.max_closure_residual():.2e}")
 print(f"charge absorbed by the frame: "

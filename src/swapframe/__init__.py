@@ -42,7 +42,6 @@ from .protocol import (
     ProtocolSpec,
     ProtocolResult,
     BatteryLedger,
-    LedgerEntry,
     partial_swap,
     step_channel,
     collision_round,

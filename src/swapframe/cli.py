@@ -73,6 +73,24 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _count(value, key: str) -> int:
+    """A positive integer config value, or a ConfigError naming its field."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = 0
+    if number < 1:
+        raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
+    return number
+
+
+def _round_counts(config: dict, key: str) -> list:
+    value = _require(config, key)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key!r} must be a non-empty list of round counts, got {value!r}")
+    return [_count(n, key) for n in value]
+
+
 def parse_unitary(spec, d: int, rng) -> np.ndarray:
     """Unitary from {"exp": matrix, "scale": s}, {"matrix": m}, or {"random": true}."""
     if not isinstance(spec, dict):
@@ -113,13 +131,10 @@ def parse_state(spec, d: int, rng) -> np.ndarray:
 def parse_charges(config: dict, d: int) -> tuple:
     charges = []
     for i, entry in enumerate(config.get("charges", [])):
-        if isinstance(entry, str):
-            charges.append(ExtensiveObservable(parse_matrix(entry, d), label=entry))
-        elif isinstance(entry, dict):
-            label = entry.get("label", f"A{i}")
-            charges.append(ExtensiveObservable(parse_matrix(_require(entry, "matrix"), d), label=label))
-        else:
-            charges.append(ExtensiveObservable(parse_matrix(entry, d), label=f"A{i}"))
+        label = entry if isinstance(entry, str) else f"A{i}"
+        if isinstance(entry, dict):
+            label, entry = entry.get("label", label), _require(entry, "matrix")
+        charges.append(ExtensiveObservable(parse_matrix(entry, d), label=label))
     return tuple(charges)
 
 
@@ -141,13 +156,21 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
-    d = int(_require(config, "dimension"))
-    n_list = _require(config, "N_list")
+def _protocol_spec(config: dict, n_rounds: int, rng, mode: str = "") -> ProtocolSpec:
+    """The spec a protocol mode's config describes; a named ``mode`` needs charges."""
+    d = _count(_require(config, "dimension"), "dimension")
     basis = load_basis(config, d)
+    charges = parse_charges(config, d) if mode else ()
+    if mode and not charges:
+        raise ConfigError(f"{mode} mode needs a 'charges' list")
     target = parse_unitary(_require(config, "unitary"), d, rng)
     rho = parse_state(config.get("state", {"plus": True}), d, rng)
-    spec = ProtocolSpec(target=target, n_rounds=int(n_list[0]), basis=basis, rho_s=rho)
+    return ProtocolSpec(target=target, n_rounds=n_rounds, basis=basis, rho_s=rho, charges=charges)
+
+
+def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
+    n_list = _round_counts(config, "N_list")
+    spec = _protocol_spec(config, n_list[0], rng)
 
     table = convergence_sweep(spec, n_list)
     (out / "converge.csv").write_text(table.to_csv())
@@ -170,16 +193,7 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
 
 
 def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
-    d = int(_require(config, "dimension"))
-    n = int(_require(config, "N"))
-    basis = load_basis(config, d)
-    charges = parse_charges(config, d)
-    if not charges:
-        raise ConfigError("conserve mode needs a 'charges' list")
-    target = parse_unitary(_require(config, "unitary"), d, rng)
-    rho = parse_state(config.get("state", {"plus": True}), d, rng)
-    spec = ProtocolSpec(target=target, n_rounds=n, basis=basis, rho_s=rho, charges=charges)
-
+    spec = _protocol_spec(config, _count(_require(config, "N"), "N"), rng, "conserve")
     result = run_protocol(spec)
     residual = result.ledger.max_closure_residual()
     ok = residual <= 1e-10
@@ -192,7 +206,7 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
         "bound_valid": result.bound_valid,
         "ledger": result.ledger.to_json_dict(),
     })
-    print(f"conserve: {len(result.ledger.entries)} collision entries, "
+    print(f"conserve: {result.ledger.frame.size} collision entries, "
           f"max closure residual {residual:.3e}")
     if result.bound_valid and result.total_error > result.total_bound:
         return 1
@@ -200,16 +214,14 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
 
 
 def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
-    d = int(_require(config, "dimension"))
+    d = _count(_require(config, "dimension"), "dimension")
     charges = parse_charges(config, d)
     betas = _require(config, "betas")
     if not isinstance(betas, list):
         raise ConfigError(f"'betas' must be a list with one number per charge, got {betas!r}")
     spec = ThermalSpec(charges=charges, betas=betas)
-    bath_subsystems = int(config.get("bath_subsystems", 2))
-    if bath_subsystems < 1:
-        raise ConfigError(f"'bath_subsystems' must be at least 1, got {bath_subsystems}")
-    draws = int(config.get("draws", 200))
+    bath_subsystems = _count(config.get("bath_subsystems", 2), "bath_subsystems")
+    draws = _count(config.get("draws", 200), "draws")
 
     tau, ln_z = thermal_state(spec, d)
     bath0 = tau
@@ -240,26 +252,19 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
 
 
 def run_battery(config: dict, out: Path, rng, verbose: bool) -> int:
-    d = int(_require(config, "dimension"))
-    n_list = config.get("N_list") or [int(_require(config, "N"))]
-    basis = load_basis(config, d)
-    charges = parse_charges(config, d)
-    if not charges:
-        raise ConfigError("battery mode needs a 'charges' list")
-    target = parse_unitary(_require(config, "unitary"), d, rng)
-    rho = parse_state(config.get("state", {"plus": True}), d, rng)
+    n_list = (_round_counts(config, "N_list") if "N_list" in config
+              else [_count(_require(config, "N"), "N")])
+    spec = _protocol_spec(config, n_list[0], rng, "battery")
+    works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target), spec.charges)
 
     runs = []
     all_passed = True
     for n in n_list:
-        spec = ProtocolSpec(target=target, n_rounds=int(n), basis=basis, rho_s=rho, charges=charges)
-        result = run_protocol(spec)
-        ideal_after = target @ rho @ dagger(target)
-        works = implicit_work(rho, ideal_after, charges)
-        checks = battery_deviation_check(result, works, result.total_error, charges)
+        result = run_protocol(spec.with_rounds(n))
+        checks = battery_deviation_check(result, works, result.total_error, spec.charges)
         all_passed &= all(c.passed for c in checks.values())
         runs.append({
-            "N": int(n),
+            "N": n,
             "total_error": result.total_error,
             "works": works,
             "ledger_cumulative": result.ledger.cumulative(),

@@ -21,18 +21,18 @@ HERMITIAN_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
 
-def _as_square(a) -> np.ndarray:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+def _as_square(a, stack: bool = False) -> np.ndarray:
+    a = _as_matrix(a, stack)
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -171,20 +171,30 @@ def principal_generator(u) -> np.ndarray:
     return hermitize((z * theta) @ dagger(z))
 
 
-def trace_norm(op) -> float:
-    """Sum of singular values; sum of |eigenvalues| for Hermitian input."""
-    op = _as_square(op)
-    if is_hermitian(op):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(op)))))
-    return float(np.sum(scipy.linalg.svdvals(op)))
+def _singular_values(op) -> np.ndarray:
+    """Per matrix of a stack: |eigenvalues| if Hermitian, else singular values."""
+    adj = op.conj().swapaxes(-1, -2)
+    herm = np.max(np.abs(op - adj), axis=(-2, -1)) <= HERMITIAN_ATOL
+    values = np.empty(op.shape[:-1])
+    values[herm] = np.abs(np.linalg.eigvalsh((op[herm] + adj[herm]) / 2))
+    values[~herm] = np.linalg.svd(op[~herm], compute_uv=False)
+    return values
+
+
+def trace_norm(op):
+    """Sum of singular values; sum of |eigenvalues| for Hermitian input.
+
+    A stack of shape (..., d, d) gives an array of one norm per matrix; each
+    member takes the Hermitian or the singular-value branch on its own.
+    """
+    op = _as_square(op, stack=True)
+    norms = _singular_values(op).sum(axis=-1)
+    return float(norms) if op.ndim == 2 else norms
 
 
 def operator_norm(op) -> float:
     """Largest singular value; largest |eigenvalue| for Hermitian input."""
-    op = _as_square(op)
-    if is_hermitian(op):
-        return float(np.max(np.abs(np.linalg.eigvalsh(hermitize(op)))))
-    return float(np.max(scipy.linalg.svdvals(op)))
+    return float(np.max(_singular_values(_as_square(op))))
 
 
 def hs_norm(op) -> float:

@@ -15,14 +15,17 @@ tensor-power frame state.
 Collisions use the exact closed form of their reduced action, the
 density-matrix exponentiation identity (Lloyd, Mohseni, Rebentrost,
 arXiv:1307.0401): with c, s = cos, sin of alpha/N and K = i·c·s·[sigma, rho],
-the system leaves as c²·rho + s²·sigma - K and the particle as
-c²·sigma + s²·rho + K. The dense d²×d² gate ``partial_swap`` is kept only as
-the reference that tests compare against.
+the system leaves as c²·rho + s²·tr(rho)·sigma - K and the particle as
+c²·sigma + s²·rho + K. The tr(rho) factor, 1 for any state, makes a round
+one fixed linear map M on vec(rho): ``run_protocol`` sweeps one round over
+the d² matrix units to get M, then takes N mat-vecs; the ledger comes from one
+more round swept over the stack of round-start states. The dense d²×d² gate
+``partial_swap`` is kept only as the reference that tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,106 +55,83 @@ def partial_swap(alpha: float, n_rounds: int, d: int) -> np.ndarray:
     return np.cos(a) * eye - 1j * np.sin(a) * swap_operator(d)
 
 
-def step_channel(rho, sigma, alpha: float, n_rounds: int):
+def step_channel(rho, sigma, alpha, n_rounds: int):
     """Exact effect of one collision: conjugate by the partial swap, trace out.
 
     Returns ``(system_out, frame_out)``, the reduced states of the system and
-    of the consumed frame particle. Extensive charges are conserved: the
-    system's loss of any charge expectation is the particle's gain. Evaluated
-    in closed form (arXiv:1307.0401), without the joint space: with
-    c, s = cos, sin of alpha/N and K = i·c·s·(sigma·rho - rho·sigma), the
-    outputs are c²·rho + s²·sigma - K and c²·sigma + s²·rho + K. The dense
-    gate ``partial_swap`` is kept only as the reference.
+    of the consumed particle; the system's loss of any extensive charge is the
+    particle's gain. Closed form (arXiv:1307.0401), with c, s = cos, sin of
+    alpha/N and K = i·c·s·(sigma·rho - rho·sigma): c²·rho + s²·tr(rho)·sigma - K
+    and c²·sigma + s²·rho + K. The tr(rho) factor, the exact partial trace,
+    makes the system output linear in rho. ``rho`` may be a stack (..., d, d);
+    ``sigma`` and ``alpha`` broadcast against it.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or sigma.shape != rho.shape:
+    if (rho.ndim < 2 or sigma.ndim < 2 or rho.shape[-1] != rho.shape[-2]
+            or sigma.shape[-2:] != rho.shape[-2:]):
         raise ValueError(f"dimension mismatch: system {rho.shape} vs frame particle {sigma.shape}")
     if n_rounds < 1:
         raise ValueError("round count must be >= 1")
     if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
         raise ValueError("matrix has non-finite entries")
-    c, s = np.cos(alpha / n_rounds), np.sin(alpha / n_rounds)
+    a = np.asarray(alpha, dtype=float)[..., None, None] / n_rounds
+    c, s = np.cos(a), np.sin(a)
     k = (1j * c * s) * (sigma @ rho - rho @ sigma)
-    return c * c * rho + s * s * sigma - k, c * c * sigma + s * s * rho + k
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """Charge flow of one collision: deltas of one charge on system and particle."""
-
-    round: int
-    slot: int
-    charge: str
-    system_delta: float
-    frame_delta: float
-
-    @property
-    def closure_residual(self) -> float:
-        return abs(self.system_delta + self.frame_delta)
+    tr = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+    return c * c * rho + s * s * tr * sigma - k, c * c * sigma + s * s * rho + k
 
 
 @dataclass
 class BatteryLedger:
-    """Per-collision record of charge expectation changes in the frame particles."""
+    """Charge deltas of every collision, on the system and on its particle.
 
-    charges: tuple = ()
-    entries: list = field(default_factory=list)
+    ``system[t, k, j]`` and ``frame[t, k, j]``: charge j, slot k, round t + 1.
+    """
 
-    def record(self, round_index: int, slot: int, label: str,
-               system_delta: float, frame_delta: float) -> None:
-        self.entries.append(LedgerEntry(round_index, slot, label, system_delta, frame_delta))
+    charges: tuple
+    system: np.ndarray
+    frame: np.ndarray
 
     def cumulative(self) -> dict:
         """Total charge absorbed by the frame, per charge label."""
-        totals = {label: 0.0 for label in self.charges}
-        for e in self.entries:
-            totals[e.charge] += e.frame_delta
-        return totals
+        return dict(zip(self.charges, self.frame.sum(axis=(0, 1)).tolist()))
 
     def max_closure_residual(self) -> float:
         """Worst per-collision violation of system+particle charge conservation."""
-        return max((e.closure_residual for e in self.entries), default=0.0)
+        return float(np.max(np.abs(self.system + self.frame), initial=0.0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "cumulative": self.cumulative(),
-            "max_closure_residual": self.max_closure_residual(),
-            "entries": [
-                {
-                    "round": e.round,
-                    "slot": e.slot,
-                    "charge": e.charge,
-                    "system_delta": e.system_delta,
-                    "frame_delta": e.frame_delta,
-                }
-                for e in self.entries
-            ],
-        }
+        system, frame = self.system.tolist(), self.frame.tolist()
+        entries = [
+            {"round": t + 1, "slot": k, "charge": self.charges[j],
+             "system_delta": system[t][k][j], "frame_delta": frame[t][k][j]}
+            for t, k, j in np.ndindex(self.frame.shape)
+        ]
+        return {"cumulative": self.cumulative(),
+                "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
 def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
-                    charges=(), ledger: BatteryLedger | None = None,
-                    round_index: int = 0, *, frames: list | None = None):
+                    charges=(), ledger: BatteryLedger | None = None, *,
+                    frames: list | None = None):
     """One sweep of collisions, slot k against a fresh particle in basis state k.
 
-    Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k.
-    Returns the updated system state; ledger entries (one per slot and charge)
-    are appended to ``ledger`` and the consumed particles' states to
-    ``frames`` when given.
+    Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k,
+    on one state or a stack (..., d, d), and returns the result. When given,
+    ``ledger`` (arrays rho.shape[:-2] + (D, K), or (1, D, K) for one state)
+    receives each slot's charge deltas and ``frames`` each slot's particles.
     """
     if len(alphas) != basis.size:
         raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
+    mats = np.array([c.matrix for c in charges], dtype=complex)
     for slot, (alpha, sigma) in enumerate(zip(alphas, basis.states)):
         rho_next, frame_out = step_channel(rho, sigma, alpha, n_rounds)
         if frames is not None:
             frames.append(frame_out)
-        if ledger is not None:
-            for charge in charges:
-                a = charge.matrix
-                sys_delta = float(np.trace(a @ (rho_next - rho)).real)
-                frame_delta = float(np.trace(a @ (frame_out - sigma)).real)
-                ledger.record(round_index, slot, charge.label, sys_delta, frame_delta)
+        if ledger is not None and charges:
+            ledger.system[..., slot, :] = np.einsum("kij,...ji->...k", mats, rho_next - rho).real
+            ledger.frame[..., slot, :] = np.einsum("kij,...ji->...k", mats, frame_out - sigma).real
         rho = rho_next
     return rho
 
@@ -211,47 +191,53 @@ class ProtocolResult:
     frame_states: tuple | None = None
 
 
-
 def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
-    Ideal comparison states exp(-iHt/N)·rho·exp(+iHt/N) are computed from one
-    eigendecomposition of the generator, so the measured errors are against
-    exact evolution. Identical specs produce bit-identical results.
+    Every round is the same linear map M on vec(rho): one round swept over the
+    d² matrix units gives M, and N mat-vecs give the round-start states. With
+    charges or kept frame states, one more round swept over that stack fills
+    the ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) for every t come from
+    one eigendecomposition of the generator. Identical specs produce
+    bit-identical results.
     """
     basis = spec.basis
     n = spec.n_rounds
+    d = basis.dim
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
 
     bound, valid = total_bound(basis.size, basis.alpha_max, n)
     n_min = max(2.0 * dec.max_alpha, 4.0 * basis.size * basis.alpha_max)
 
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    round_map = collision_round(units, basis, dec.alphas, n).reshape(d * d, d * d).T
+    states = np.empty((n + 1, d * d), dtype=complex)
+    states[0] = spec.rho_s.reshape(-1)
+    for t in range(n):
+        np.dot(round_map, states[t], out=states[t + 1])
+    states = states.reshape(n + 1, d, d)
+
+    shape = (n, basis.size, len(spec.charges))
+    ledger = BatteryLedger(tuple(c.label for c in spec.charges), np.zeros(shape), np.zeros(shape))
+    frames = [] if keep_frame_states else None
+    if spec.charges or keep_frame_states:
+        collision_round(states[:-1], basis, dec.alphas, n, spec.charges, ledger, frames=frames)
+
     w, v = hermitian_eig(h)
-    rho0 = spec.rho_s
-
-    ledger = BatteryLedger(charges=tuple(c.label for c in spec.charges))
-    frame_states = [] if keep_frame_states else None
-
-    rho = rho0
-    round_errors = []
-    for t in range(1, n + 1):
-        rho = collision_round(rho, basis, dec.alphas, n, spec.charges, ledger, t,
-                              frames=frame_states)
-        u_t = (v * np.exp(-1j * w * (t / n))) @ dagger(v)
-        round_errors.append(trace_norm(rho - u_t @ rho0 @ dagger(u_t)))
-
-    ideal_final = spec.target @ rho0 @ dagger(spec.target)
+    rho_eig = dagger(v) @ spec.rho_s @ v
+    phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
+    ideal = v @ (rho_eig * phases) @ dagger(v)
     return ProtocolResult(
-        final_state=rho,
-        round_errors=tuple(round_errors),
-        total_error=trace_norm(rho - ideal_final),
+        final_state=states[-1].copy(),
+        round_errors=tuple(trace_norm(states[1:] - ideal).tolist()),
+        total_error=trace_norm(states[-1] - spec.target @ spec.rho_s @ dagger(spec.target)),
         total_bound=bound,
         bound_valid=valid,
         n_min=n_min,
         ledger=ledger,
         decomposition=dec,
-        frame_states=None if frame_states is None else tuple(frame_states),
+        frame_states=None if frames is None else tuple(np.stack(frames, axis=1).reshape(-1, d, d)),
     )
 
 

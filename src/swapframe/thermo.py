@@ -200,7 +200,7 @@ def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float,
     operator norm of the charge lifted over the system+bath slots, with
     epsilon the measured trace error of the same run.
     """
-    if result.ledger is None or not result.ledger.entries:
+    if result.ledger is None or result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")
     cumulative = result.ledger.cumulative()
     checks = {}

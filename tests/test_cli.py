@@ -211,7 +211,15 @@ def test_module_entry_point(tmp_path):
     ([1, 2], "object"),
     ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0],
       "bath_subsystems": 0}, "bath_subsystems"),
-], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems"])
+    ({"mode": "converge", "dimension": 2, "N_list": 5, "unitary": {"exp": "Z"}}, "N_list"),
+    ({"mode": "converge", "dimension": [2], "N_list": [10, 20, 40], "unitary": {"exp": "Z"}},
+     "dimension"),
+    ({"mode": "converge", "dimension": 2, "N_list": [], "unitary": {"exp": "Z"}}, "N_list"),
+    ({"mode": "battery", "dimension": 2, "N_list": 5, "unitary": {"exp": "Z"},
+      "charges": ["Z"]}, "N_list"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0], "draws": 0}, "draws"),
+], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
+        "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws"])
 def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     config = write_config(tmp_path / "c.json", doc)
     proc = subprocess.run(
@@ -222,3 +230,22 @@ def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"output is not strict JSON: contains {name}")
+
+
+def test_thermo_output_is_strict_json(tmp_path):
+    config = write_config(tmp_path / "c.json", {
+        "mode": "thermo", "dimension": 2, "charges": ["X", "Z"], "betas": [0.4, 0.7],
+        "bath_subsystems": 2, "draws": 5, "seed": 3,
+    })
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapframe.cli", "--config", config, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    doc = json.loads((out / "thermo.json").read_text(), parse_constant=_reject_constant)
+    assert doc["draws"] == 5 and len(doc["records"]) == 5

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swapframe.linalg import (
     check_density,
@@ -182,6 +184,30 @@ def test_principal_generator_roundtrip(d):
         assert operator_norm(exp_neg_i(h, 1.0) - u) < 1e-9
 
 
+@settings(max_examples=60)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e-13, 1e-13),
+       at_cut=st.integers(1, 5), degenerate_rest=st.booleans())
+@example(d=2, seed=0, offset=0.0, at_cut=2, degenerate_rest=False)
+@example(d=4, seed=1, offset=-1e-13, at_cut=1, degenerate_rest=True)
+@example(d=3, seed=2, offset=1e-13, at_cut=2, degenerate_rest=True)
+def test_principal_generator_roundtrip_at_branch_cut_and_degenerate(
+        d, seed, offset, at_cut, degenerate_rest):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    # U = exp(-iH) with some eigenphases of H within 1e-13 of -pi, the rest
+    # random or all equal
+    phases = rng.uniform(-np.pi, np.pi, d)
+    phases[:at_cut] = -np.pi + offset
+    if degenerate_rest:
+        phases[at_cut:] = phases[-1]
+    u = (v * np.exp(-1j * phases)) @ v.conj().T
+    h = principal_generator(u)
+    w = np.linalg.eigvalsh(h)
+    assert w[0] > -np.pi and w[-1] <= np.pi + 1e-12
+    assert np.max(np.abs(exp_neg_i(h) - u)) <= 1e-9
+
+
 def test_norms_small_cases():
     assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
     assert operator_norm(tensor(Z, I2) + tensor(I2, Z)) == pytest.approx(2.0)  # spectrum {-2,0,0,2}
@@ -202,6 +228,25 @@ def test_trace_norm_of_density_and_distance_range():
         sig = random_density(3, rng)
         assert trace_norm(rho) == pytest.approx(1.0, abs=1e-10)
         assert 0.0 <= trace_norm(rho - sig) <= 2.0 + 1e-12
+
+
+def test_trace_norm_of_a_stack_matches_per_matrix_calls():
+    rng = rng_from_seed(14)
+    shift = np.diag(np.ones(2), 1) + np.eye(3)  # non-Hermitian: |eigenvalues| sum to 3
+    stack = np.array([random_density(3, rng) - random_density(3, rng) for _ in range(4)]
+                     + [random_hermitian(3, rng), shift])
+    norms = trace_norm(stack)
+    assert norms.shape == (6,)
+    for op, norm in zip(stack, norms):
+        assert norm == pytest.approx(trace_norm(op), abs=1e-14)
+    # the non-Hermitian member must take the singular-value branch
+    assert norms[-1] == pytest.approx(np.linalg.svd(shift, compute_uv=False).sum(), abs=1e-12)
+    assert norms[-1] > 3.4  # sum of |eigenvalues| would give 3
+    np.testing.assert_allclose(trace_norm(stack.reshape(2, 3, 3, 3)), norms.reshape(2, 3),
+                               rtol=0, atol=0)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        trace_norm(stack)
 
 
 def test_von_neumann_entropy():

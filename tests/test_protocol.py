@@ -12,6 +12,7 @@ from swapframe.linalg import (
     dagger,
     exp_neg_i,
     partial_trace,
+    principal_generator,
     swap_operator,
     tensor,
     trace_norm,
@@ -155,6 +156,30 @@ def test_step_channel_matches_dense_oracle(d, alpha, n_rounds, seed, pure):
         assert np.linalg.eigvalsh((state + state.conj().T) / 2)[0] >= -1e-12
 
 
+@settings(max_examples=30)
+@given(d=st.integers(2, 6), size=st.integers(1, 5), n_rounds=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_step_channel_matches_per_matrix_calls_and_is_linear(d, size, n_rounds, seed):
+    rng = np.random.default_rng(seed)
+    rho = rng.standard_normal((size, d, d)) + 1j * rng.standard_normal((size, d, d))
+    sigmas = np.array([_oracle_density(d, rng, False) for _ in range(size)])
+    alphas = rng.uniform(-12.0, 12.0, size)
+    # one shared particle state, and one per member
+    for sigma in (sigmas[0], sigmas):
+        out, frame = step_channel(rho, sigma, alphas, n_rounds)
+        for i in range(size):
+            own_out, own_frame = step_channel(rho[i], sigma if sigma.ndim == 2 else sigma[i],
+                                              alphas[i], n_rounds)
+            np.testing.assert_allclose(out[i], own_out, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(frame[i], own_frame, rtol=0, atol=1e-13)
+    # the system output is linear in rho: expand rho[0] over the matrix units
+    units = np.eye(d * d).reshape(d * d, d, d)
+    unit_out, _ = step_channel(units, sigmas[0], alphas[0], n_rounds)
+    out, _ = step_channel(rho[0], sigmas[0], alphas[0], n_rounds)
+    np.testing.assert_allclose(np.tensordot(rho[0].reshape(-1), unit_out, axes=1), out,
+                               rtol=0, atol=1e-12)
+
+
 def test_frame_locality_full_space_equals_sequential():
     # two collisions computed on the full 3-subsystem space agree with
     # consuming one fresh particle at a time
@@ -182,14 +207,14 @@ def test_frame_locality_full_space_equals_sequential():
 def test_collision_round_all_zero_coefficients():
     from swapframe.protocol import BatteryLedger
 
-    ledger = BatteryLedger(charges=("Z",))
+    ledger = BatteryLedger(("Z",), np.zeros((1, 3, 1)), np.zeros((1, 3, 1)))
     rho = random_density(2, rng_from_seed(55))
     out = collision_round(
         rho, QUBIT_BASIS, (0.0, 0.0, 0.0), 10,
         charges=(ExtensiveObservable(Z, "Z"),), ledger=ledger,
     )
     np.testing.assert_allclose(out, rho, atol=1e-14)
-    assert all(e.frame_delta == pytest.approx(0.0, abs=1e-14) for e in ledger.entries)
+    assert np.all(np.abs(ledger.frame) <= 1e-14)
     assert ledger.cumulative()["Z"] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -264,7 +289,7 @@ def test_run_protocol_ledger_closure():
         rho_s=random_density(2, rng), charges=charges,
     )
     result = run_protocol(spec)
-    assert len(result.ledger.entries) == 60 * 3 * 3
+    assert result.ledger.frame.size == 60 * 3 * 3
     assert result.ledger.max_closure_residual() <= 1e-10
 
 
@@ -280,6 +305,43 @@ def test_ledger_total_matches_telescoped_system_change():
     telescoped = -np.trace(charge.matrix @ (result.final_state - spec.rho_s)).real
     assert abs(result.ledger.cumulative()["A"] - telescoped) <= 1e-12
     assert result.ledger.max_closure_residual() <= 1e-13
+
+
+def _sequential_run(spec):
+    """Reference run: one step_channel call per particle on d×d matrices."""
+    n = spec.n_rounds
+    h = principal_generator(spec.target)
+    alphas = decompose_generator(h, spec.basis).alphas
+    mats = [c.matrix for c in spec.charges]
+    rho = spec.rho_s
+    errors, system, frame, frames = [], [], [], []
+    for t in range(1, n + 1):
+        for alpha, sigma in zip(alphas, spec.basis.states):
+            rho_next, frame_out = step_channel(rho, sigma, alpha, n)
+            system.append([np.trace(a @ (rho_next - rho)).real for a in mats])
+            frame.append([np.trace(a @ (frame_out - sigma)).real for a in mats])
+            frames.append(frame_out)
+            rho = rho_next
+        u = scipy.linalg.expm(-1j * (t / n) * h)
+        ideal = u @ spec.rho_s @ u.conj().T
+        errors.append(np.linalg.svd(rho - ideal, compute_uv=False).sum())
+    shape = (n, spec.basis.size, len(mats))
+    return rho, np.array(errors), np.reshape(system, shape), np.reshape(frame, shape), frames
+
+
+@pytest.mark.parametrize("d, n", [(2, 800), (3, 400), (4, 60), (8, 50)])
+def test_run_protocol_matches_sequential_collisions(d, n):
+    rng = rng_from_seed(70 + d)
+    charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{i}") for i in range(2))
+    spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=n, basis=build_state_basis(d),
+                        rho_s=random_density(d, rng), charges=charges)
+    result = run_protocol(spec, keep_frame_states=True)
+    final, errors, system, frame, frames = _sequential_run(spec)
+    np.testing.assert_allclose(result.final_state, final, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.round_errors, errors, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.ledger.system, system, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.ledger.frame, frame, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.frame_states, frames, rtol=0, atol=1e-12)
 
 
 def test_run_protocol_below_threshold_flagged():
@@ -299,7 +361,8 @@ def test_run_protocol_deterministic():
     b = run_protocol(spec)
     assert np.array_equal(a.final_state, b.final_state)
     assert a.round_errors == b.round_errors
-    assert a.ledger.entries == b.ledger.entries
+    assert np.array_equal(a.ledger.system, b.ledger.system)
+    assert np.array_equal(a.ledger.frame, b.ledger.frame)
 
 
 def test_run_protocol_debug_frame_states():
@@ -324,7 +387,8 @@ def test_keeping_frame_states_leaves_the_run_unchanged():
     assert np.array_equal(kept.final_state, plain.final_state)
     assert kept.round_errors == plain.round_errors
     assert kept.total_error == plain.total_error
-    assert kept.ledger.entries == plain.ledger.entries
+    assert np.array_equal(kept.ledger.system, plain.ledger.system)
+    assert np.array_equal(kept.ledger.frame, plain.ledger.frame)
 
 
 def test_protocol_spec_validation():
