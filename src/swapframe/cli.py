@@ -73,12 +73,23 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _convert(kind, value, key: str):
+    """``kind(value)`` for a number-valued config field, or a ConfigError naming it."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a single {kind.__name__}, got {value!r}") from None
+
+
+def _path(value, key: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def _count(value, key: str) -> int:
     """A positive integer config value, or a ConfigError naming its field."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        number = 0
+    number = _convert(int, value, key)
     if number < 1:
         raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
     return number
@@ -99,7 +110,7 @@ def parse_unitary(spec, d: int, rng) -> np.ndarray:
         gen = parse_matrix(spec["exp"], d)
         if not is_hermitian(gen):
             raise ConfigError("unitary generator must be Hermitian")
-        return exp_neg_i(gen, float(spec.get("scale", 1.0)))
+        return exp_neg_i(gen, _convert(float, spec.get("scale", 1.0), "scale"))
     if "matrix" in spec:
         return parse_matrix(spec["matrix"], d)
     if spec.get("random"):
@@ -112,7 +123,7 @@ def parse_state(spec, d: int, rng) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("state spec must be an object")
     if "basis" in spec:
-        i = int(spec["basis"])
+        i = _convert(int, spec["basis"], "basis")
         if not 0 <= i < d:
             raise ConfigError(f"basis state index {i} out of range for dimension {d}")
         rho = np.zeros((d, d), dtype=complex)
@@ -129,8 +140,11 @@ def parse_state(spec, d: int, rng) -> np.ndarray:
 
 
 def parse_charges(config: dict, d: int) -> tuple:
+    entries = config.get("charges", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"'charges' must be a list, got {entries!r}")
     charges = []
-    for i, entry in enumerate(config.get("charges", [])):
+    for i, entry in enumerate(entries):
         label = entry if isinstance(entry, str) else f"A{i}"
         if isinstance(entry, dict):
             label, entry = entry.get("label", label), _require(entry, "matrix")
@@ -143,7 +157,7 @@ def load_basis(config: dict, d: int) -> OperatorBasis:
     if name == "default":
         return build_state_basis(d)
     try:
-        text = Path(name).read_text()
+        text = _path(name, "basis").read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read basis file: {exc}") from None
     basis = OperatorBasis.from_json(text)
@@ -178,8 +192,9 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
     _write_json(out / "converge.json", {
         "schema": SCHEMA_VERSION,
         "mode": "converge",
-        "slope": table.slope,
-        "intercept": table.intercept,
+        # NaN when no error rose above the fp floor; JSON has no NaN.
+        "slope": None if np.isnan(table.slope) else table.slope,
+        "intercept": None if np.isnan(table.intercept) else table.intercept,
         "rows": [
             {"N": r.n_rounds, "measured_error": r.measured_error,
              "analytic_bound": r.analytic_bound, "valid": r.valid}
@@ -219,7 +234,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
     betas = _require(config, "betas")
     if not isinstance(betas, list):
         raise ConfigError(f"'betas' must be a list with one number per charge, got {betas!r}")
-    spec = ThermalSpec(charges=charges, betas=betas)
+    spec = ThermalSpec(charges=charges, betas=[_convert(float, b, "betas") for b in betas])
     bath_subsystems = _count(config.get("bath_subsystems", 2), "bath_subsystems")
     draws = _count(config.get("draws", 200), "draws")
 
@@ -315,11 +330,10 @@ def main(argv=None) -> int:
     if mode not in MODES:
         print(f"error: unknown mode {mode!r}; expected one of {sorted(MODES)}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-
-    out = Path(args.out if args.out is not None else config.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        seed = args.seed if args.seed is not None else _convert(int, config.get("seed", 0), "seed")
+        out = Path(args.out) if args.out is not None else _path(config.get("out", "."), "out")
+        out.mkdir(parents=True, exist_ok=True)
         return MODES[mode](config, out, rng_from_seed(seed), args.verbose)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

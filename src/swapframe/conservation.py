@@ -47,48 +47,49 @@ def _charge_matrix(charge) -> np.ndarray:
     return np.asarray(charge, dtype=complex)
 
 
-def lift_extensive(charge, n: int, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def lift_extensive(charge, n: int) -> np.ndarray:
     """Dense extensive total of a charge over n identical subsystems.
 
     Meant for commutator checks; expectations of the total go through
-    ``extensive_expectation`` instead, which never forms this matrix.
+    ``extensive_expectation`` instead, which never forms this matrix. Raises
+    CapacityError beyond ``DEFAULT_DIMENSION_CAP``.
     """
     a = _charge_matrix(charge)
     if n < 1:
         raise ValueError("need at least one subsystem")
     d = a.shape[0]
-    if d**n > cap:
-        raise CapacityError(f"joint dimension {d}^{n} exceeds cap {cap}")
+    if d**n > DEFAULT_DIMENSION_CAP:
+        raise CapacityError(f"joint dimension {d}^{n} exceeds cap {DEFAULT_DIMENSION_CAP}")
     total = np.zeros((d**n, d**n), dtype=complex)
     for slot in range(n):
         total += tensor(np.eye(d**slot), a, np.eye(d ** (n - slot - 1)))
     return total
 
 
-def extensive_expectation(charge, op, dims, slots) -> complex:
-    """Sum over ``slots`` of tr(A · Tr_{not s} op), one charge copy per slot.
+def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
+    """Sum over ``slots`` of tr(A_k · Tr_{not s} op), one value per charge A_k.
 
-    Equals tr(A_total · op) for the charge summed over those slots of a joint
-    space with subsystem ``dims``, computed from single-slot reduced operators.
+    Equals tr(A_total · op) for each charge summed over those slots of a joint
+    space with subsystem ``dims``. Each slot is reduced once and contracted
+    with the whole charge stack, so the cost does not grow with the count.
     """
-    a = _charge_matrix(charge)
-    total = 0j
+    mats = np.array([_charge_matrix(c) for c in charges], dtype=complex)
+    d = mats.shape[-1]
     for slot in slots:
-        if dims[slot] != a.shape[0]:
+        if dims[slot] != d:
             raise ValueError(
-                f"charge of dimension {a.shape[0]} does not fit slot {slot} of dims {tuple(dims)}"
+                f"charge of dimension {d} does not fit slot {slot} of dims {tuple(dims)}"
             )
-        total += np.trace(a @ partial_trace(op, dims, slot))
-    return complex(total)
+    reduced = np.array([partial_trace(op, dims, slot) for slot in slots], dtype=complex)
+    return np.einsum("kij,sji->k", mats, reduced.reshape(-1, d, d))
 
 
-def uniform_dims(total: int, d: int, n: int | None = None) -> list[int]:
-    """Subsystem dims ``[d] * n`` of a joint space of dimension ``total``.
+def uniform_dims(total: int, d: int) -> list[int]:
+    """Subsystem dims ``[d] * n`` of a joint space of dimension ``total == d**n``.
 
-    ``n`` is inferred when omitted; raises ValueError unless total == d**n.
+    Raises ValueError when ``total`` is not a power of ``d``.
     """
-    if n is None:
-        n = max(1, int(round(np.log(total) / np.log(d)))) if d > 1 else 1
+    n = max(1, int(round(np.log(total) / np.log(d)))) if d > 1 else 1
     if d**n != total:
         raise ValueError(f"joint dimension {total} is not {d}^{n}")
     return [d] * n
@@ -103,15 +104,15 @@ def commutator_norm(v, a_tot) -> float:
     return operator_norm(v @ a_tot - a_tot @ v)
 
 
-def audit_evolution(before, after, charge: ExtensiveObservable, n: int | None = None) -> float:
+def audit_evolution(before, after, charge: ExtensiveObservable) -> float:
     """Change of the extensive total of a charge across a joint evolution.
 
-    ``n`` is the number of subsystems; inferred from the matrix dimension when
-    omitted. Charge-conserving evolutions give deltas at fp-noise level.
+    The number of subsystems is inferred from the matrix dimension.
+    Charge-conserving evolutions give deltas at fp-noise level.
     """
     before = np.asarray(before, dtype=complex)
     after = np.asarray(after, dtype=complex)
     if before.shape != after.shape:
         raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape}")
-    dims = uniform_dims(before.shape[0], charge.dim, n)
-    return extensive_expectation(charge, after - before, dims, range(len(dims))).real
+    dims = uniform_dims(before.shape[0], charge.dim)
+    return float(extensive_expectation((charge,), after - before, dims, range(len(dims)))[0].real)

@@ -113,22 +113,19 @@ class BatteryLedger:
 
 
 def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
-                    charges=(), ledger: BatteryLedger | None = None, *,
-                    frames: list | None = None):
+                    charges=(), ledger: BatteryLedger | None = None):
     """One sweep of collisions, slot k against a fresh particle in basis state k.
 
     Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k,
     on one state or a stack (..., d, d), and returns the result. When given,
     ``ledger`` (arrays rho.shape[:-2] + (D, K), or (1, D, K) for one state)
-    receives each slot's charge deltas and ``frames`` each slot's particles.
+    receives each slot's charge deltas.
     """
     if len(alphas) != basis.size:
         raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
     mats = np.array([c.matrix for c in charges], dtype=complex)
     for slot, (alpha, sigma) in enumerate(zip(alphas, basis.states)):
         rho_next, frame_out = step_channel(rho, sigma, alpha, n_rounds)
-        if frames is not None:
-            frames.append(frame_out)
         if ledger is not None and charges:
             ledger.system[..., slot, :] = np.einsum("kij,...ji->...k", mats, rho_next - rho).real
             ledger.frame[..., slot, :] = np.einsum("kij,...ji->...k", mats, frame_out - sigma).real
@@ -188,18 +185,17 @@ class ProtocolResult:
     n_min: float
     ledger: BatteryLedger
     decomposition: GeneratorDecomposition
-    frame_states: tuple | None = None
 
 
-def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> ProtocolResult:
+def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
     Every round is the same linear map M on vec(rho): one round swept over the
     d² matrix units gives M, and N mat-vecs give the round-start states. With
-    charges or kept frame states, one more round swept over that stack fills
-    the ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) for every t come from
-    one eigendecomposition of the generator. Identical specs produce
-    bit-identical results.
+    charges, one more round swept over that stack fills the ledger. Ideal
+    states exp(-iHt/N)·rho·exp(+iHt/N) for every t come from one
+    eigendecomposition of the generator. Identical specs produce bit-identical
+    results.
     """
     basis = spec.basis
     n = spec.n_rounds
@@ -208,7 +204,7 @@ def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> Protoco
     dec = decompose_generator(h, basis)
 
     bound, valid = total_bound(basis.size, basis.alpha_max, n)
-    n_min = max(2.0 * dec.max_alpha, 4.0 * basis.size * basis.alpha_max)
+    n_min = 4.0 * basis.size * basis.alpha_max
 
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     round_map = collision_round(units, basis, dec.alphas, n).reshape(d * d, d * d).T
@@ -220,9 +216,8 @@ def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> Protoco
 
     shape = (n, basis.size, len(spec.charges))
     ledger = BatteryLedger(tuple(c.label for c in spec.charges), np.zeros(shape), np.zeros(shape))
-    frames = [] if keep_frame_states else None
-    if spec.charges or keep_frame_states:
-        collision_round(states[:-1], basis, dec.alphas, n, spec.charges, ledger, frames=frames)
+    if spec.charges:
+        collision_round(states[:-1], basis, dec.alphas, n, spec.charges, ledger)
 
     w, v = hermitian_eig(h)
     rho_eig = dagger(v) @ spec.rho_s @ v
@@ -237,7 +232,6 @@ def run_protocol(spec: ProtocolSpec, keep_frame_states: bool = False) -> Protoco
         n_min=n_min,
         ledger=ledger,
         decomposition=dec,
-        frame_states=None if frames is None else tuple(np.stack(frames, axis=1).reshape(-1, d, d)),
     )
 
 

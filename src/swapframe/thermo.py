@@ -16,7 +16,6 @@ import numpy as np
 
 from .conservation import extensive_expectation, uniform_dims
 from .linalg import (
-    check_density,
     hermitize,
     hermitian_eig,
     operator_norm,
@@ -86,13 +85,10 @@ def free_entropy(rho, spec: ThermalSpec) -> float:
     n is inferred from the state dimension, which must be a power of the
     charge dimension. For n = 1 the thermal state minimizes F at -ln Z.
     """
-    rho = check_density(rho)
-    dims = uniform_dims(rho.shape[0], spec.dim)
-    weighted = sum(
-        b * extensive_expectation(c, rho, dims, range(len(dims))).real
-        for b, c in zip(spec.betas, spec.charges)
-    )
-    return weighted - von_neumann_entropy(rho)
+    entropy = von_neumann_entropy(rho)
+    dims = uniform_dims(len(rho), spec.dim)
+    weighted = extensive_expectation((spec.exponent(),), rho, dims, range(len(dims)))[0].real
+    return float(weighted) - entropy
 
 
 @dataclass(frozen=True)
@@ -145,12 +141,8 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
         if dims[slot] != spec.dim:
             raise ValueError(f"slot {slot} has dimension {dims[slot]}, charges need {spec.dim}")
 
-    diff = after - before
-    works = {}
-    for charge in spec.charges:
-        delta_bath = extensive_expectation(charge, diff, dims, bath).real
-        delta_sys = extensive_expectation(charge, diff, dims, system).real
-        works[charge.label] = -delta_sys - delta_bath
+    deltas = extensive_expectation(spec.charges, after - before, dims, (*system, *bath)).real
+    works = {c.label: -float(delta) for c, delta in zip(spec.charges, deltas)}
 
     delta_f = 0.0
     if system:
@@ -167,17 +159,15 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     )
 
 
-def implicit_work(before, after, charges, dims=None) -> dict:
-    """Work each charge type would register if the evolution were ideal: -d<A total>."""
-    before = np.asarray(before, dtype=complex)
-    after = np.asarray(after, dtype=complex)
+def implicit_work(before, after, charges) -> dict:
+    """Work each charge type would register if the evolution were ideal: -d<A>.
+
+    ``before`` and ``after`` are states of the single system the charges act on.
+    """
     charges = tuple(charges)
-    if dims is None:
-        dims = [charges[0].dim]
-    diff = after - before
-    return {
-        c.label: -extensive_expectation(c, diff, dims, range(len(dims))).real for c in charges
-    }
+    diff = np.asarray(after, dtype=complex) - np.asarray(before, dtype=complex)
+    deltas = extensive_expectation(charges, diff, [diff.shape[0]], [0]).real
+    return {c.label: -float(delta) for c, delta in zip(charges, deltas)}
 
 
 @dataclass(frozen=True)

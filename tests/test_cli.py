@@ -218,13 +218,28 @@ def test_module_entry_point(tmp_path):
     ({"mode": "battery", "dimension": 2, "N_list": 5, "unitary": {"exp": "Z"},
       "charges": ["Z"]}, "N_list"),
     ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0], "draws": 0}, "draws"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z", "scale": [1]},
+      "charges": ["Z"]}, "scale"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"},
+      "state": {"basis": [0]}, "charges": ["Z"]}, "basis"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "seed": [1]}, "seed"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [[1]]}, "betas"),
+    ({"mode": "thermo", "dimension": 2, "charges": 5, "betas": [1.0]}, "charges"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "basis": 5}, "basis"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "out": 5}, "out"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
-        "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws"])
+        "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
+        "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
+        "numeric_basis", "numeric_out"])
 def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     config = write_config(tmp_path / "c.json", doc)
+    # a config that sets its own output directory is run without --out, which would override it
+    out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-m", "swapframe.cli", "--config", config,
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "swapframe.cli", "--config", config, *out],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
@@ -249,3 +264,15 @@ def test_thermo_output_is_strict_json(tmp_path):
     assert proc.returncode == 0
     doc = json.loads((out / "thermo.json").read_text(), parse_constant=_reject_constant)
     assert doc["draws"] == 5 and len(doc["records"]) == 5
+
+
+def test_converge_output_is_strict_json_at_the_fp_floor(tmp_path):
+    # an identity target leaves every error at the fp floor, so no rate can be fit
+    config = write_config(tmp_path / "c.json", {
+        "mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"matrix": "I"},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    doc = json.loads((out / "converge.json").read_text(), parse_constant=_reject_constant)
+    assert doc["slope"] is None and doc["intercept"] is None
+    assert len(doc["rows"]) == 3

@@ -134,15 +134,21 @@ def test_extensive_expectation_matches_dense_lift(d, n):
     dims = [d] * n
     for x in (random_hermitian(d**n, rng), gaussian_matrix(d**n, rng)):
         dense = np.trace(lift_extensive(a, n) @ x)
-        assert abs(extensive_expectation(a, x, dims, range(n)) - dense) <= 1e-12
+        assert abs(extensive_expectation((a,), x, dims, range(n))[0] - dense) <= 1e-12
         # a proper subset of the slots: every slot but the first
         subset = np.zeros((d**n, d**n), dtype=complex)
         for slot in range(1, n):
             subset += np.kron(np.kron(np.eye(d**slot), a), np.eye(d ** (n - slot - 1)))
-        got = extensive_expectation(ExtensiveObservable(a, "A"), x, dims, range(1, n))
+        got = extensive_expectation((ExtensiveObservable(a, "A"),), x, dims, range(1, n))[0]
         assert abs(got - np.trace(subset @ x)) <= 1e-12
+        # a stack of three charges, one value per charge
+        stack = (a, random_hermitian(d, rng), ExtensiveObservable(random_hermitian(d, rng), "C"))
+        values = extensive_expectation(stack, x, dims, range(n))
+        assert values.shape == (3,)
+        for charge, value in zip(stack, values):
+            assert abs(value - np.trace(lift_extensive(charge, n) @ x)) <= 1e-12
 
 
 def test_extensive_expectation_rejects_misfit_slot():
     with pytest.raises(ValueError):
-        extensive_expectation(Z, np.eye(6) / 6, [2, 3], [1])
+        extensive_expectation((Z,), np.eye(6) / 6, [2, 3], [1])

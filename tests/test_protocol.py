@@ -314,19 +314,18 @@ def _sequential_run(spec):
     alphas = decompose_generator(h, spec.basis).alphas
     mats = [c.matrix for c in spec.charges]
     rho = spec.rho_s
-    errors, system, frame, frames = [], [], [], []
+    errors, system, frame = [], [], []
     for t in range(1, n + 1):
         for alpha, sigma in zip(alphas, spec.basis.states):
             rho_next, frame_out = step_channel(rho, sigma, alpha, n)
             system.append([np.trace(a @ (rho_next - rho)).real for a in mats])
             frame.append([np.trace(a @ (frame_out - sigma)).real for a in mats])
-            frames.append(frame_out)
             rho = rho_next
         u = scipy.linalg.expm(-1j * (t / n) * h)
         ideal = u @ spec.rho_s @ u.conj().T
         errors.append(np.linalg.svd(rho - ideal, compute_uv=False).sum())
     shape = (n, spec.basis.size, len(mats))
-    return rho, np.array(errors), np.reshape(system, shape), np.reshape(frame, shape), frames
+    return rho, np.array(errors), np.reshape(system, shape), np.reshape(frame, shape)
 
 
 @pytest.mark.parametrize("d, n", [(2, 800), (3, 400), (4, 60), (8, 50)])
@@ -335,13 +334,12 @@ def test_run_protocol_matches_sequential_collisions(d, n):
     charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{i}") for i in range(2))
     spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=n, basis=build_state_basis(d),
                         rho_s=random_density(d, rng), charges=charges)
-    result = run_protocol(spec, keep_frame_states=True)
-    final, errors, system, frame, frames = _sequential_run(spec)
+    result = run_protocol(spec)
+    final, errors, system, frame = _sequential_run(spec)
     np.testing.assert_allclose(result.final_state, final, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.round_errors, errors, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.ledger.system, system, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.ledger.frame, frame, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(result.frame_states, frames, rtol=0, atol=1e-12)
 
 
 def test_run_protocol_below_threshold_flagged():
@@ -350,6 +348,21 @@ def test_run_protocol_below_threshold_flagged():
     result = run_protocol(spec)
     assert not result.bound_valid
     assert result.n_min == pytest.approx(4 * 3 * QUBIT_BASIS.alpha_max)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bound_valid_iff_rounds_clear_n_min(d):
+    rng = rng_from_seed(80 + d)
+    basis = build_state_basis(d)
+    threshold = 4 * basis.size * basis.alpha_max
+    rounds = (int(threshold), int(threshold) + 1, *rng.integers(1, 2 * threshold, size=4))
+    seen = set()
+    for n in rounds:
+        result = run_protocol(ProtocolSpec(target=haar_unitary(d, rng), n_rounds=int(n),
+                                           basis=basis, rho_s=random_density(d, rng)))
+        assert result.bound_valid == (n >= result.n_min)
+        seen.add(result.bound_valid)
+    assert seen == {True, False}
 
 
 def test_run_protocol_deterministic():
@@ -363,32 +376,6 @@ def test_run_protocol_deterministic():
     assert a.round_errors == b.round_errors
     assert np.array_equal(a.ledger.system, b.ledger.system)
     assert np.array_equal(a.ledger.frame, b.ledger.frame)
-
-
-def test_run_protocol_debug_frame_states():
-    spec = ProtocolSpec(target=exp_neg_i(Z, 0.2), n_rounds=4,
-                        basis=QUBIT_BASIS, rho_s=PLUS)
-    result = run_protocol(spec, keep_frame_states=True)
-    assert len(result.frame_states) == 4 * 3
-    for frame in result.frame_states:
-        check_density(frame)
-    assert run_protocol(spec).frame_states is None
-
-
-def test_keeping_frame_states_leaves_the_run_unchanged():
-    spec = ProtocolSpec(
-        target=exp_neg_i(Y, 0.3), n_rounds=6, basis=QUBIT_BASIS,
-        rho_s=random_density(2, rng_from_seed(58)),
-        charges=(ExtensiveObservable(X, "X"), ExtensiveObservable(Z, "Z")),
-    )
-    kept = run_protocol(spec, keep_frame_states=True)
-    plain = run_protocol(spec)
-    assert len(kept.frame_states) == 6 * 3
-    assert np.array_equal(kept.final_state, plain.final_state)
-    assert kept.round_errors == plain.round_errors
-    assert kept.total_error == plain.total_error
-    assert np.array_equal(kept.ledger.system, plain.ledger.system)
-    assert np.array_equal(kept.ledger.frame, plain.ledger.frame)
 
 
 def test_protocol_spec_validation():

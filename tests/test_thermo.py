@@ -141,6 +141,23 @@ def test_with_system_margin_on_random_unitaries():
         assert record.margin_with_system >= -1e-9
 
 
+def test_work_accounting_matches_dense_lift_for_noncommuting_charges():
+    rng = rng_from_seed(74)
+    charges = (CHARGE_X, ExtensiveObservable(Y, "Y"), CHARGE_Z)
+    spec = ThermalSpec(charges=charges, betas=(0.3, 0.5, 0.7))
+    tau, _ = thermal_state(spec, 2)
+    before = tensor(random_density(2, rng), tau, tau)
+    u = haar_unitary(8, rng)
+    after = u @ before @ dagger(u)
+    record = work_accounting(before, after, [2, 2, 2], bath=[1, 2], spec=spec, system=[0])
+    for charge in charges:
+        lift = sum(np.kron(np.kron(np.eye(2**slot), charge.matrix), np.eye(2 ** (2 - slot)))
+                   for slot in range(3))
+        expected = -np.trace(lift @ (after - before)).real
+        assert abs(expected) > 1e-3
+        assert record.works[charge.label] == pytest.approx(expected, abs=1e-12)
+
+
 def test_work_accounting_validates_partition():
     joint = np.eye(4) / 4
     with pytest.raises(ValueError):
