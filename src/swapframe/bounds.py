@@ -103,8 +103,11 @@ def fit_loglog_slope(n_values, errors):
 
 
 def convergence_sweep(spec, n_list) -> ConvergenceTable:
-    """Run the protocol across ascending round counts and fit the decay rate."""
-    from .protocol import run_protocol
+    """Run the protocol across ascending round counts and fit the decay rate.
+
+    The target is prepared once; each N adds only its map, mat-vecs and error stack.
+    """
+    from .protocol import _protocol_runs
 
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
@@ -112,11 +115,9 @@ def convergence_sweep(spec, n_list) -> ConvergenceTable:
     if sorted(n_list) != n_list:
         raise ValueError("round counts must be ascending")
 
-    rows = []
-    for n in n_list:
-        result = run_protocol(spec.with_rounds(n))
-        rows.append(SweepRow(n, result.total_error, result.total_bound, result.bound_valid))
+    rows = tuple(SweepRow(n, r.total_error, r.total_bound, r.bound_valid)
+                 for n, r in zip(n_list, _protocol_runs(spec, n_list)))
     slope, intercept = fit_loglog_slope(
         [r.n_rounds for r in rows], [r.measured_error for r in rows]
     )
-    return ConvergenceTable(rows=tuple(rows), slope=slope, intercept=intercept)
+    return ConvergenceTable(rows=rows, slope=slope, intercept=intercept)

@@ -23,7 +23,7 @@ from .basis import OperatorBasis, build_state_basis
 from .bounds import convergence_sweep
 from .conservation import ExtensiveObservable
 from .linalg import dagger, exp_neg_i, is_hermitian
-from .protocol import ProtocolSpec, run_protocol
+from .protocol import ProtocolSpec, _protocol_runs, run_protocol
 from .rand import haar_unitary, random_density, rng_from_seed
 from .thermo import (
     SECOND_LAW_SLACK,
@@ -148,6 +148,8 @@ def parse_charges(config: dict, d: int) -> tuple:
         label = entry if isinstance(entry, str) else f"A{i}"
         if isinstance(entry, dict):
             label, entry = entry.get("label", label), _require(entry, "matrix")
+            if not isinstance(label, str):
+                raise ConfigError(f"charge 'label' must be a string, got {label!r}")
         charges.append(ExtensiveObservable(parse_matrix(entry, d), label=label))
     return tuple(charges)
 
@@ -160,7 +162,12 @@ def load_basis(config: dict, d: int) -> OperatorBasis:
         text = _path(name, "basis").read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read basis file: {exc}") from None
-    basis = OperatorBasis.from_json(text)
+    try:
+        basis = OperatorBasis.from_json(text)
+    except KeyError as exc:
+        raise ConfigError(f"basis file {name!r} lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"basis file {name!r} is malformed: {exc}") from None
     if basis.dim != d:
         raise ConfigError(f"basis file has dimension {basis.dim}, config says {d}")
     return basis
@@ -273,11 +280,8 @@ def run_battery(config: dict, out: Path, rng, verbose: bool) -> int:
     works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target), spec.charges)
 
     runs = []
-    all_passed = True
-    for n in n_list:
-        result = run_protocol(spec.with_rounds(n))
+    for n, result in zip(n_list, _protocol_runs(spec, n_list)):
         checks = battery_deviation_check(result, works, result.total_error, spec.charges)
-        all_passed &= all(c.passed for c in checks.values())
         runs.append({
             "N": n,
             "total_error": result.total_error,
@@ -293,7 +297,7 @@ def run_battery(config: dict, out: Path, rng, verbose: bool) -> int:
     })
     worst = max(c["deviation"] for r in runs for c in r["checks"].values())
     print(f"battery: {len(runs)} run(s), worst ledger-vs-work deviation {worst:.3e}")
-    return 0 if all_passed else 1
+    return 0 if all(c["passed"] for r in runs for c in r["checks"].values()) else 1
 
 
 MODES = {
@@ -333,7 +337,10 @@ def main(argv=None) -> int:
     try:
         seed = args.seed if args.seed is not None else _convert(int, config.get("seed", 0), "seed")
         out = Path(args.out) if args.out is not None else _path(config.get("out", "."), "out")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from None
         return MODES[mode](config, out, rng_from_seed(seed), args.verbose)
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,11 +127,7 @@ def swap_operator(d: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    return np.eye(d * d, dtype=complex).reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
 
 
 def hermitian_eig(h):

@@ -17,15 +17,16 @@ density-matrix exponentiation identity (Lloyd, Mohseni, Rebentrost,
 arXiv:1307.0401): with c, s = cos, sin of alpha/N and K = i·c·s·[sigma, rho],
 the system leaves as c²·rho + s²·tr(rho)·sigma - K and the particle as
 c²·sigma + s²·rho + K. The tr(rho) factor, 1 for any state, makes a round
-one fixed linear map M on vec(rho): ``run_protocol`` sweeps one round over
-the d² matrix units to get M, then takes N mat-vecs; the ledger comes from one
-more round swept over the stack of round-start states. The dense d²×d² gate
+one fixed linear map M on vec(rho), swept once over the d² matrix units; N
+mat-vecs follow, and the ledger comes from one more round over the stack of
+round-start states. A target is prepared once per sweep over round counts:
+each N adds only its map, mat-vecs and error stack. The dense d²×d² gate
 ``partial_swap`` is kept only as the reference that tests compare against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,9 +164,6 @@ class ProtocolSpec:
         object.__setattr__(self, "rho_s", rho)
         object.__setattr__(self, "charges", tuple(self.charges))
 
-    def with_rounds(self, n_rounds: int) -> "ProtocolSpec":
-        return replace(self, n_rounds=n_rounds)
-
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -187,6 +185,45 @@ class ProtocolResult:
     decomposition: GeneratorDecomposition
 
 
+def _protocol_runs(spec: ProtocolSpec, n_list):
+    """``run_protocol`` at each round count in ``n_list``, preparing what no N changes once."""
+    basis, d = spec.basis, spec.basis.dim
+    h = principal_generator(spec.target)
+    dec = decompose_generator(h, basis)
+    w, v = hermitian_eig(h)
+    rho_eig = dagger(v) @ spec.rho_s @ v
+    final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    labels = tuple(c.label for c in spec.charges)
+
+    for n in n_list:
+        bound, valid = total_bound(basis.size, basis.alpha_max, n)  # raises for n < 1
+        round_map = collision_round(units, basis, dec.alphas, n).reshape(d * d, d * d).T
+        states = np.empty((n + 1, d * d), dtype=complex)
+        states[0] = spec.rho_s.reshape(-1)
+        for t in range(n):
+            np.dot(round_map, states[t], out=states[t + 1])
+        states = states.reshape(n + 1, d, d)
+
+        shape = (n, basis.size, len(spec.charges))
+        ledger = BatteryLedger(labels, np.zeros(shape), np.zeros(shape))
+        if spec.charges:
+            collision_round(states[:-1], basis, dec.alphas, n, spec.charges, ledger)
+
+        phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
+        ideal = v @ (rho_eig * phases) @ dagger(v)
+        yield ProtocolResult(
+            final_state=states[-1].copy(),
+            round_errors=tuple(trace_norm(states[1:] - ideal).tolist()),
+            total_error=trace_norm(states[-1] - final_ideal),
+            total_bound=bound,
+            bound_valid=valid,
+            n_min=4.0 * basis.size * basis.alpha_max,
+            ledger=ledger,
+            decomposition=dec,
+        )
+
+
 def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
@@ -197,42 +234,7 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     eigendecomposition of the generator. Identical specs produce bit-identical
     results.
     """
-    basis = spec.basis
-    n = spec.n_rounds
-    d = basis.dim
-    h = principal_generator(spec.target)
-    dec = decompose_generator(h, basis)
-
-    bound, valid = total_bound(basis.size, basis.alpha_max, n)
-    n_min = 4.0 * basis.size * basis.alpha_max
-
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    round_map = collision_round(units, basis, dec.alphas, n).reshape(d * d, d * d).T
-    states = np.empty((n + 1, d * d), dtype=complex)
-    states[0] = spec.rho_s.reshape(-1)
-    for t in range(n):
-        np.dot(round_map, states[t], out=states[t + 1])
-    states = states.reshape(n + 1, d, d)
-
-    shape = (n, basis.size, len(spec.charges))
-    ledger = BatteryLedger(tuple(c.label for c in spec.charges), np.zeros(shape), np.zeros(shape))
-    if spec.charges:
-        collision_round(states[:-1], basis, dec.alphas, n, spec.charges, ledger)
-
-    w, v = hermitian_eig(h)
-    rho_eig = dagger(v) @ spec.rho_s @ v
-    phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
-    ideal = v @ (rho_eig * phases) @ dagger(v)
-    return ProtocolResult(
-        final_state=states[-1].copy(),
-        round_errors=tuple(trace_norm(states[1:] - ideal).tolist()),
-        total_error=trace_norm(states[-1] - spec.target @ spec.rho_s @ dagger(spec.target)),
-        total_bound=bound,
-        bound_valid=valid,
-        n_min=n_min,
-        ledger=ledger,
-        decomposition=dec,
-    )
+    return next(_protocol_runs(spec, (spec.n_rounds,)))
 
 
 def two_subsystem_step(rho_ab, sigma_a, sigma_b, alpha: float, n_rounds: int) -> np.ndarray:

@@ -37,12 +37,6 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_pure_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
 def random_bounded_generator(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random Hermitian with eigenvalues in (-pi, pi], drawn via a Haar unitary."""
     return principal_generator(haar_unitary(d, rng))

@@ -9,8 +9,10 @@ from swapframe.bounds import (
     single_step_bound,
     total_bound,
 )
+import swapframe.protocol
 from swapframe.linalg import exp_neg_i
-from swapframe.protocol import ProtocolSpec
+from swapframe.protocol import ProtocolSpec, run_protocol
+from swapframe.rand import haar_unitary, random_density, rng_from_seed
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -107,6 +109,48 @@ def test_convergence_sweep_validates_input():
         convergence_sweep(spec, [100, 200])
     with pytest.raises(ValueError):
         convergence_sweep(spec, [200, 100, 50])
+
+
+SWEEP_N = [10, 20, 40, 80, 160]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_convergence_sweep_rows_equal_single_runs(d):
+    rng = rng_from_seed(60 + d)
+    target, rho, basis = haar_unitary(d, rng), random_density(d, rng), build_state_basis(d)
+    table = convergence_sweep(ProtocolSpec(target=target, n_rounds=7, basis=basis, rho_s=rho),
+                              SWEEP_N)
+    assert [r.n_rounds for r in table.rows] == SWEEP_N
+    for row in table.rows:
+        result = run_protocol(ProtocolSpec(target=target, n_rounds=row.n_rounds, basis=basis,
+                                           rho_s=rho))
+        assert row.measured_error == result.total_error
+        assert row.analytic_bound == result.total_bound
+        assert row.valid == result.bound_valid
+
+
+@pytest.mark.parametrize("n_list", [[0, 10, 20], [-5, 10, 20]])
+def test_convergence_sweep_rejects_round_count_below_one(n_list):
+    with pytest.raises(ValueError, match="round count must be >= 1"):
+        convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), n_list)
+
+
+def test_convergence_sweep_prepares_the_target_once(monkeypatch):
+    calls = {"principal_generator": 0, "decompose_generator": 0}
+
+    def counted(name):
+        inner = getattr(swapframe.protocol, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(swapframe.protocol, name, counted(name))
+    table = convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), SWEEP_N)
+    assert len(table.rows) == 5
+    assert calls == {"principal_generator": 1, "decompose_generator": 1}
 
 
 def test_csv_format():

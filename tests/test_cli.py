@@ -5,7 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from swapframe.basis import build_state_basis
 from swapframe.cli import ConfigError, main, parse_matrix
+from swapframe.conservation import ExtensiveObservable
+from swapframe.linalg import dagger, exp_neg_i
+from swapframe.protocol import ProtocolSpec, run_protocol
+from swapframe.thermo import battery_deviation_check, implicit_work
 
 GENERIC_STATE = [
     [[0.85, 0.0], [0.15, -0.1]],
@@ -230,11 +235,20 @@ def test_module_entry_point(tmp_path):
       "basis": 5}, "basis"),
     ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
       "out": 5}, "out"),
+    ({"mode": "thermo", "dimension": 2, "charges": [{"matrix": "Z", "label": ["a"]}],
+      "betas": [1.0]}, "label"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "out": "{tmp}/c.json"}, "c.json"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "basis": "{tmp}/c.json"}, "c.json"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
-        "numeric_basis", "numeric_out"])
+        "numeric_basis", "numeric_out", "list_charge_label", "out_names_a_file",
+        "basis_file_without_states"])
 def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
+    # "{tmp}" stands for the test's directory, which holds the config file itself
+    doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
     config = write_config(tmp_path / "c.json", doc)
     # a config that sets its own output directory is run without --out, which would override it
     out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "out")]
@@ -245,6 +259,48 @@ def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and named in proc.stderr
+
+
+@pytest.mark.parametrize("basis_doc, field", [
+    ({"dimension": 2}, "'states'"),
+    ({"states": []}, "'dimension'"),
+    ([1, 2], "malformed"),
+    ({"dimension": 2, "states": [[[[1, 0]]]]}, "malformed"),
+])
+def test_malformed_basis_file_error_names_file_and_field(tmp_path, capsys, basis_doc, field):
+    basis = write_config(tmp_path / "basis.json", basis_doc)
+    config = write_config(tmp_path / "c.json", {
+        "mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+        "basis": basis,
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "basis.json" in err and field in err
+
+
+def test_battery_runs_match_single_protocol_runs(tmp_path):
+    n_list = [20, 40, 80]
+    config = write_config(tmp_path / "c.json", {
+        "mode": "battery", "dimension": 2, "N_list": n_list,
+        "unitary": {"exp": "X", "scale": 0.7}, "state": {"matrix": GENERIC_STATE},
+        "charges": ["Z", "Y"],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    runs = json.loads((out / "battery.json").read_text())["runs"]
+
+    target, rho = exp_neg_i(parse_matrix("X"), 0.7), parse_matrix(GENERIC_STATE)
+    charges = tuple(ExtensiveObservable(parse_matrix(name), name) for name in ("Z", "Y"))
+    works = implicit_work(rho, target @ rho @ dagger(target), charges)
+    assert [run["N"] for run in runs] == n_list
+    for run, n in zip(runs, n_list):
+        result = run_protocol(ProtocolSpec(target=target, n_rounds=n, basis=build_state_basis(2),
+                                           rho_s=rho, charges=charges))
+        checks = battery_deviation_check(result, works, result.total_error, charges)
+        assert run["total_error"] == result.total_error
+        assert run["works"] == works
+        assert run["ledger_cumulative"] == result.ledger.cumulative()
+        assert run["checks"] == {label: c.to_json_dict() for label, c in checks.items()}
 
 
 def _reject_constant(name):
