@@ -13,6 +13,7 @@ violated, 2 on config errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .basis import OperatorBasis, build_state_basis
 from .bounds import convergence_sweep
-from .conservation import ExtensiveObservable
+from .conservation import DEFAULT_DIMENSION_CAP, ExtensiveObservable
 from .linalg import dagger, exp_neg_i, is_hermitian
 from .protocol import ProtocolSpec, _protocol_runs, run_protocol
 from .rand import haar_unitary, random_density, rng_from_seed
@@ -180,6 +181,9 @@ def _write_json(path: Path, doc: dict) -> None:
 def _protocol_spec(config: dict, n_rounds: int, rng, mode: str = "") -> ProtocolSpec:
     """The spec a protocol mode's config describes; a named ``mode`` needs charges."""
     d = _count(_require(config, "dimension"), "dimension")
+    if d * d > DEFAULT_DIMENSION_CAP:
+        raise ConfigError(f"'dimension' {d}: round map side {d * d} "
+                          f"exceeds cap {DEFAULT_DIMENSION_CAP}")
     basis = load_basis(config, d)
     charges = parse_charges(config, d) if mode else ()
     if mode and not charges:
@@ -243,12 +247,14 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
         raise ConfigError(f"'betas' must be a list with one number per charge, got {betas!r}")
     spec = ThermalSpec(charges=charges, betas=[_convert(float, b, "betas") for b in betas])
     bath_subsystems = _count(config.get("bath_subsystems", 2), "bath_subsystems")
+    # clipped exponent: any d >= 2 already exceeds the cap there, and a huge count stays cheap
+    if d ** min(bath_subsystems, DEFAULT_DIMENSION_CAP.bit_length()) > DEFAULT_DIMENSION_CAP:
+        raise ConfigError(f"'bath_subsystems' {bath_subsystems}: bath dimension "
+                          f"{d}^{bath_subsystems} exceeds cap {DEFAULT_DIMENSION_CAP}")
     draws = _count(config.get("draws", 200), "draws")
 
     tau, ln_z = thermal_state(spec, d)
-    bath0 = tau
-    for _ in range(bath_subsystems - 1):
-        bath0 = np.kron(bath0, tau)
+    bath0 = functools.reduce(np.kron, [tau] * bath_subsystems)
     dims = [d] * bath_subsystems
 
     records = []

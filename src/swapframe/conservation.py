@@ -7,11 +7,12 @@ user-supplied Hermitians, deliberately not tied to any symmetry group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_hermitian, operator_norm, partial_trace, tensor
+from .linalg import _as_square, _reduce, is_hermitian, operator_norm, tensor
 
 # Dense joint spaces beyond this dimension are refused rather than attempted.
 DEFAULT_DIMENSION_CAP = 4096
@@ -74,13 +75,16 @@ def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
     with the whole charge stack, so the cost does not grow with the count.
     """
     mats = np.array([_charge_matrix(c) for c in charges], dtype=complex)
+    op = _as_square(op)
+    if op.shape[0] != math.prod(dims):
+        raise ValueError(f"subsystem dims {tuple(dims)} do not match matrix dimension {op.shape[0]}")
     d = mats.shape[-1]
     for slot in slots:
-        if dims[slot] != d:
+        if not 0 <= slot < len(dims) or dims[slot] != d:
             raise ValueError(
                 f"charge of dimension {d} does not fit slot {slot} of dims {tuple(dims)}"
             )
-    reduced = np.array([partial_trace(op, dims, slot) for slot in slots], dtype=complex)
+    reduced = np.array([_reduce(op, dims, (slot,)) for slot in slots])
     return np.einsum("kij,sji->k", mats, reduced.reshape(-1, d, d))
 
 
@@ -89,7 +93,7 @@ def uniform_dims(total: int, d: int) -> list[int]:
 
     Raises ValueError when ``total`` is not a power of ``d``.
     """
-    n = max(1, int(round(np.log(total) / np.log(d)))) if d > 1 else 1
+    n = max(1, round(math.log(total) / math.log(d))) if d > 1 else 1
     if d**n != total:
         raise ValueError(f"joint dimension {total} is not {d}^{n}")
     return [d] * n

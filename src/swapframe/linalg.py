@@ -12,6 +12,8 @@ solver precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -25,7 +27,7 @@ def _as_matrix(a, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -62,26 +64,23 @@ def check_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
     return u
 
 
-def check_density(rho, dims=None, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -atol.
-
-    If ``dims`` is given, also checks that the subsystem dimensions multiply to
-    the matrix dimension.
-    """
+def _density_spectrum(rho, atol: float = HERMITIAN_ATOL):
+    """``(rho, ascending eigenvalues)`` after the checks of ``check_density``."""
     rho = _as_square(rho)
-    if dims is not None and int(np.prod(dims)) != rho.shape[0]:
-        raise ValueError(
-            f"subsystem dims {tuple(dims)} do not match matrix dimension {rho.shape[0]}"
-        )
-    if not is_hermitian(rho, atol):
+    adj = rho.conj().T
+    if np.abs(rho - adj).max() > atol:
         raise ValueError("density operator is not Hermitian")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density operator has trace {tr:.12g}, expected 1")
-    lo = float(np.linalg.eigvalsh(hermitize(rho))[0])
-    if lo < -atol:
-        raise ValueError(f"density operator has negative eigenvalue {lo:.3e}")
-    return rho
+    if abs(rho.trace() - 1.0) > atol:
+        raise ValueError(f"density operator has trace {rho.trace():.12g}, expected 1")
+    w = np.linalg.eigvalsh((rho + adj) / 2)
+    if w[0] < -atol:
+        raise ValueError(f"density operator has negative eigenvalue {w[0]:.3e}")
+    return rho, w
+
+
+def check_density(rho, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -atol."""
+    return _density_spectrum(rho, atol)[0]
 
 
 def tensor(a, b, *rest) -> np.ndarray:
@@ -92,32 +91,34 @@ def tensor(a, b, *rest) -> np.ndarray:
     return out
 
 
+def _reduce(op, dims, keep) -> np.ndarray:
+    """Unchecked ``partial_trace`` of a stack onto sorted, distinct, in-range ``keep``:
+    one einsum in which a traced factor shares its row and column label."""
+    n, lead = len(dims), op.shape[:-2]
+    cols = [n + i if i in keep else i for i in range(n)]
+    d_keep = math.prod([dims[i] for i in keep])
+    out = np.einsum(op.reshape(*lead, *dims, *dims), [..., *range(n), *cols],
+                    [..., *keep, *(n + i for i in keep)])
+    return out.reshape(*lead, d_keep, d_keep)
+
+
 def partial_trace(op, dims, keep) -> np.ndarray:
     """Trace out all subsystems except ``keep`` (an index or iterable of indices).
 
     ``dims`` lists the subsystem dimensions of ``op``; kept factors stay in
-    their original relative order. Preserves the total trace.
+    their original relative order. Preserves the total trace. A stack of
+    shape (..., D, D) is reduced matrix by matrix into (..., d_keep, d_keep).
     """
-    op = _as_square(op)
+    op = _as_square(op, stack=True)
     dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if op.shape[0] != total:
+    if op.shape[-1] != math.prod(dims):
         raise ValueError(
-            f"subsystem dims {tuple(dims)} do not match matrix dimension {op.shape[0]}"
+            f"subsystem dims {tuple(dims)} do not match matrix dimension {op.shape[-1]}"
         )
-    if np.isscalar(keep):
-        keep = [int(keep)]
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted({int(k) for k in ([keep] if np.isscalar(keep) else keep)})
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-
-    work = op.reshape(dims + dims)
-    cur = list(dims)
-    for ax in sorted((i for i in range(len(dims)) if i not in keep), reverse=True):
-        work = np.trace(work, axis1=ax, axis2=ax + len(cur))
-        cur.pop(ax)
-    d_keep = int(np.prod(cur)) if cur else 1
-    return work.reshape(d_keep, d_keep)
+    return _reduce(op, dims, keep)
 
 
 def swap_operator(d: int) -> np.ndarray:
@@ -200,8 +201,6 @@ def hs_norm(op) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0."""
-    rho = check_density(rho)
-    w = np.linalg.eigvalsh(hermitize(rho))
-    w = np.clip(w, 0.0, None)
+    w = _density_spectrum(rho)[1]
     nz = w[w > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(-(nz * np.log(nz)).sum())

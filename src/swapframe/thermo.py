@@ -10,18 +10,13 @@ in the system's free entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .conservation import extensive_expectation, uniform_dims
-from .linalg import (
-    hermitize,
-    hermitian_eig,
-    operator_norm,
-    partial_trace,
-    von_neumann_entropy,
-)
+from .linalg import _reduce, hermitize, hermitian_eig, operator_norm, von_neumann_entropy
 from .protocol import ProtocolResult
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
@@ -87,8 +82,8 @@ def free_entropy(rho, spec: ThermalSpec) -> float:
     """
     entropy = von_neumann_entropy(rho)
     dims = uniform_dims(len(rho), spec.dim)
-    weighted = extensive_expectation((spec.exponent(),), rho, dims, range(len(dims)))[0].real
-    return float(weighted) - entropy
+    totals = extensive_expectation(spec.charges, rho, dims, range(len(dims))).real
+    return float(np.dot(spec.betas, totals)) - entropy
 
 
 @dataclass(frozen=True)
@@ -107,12 +102,7 @@ class WorkRecord:
     margin_with_system: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "works": dict(self.works),
-            "delta_free_entropy": self.delta_free_entropy,
-            "margin_bath_only": self.margin_bath_only,
-            "margin_with_system": self.margin_with_system,
-        }
+        return asdict(self)
 
 
 def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> WorkRecord:
@@ -126,13 +116,13 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     before = np.asarray(before, dtype=complex)
     after = np.asarray(after, dtype=complex)
     dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if before.shape != (total, total) or after.shape != (total, total):
         raise ValueError(f"joint states do not match dims {tuple(dims)}")
     bath = tuple(int(s) for s in bath)
     system = tuple(int(s) for s in system)
-    if set(bath) & set(system):
-        raise ValueError("bath and system slots overlap")
+    if len({*bath, *system}) != len(bath) + len(system):
+        raise ValueError(f"bath {bath} and system {system} slots overlap or repeat a slot")
     if not bath:
         raise ValueError("need at least one bath slot")
     for slot in (*bath, *system):
@@ -141,13 +131,13 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
         if dims[slot] != spec.dim:
             raise ValueError(f"slot {slot} has dimension {dims[slot]}, charges need {spec.dim}")
 
+    # extensive_expectation checks after - before, which is finite only when both states are
     deltas = extensive_expectation(spec.charges, after - before, dims, (*system, *bath)).real
     works = {c.label: -float(delta) for c, delta in zip(spec.charges, deltas)}
 
     delta_f = 0.0
     if system:
-        rho_before = partial_trace(before, dims, system)
-        rho_after = partial_trace(after, dims, system)
+        rho_before, rho_after = _reduce(np.stack([before, after]), dims, sorted(system))
         delta_f = free_entropy(rho_after, spec) - free_entropy(rho_before, spec)
 
     weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))

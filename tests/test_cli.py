@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -16,6 +18,17 @@ GENERIC_STATE = [
     [[0.85, 0.0], [0.15, -0.1]],
     [[0.15, 0.1], [0.15, 0.0]],
 ]
+
+
+# A bad config must be refused before any joint-space array exists: under this
+# address-space limit an oversized allocation fails with MemoryError (exit 1).
+ADDRESS_SPACE_LIMIT = 2 * 1024**3
+SINGLE_THREAD_ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                     "MKL_NUM_THREADS": "1"}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
 
 
 def write_config(path, doc):
@@ -241,11 +254,15 @@ def test_module_entry_point(tmp_path):
       "out": "{tmp}/c.json"}, "c.json"),
     ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
       "basis": "{tmp}/c.json"}, "c.json"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0],
+      "bath_subsystems": 40}, "bath_subsystems"),
+    ({"mode": "converge", "dimension": 100000, "N_list": [10, 20, 40],
+      "unitary": {"exp": "Z"}}, "dimension"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
         "numeric_basis", "numeric_out", "list_charge_label", "out_names_a_file",
-        "basis_file_without_states"])
+        "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap"])
 def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
@@ -254,7 +271,7 @@ def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-m", "swapframe.cli", "--config", config, *out],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=SINGLE_THREAD_ENV, preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -152,3 +152,15 @@ def test_extensive_expectation_matches_dense_lift(d, n):
 def test_extensive_expectation_rejects_misfit_slot():
     with pytest.raises(ValueError):
         extensive_expectation((Z,), np.eye(6) / 6, [2, 3], [1])
+
+
+def test_extensive_expectation_rejects_bad_input():
+    for bad in (np.nan, np.inf):
+        op = np.eye(4, dtype=complex)
+        op[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            extensive_expectation((Z,), op, [2, 2], [0, 1])
+    with pytest.raises(ValueError, match="does not fit slot 2"):
+        extensive_expectation((Z,), np.eye(4), [2, 2], [2])
+    with pytest.raises(ValueError, match="do not match"):
+        extensive_expectation((Z,), np.eye(4), [2, 2, 2], [0])

@@ -168,6 +168,31 @@ def test_work_accounting_validates_partition():
         work_accounting(joint, joint, [2, 2], bath=[3], spec=ZX_SPEC)
     with pytest.raises(ValueError):
         work_accounting(joint, np.eye(8) / 8, [2, 2], bath=[0, 1], spec=ZX_SPEC)
+    with pytest.raises(ValueError, match="repeat a slot"):
+        work_accounting(joint, joint, [2, 2], bath=[1, 1], spec=ZX_SPEC)
+    with pytest.raises(ValueError, match="repeat a slot"):
+        work_accounting(joint, joint, [2, 2], bath=[1], spec=ZX_SPEC, system=[0, 0])
+
+
+def test_work_accounting_rejects_non_finite_states():
+    joint = np.eye(4, dtype=complex) / 4
+    for bad in (np.nan, np.inf):
+        broken = joint.copy()
+        broken[0, 1] = bad
+        for before, after in ((broken, joint), (joint, broken)):
+            with pytest.raises(ValueError, match="non-finite"):
+                work_accounting(before, after, [2, 2], bath=[1], spec=ZX_SPEC, system=[0])
+
+
+def test_work_accounting_checks_the_reduced_system_states():
+    # trace 1 and Hermitian, but the system marginal has eigenvalue -0.5
+    tau, _ = thermal_state(ZX_SPEC, 2)
+    before = tensor(np.diag([1.5, -0.5]).astype(complex), tau)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        work_accounting(before, before, [2, 2], bath=[1], spec=ZX_SPEC, system=[0])
+    # the bath-only path books works and never forms a system state
+    record = work_accounting(before, before, [2, 2], bath=[1], spec=ZX_SPEC)
+    assert record.works == {"Z": 0.0, "X": 0.0}
 
 
 def test_implicit_work_single_slot():
