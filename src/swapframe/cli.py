@@ -7,7 +7,8 @@ from the config seed, so identical config + seed produce byte-identical
 output files.
 
 Exit status: 0 on pass, 1 when a validity-flagged bound or inequality is
-violated, 2 on config errors.
+violated, 2 on config errors, 3 on any other error, such as a MemoryError,
+with one ``internal error: <Type>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .basis import OperatorBasis, build_state_basis
 from .bounds import convergence_sweep
 from .conservation import DEFAULT_DIMENSION_CAP, ExtensiveObservable
-from .linalg import dagger, exp_neg_i, is_hermitian
+from .linalg import dagger, exp_neg_i
 from .protocol import ProtocolSpec, _protocol_runs, run_protocol
 from .rand import haar_unitary, random_density, rng_from_seed
 from .thermo import (
@@ -108,9 +109,7 @@ def parse_unitary(spec, d: int, rng) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("unitary spec must be an object")
     if "exp" in spec:
-        gen = parse_matrix(spec["exp"], d)
-        if not is_hermitian(gen):
-            raise ConfigError("unitary generator must be Hermitian")
+        gen = parse_matrix(spec["exp"], d)  # exp_neg_i refuses a non-Hermitian one: exit 2
         return exp_neg_i(gen, _convert(float, spec.get("scale", 1.0), "scale"))
     if "matrix" in spec:
         return parse_matrix(spec["matrix"], d)
@@ -351,6 +350,9 @@ def main(argv=None) -> int:
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

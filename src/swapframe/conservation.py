@@ -31,9 +31,7 @@ class ExtensiveObservable:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("charge must be a square matrix")
-        if not is_hermitian(m):
+        if not is_hermitian(m):  # which also refuses a non-square or non-finite matrix
             raise ValueError(f"charge {self.label!r} is not Hermitian")
         object.__setattr__(self, "matrix", m)
 

@@ -7,7 +7,8 @@ matching ``numpy.kron`` order.
 
 All matrix functions of Hermitian or unitary operators go through explicit
 eigendecompositions rather than series expansions, so results are exact to
-solver precision.
+solver precision. Each public function converts and checks its argument once,
+at entry, and re-checks nothing built here; ``hermitize`` checks nothing.
 """
 
 from __future__ import annotations
@@ -44,43 +45,42 @@ def dagger(a) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def is_hermitian(a, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(a) -> bool:
     a = _as_square(a)
-    return bool(np.max(np.abs(a - dagger(a))) <= atol)
+    return bool(np.max(np.abs(a - dagger(a))) <= HERMITIAN_ATOL)
 
 
-def hermitize(a) -> np.ndarray:
-    """Hermitian part (A + A†)/2; used to clean fp drift on known-Hermitian results."""
-    a = _as_square(a)
+def hermitize(a: np.ndarray) -> np.ndarray:
+    """Hermitian part (A + A†)/2 of a library-built array; cleans fp drift, checks nothing."""
     return (a + dagger(a)) / 2
 
 
-def check_unitary(u, atol: float = UNITARY_ATOL) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     """Validate U·U† = 1 in operator norm; returns U as a complex ndarray."""
     u = _as_square(u)
-    defect = operator_norm(u @ dagger(u) - np.eye(u.shape[0]))
-    if defect > atol:
+    defect = float(np.max(_singular_values(u @ dagger(u) - np.eye(u.shape[0]))))
+    if defect > UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
 
-def _density_spectrum(rho, atol: float = HERMITIAN_ATOL):
+def _density_spectrum(rho):
     """``(rho, ascending eigenvalues)`` after the checks of ``check_density``."""
     rho = _as_square(rho)
     adj = rho.conj().T
-    if np.abs(rho - adj).max() > atol:
+    if np.abs(rho - adj).max() > HERMITIAN_ATOL:
         raise ValueError("density operator is not Hermitian")
-    if abs(rho.trace() - 1.0) > atol:
+    if abs(rho.trace() - 1.0) > HERMITIAN_ATOL:
         raise ValueError(f"density operator has trace {rho.trace():.12g}, expected 1")
     w = np.linalg.eigvalsh((rho + adj) / 2)
-    if w[0] < -atol:
+    if w[0] < -HERMITIAN_ATOL:
         raise ValueError(f"density operator has negative eigenvalue {w[0]:.3e}")
     return rho, w
 
 
-def check_density(rho, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -atol."""
-    return _density_spectrum(rho, atol)[0]
+def check_density(rho) -> np.ndarray:
+    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -HERMITIAN_ATOL."""
+    return _density_spectrum(rho)[0]
 
 
 def tensor(a, b, *rest) -> np.ndarray:
@@ -138,18 +138,17 @@ def hermitian_eig(h):
     such that ``h = v @ diag(w) @ v†``.
     """
     h = _as_square(h)
-    if not is_hermitian(h):
+    adj = dagger(h)
+    if np.max(np.abs(h - adj)) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(hermitize(h))
-    return w, v
+    return np.linalg.eigh((h + adj) / 2)
 
 
 def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
-    """Unitary exp(-i * scale * H) for Hermitian H, via eigendecomposition."""
-    h = _as_square(h)
-    if scale == 0:
-        return np.eye(h.shape[0], dtype=complex)
+    """Unitary exp(-i * scale * H) for Hermitian H (checked at any scale), via eigh."""
     w, v = hermitian_eig(h)
+    if scale == 0:
+        return np.eye(len(w), dtype=complex)
     return (v * np.exp(-1j * scale * w)) @ dagger(v)
 
 

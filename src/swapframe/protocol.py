@@ -36,7 +36,6 @@ from .linalg import (
     check_density,
     check_unitary,
     dagger,
-    hermitian_eig,
     principal_generator,
     swap_operator,
     trace_norm,
@@ -190,7 +189,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
     basis, d = spec.basis, spec.basis.dim
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
-    w, v = hermitian_eig(h)
+    w, v = np.linalg.eigh(h)  # h is exactly Hermitian, so no check or hermitize is needed
     rho_eig = dagger(v) @ spec.rho_s @ v
     final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)

@@ -27,8 +27,8 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_hermitian(d: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return hermitize(scale * gaussian_matrix(d, rng))
+def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
+    return hermitize(gaussian_matrix(d, rng))
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

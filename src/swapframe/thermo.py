@@ -169,7 +169,7 @@ class BatteryCheck:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {"deviation": self.deviation, "bound": self.bound, "passed": self.passed}
+        return asdict(self)
 
 
 def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float,
@@ -180,7 +180,7 @@ def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float,
     operator norm of the charge lifted over the system+bath slots, with
     epsilon the measured trace error of the same run.
     """
-    if result.ledger is None or result.ledger.frame.size == 0:
+    if result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")
     cumulative = result.ledger.cumulative()
     checks = {}

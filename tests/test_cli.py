@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from swapframe import cli
 from swapframe.basis import build_state_basis
 from swapframe.cli import ConfigError, main, parse_matrix
 from swapframe.conservation import ExtensiveObservable
@@ -21,7 +22,7 @@ GENERIC_STATE = [
 
 
 # A bad config must be refused before any joint-space array exists: under this
-# address-space limit an oversized allocation fails with MemoryError (exit 1).
+# address-space limit an oversized allocation fails with MemoryError (exit 3).
 ADDRESS_SPACE_LIMIT = 2 * 1024**3
 SINGLE_THREAD_ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                      "MKL_NUM_THREADS": "1"}
@@ -190,6 +191,30 @@ def test_missing_field_exits_2(tmp_path, capsys):
     })
     assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [0, 0.5])
+def test_non_hermitian_exp_generator_exits_2(tmp_path, capsys, scale):
+    config = write_config(tmp_path / "c.json", {
+        "mode": "converge", "dimension": 2, "N_list": [10, 20, 40],
+        "unitary": {"exp": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "scale": scale},
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Hermitian" in err[0]
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(d, rng):
+        raise MemoryError("cannot allocate the bath unitary")
+
+    monkeypatch.setattr(cli, "haar_unitary", out_of_memory)
+    config = write_config(tmp_path / "c.json", {
+        "mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0], "draws": 3,
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: MemoryError: cannot allocate the bath unitary"]
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

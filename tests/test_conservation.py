@@ -22,6 +22,10 @@ def test_extensive_observable_validates():
     ExtensiveObservable(Z, "Z")
     with pytest.raises(ValueError):
         ExtensiveObservable(np.array([[0.0, 1.0], [0.0, 0.0]]), "bad")
+    with pytest.raises(ValueError, match="square"):
+        ExtensiveObservable(np.ones((2, 3)), "wide")
+    with pytest.raises(ValueError, match="non-finite"):
+        ExtensiveObservable(np.diag([1.0, np.nan]), "nan")
 
 
 def test_lift_single_slot_is_identity_map():

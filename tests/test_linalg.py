@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swapframe import linalg
 from swapframe.linalg import (
     check_density,
     check_unitary,
@@ -13,6 +14,7 @@ from swapframe.linalg import (
     exp_neg_i,
     hermitian_eig,
     hs_norm,
+    is_hermitian,
     operator_norm,
     partial_trace,
     principal_generator,
@@ -193,6 +195,8 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_exp_neg_i_zero_scale_exact_identity():
     h = random_hermitian(3, rng_from_seed(6))
     assert np.array_equal(exp_neg_i(h, 0.0), np.eye(3))
+    with pytest.raises(ValueError, match="Hermitian"):  # checked before the shortcut
+        exp_neg_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
 def test_exp_neg_i_swap_involution():
@@ -329,3 +333,53 @@ def test_check_unitary():
     check_unitary(haar_unitary(3, rng_from_seed(12)))
     with pytest.raises(ValueError):
         check_unitary(np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("defect, passes", [(0.5e-10, True), (2e-10, False)])
+def test_tolerance_constants(defect, passes):
+    # HERMITIAN_ATOL = UNITARY_ATOL = 1e-10: entrywise |A - A†| and ||U·U† - 1||
+    rho = np.array([[0.5, 0.25 + defect], [0.25, 0.5]])
+    u = np.diag([np.sqrt(1.0 + defect), 1.0])
+    assert is_hermitian(rho) == passes
+    for check, arg in ((check_density, rho), (hermitian_eig, rho), (check_unitary, u)):
+        if passes:
+            check(arg)
+        else:
+            with pytest.raises(ValueError):
+                check(arg)
+
+
+_RNG = rng_from_seed(14)
+_H = random_hermitian(3, _RNG)
+_U = haar_unitary(3, _RNG)
+_RHO = random_density(2, _RNG)
+_JOINT = tensor(_RHO, _RHO)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_hermitian(_H),
+    lambda: check_unitary(_U),
+    lambda: check_density(_RHO),
+    lambda: hermitian_eig(_H),
+    lambda: exp_neg_i(_H, 0.0),
+    lambda: exp_neg_i(_H, 0.3),
+    lambda: principal_generator(_U),
+    lambda: trace_norm(_H),
+    lambda: operator_norm(_H),
+    lambda: hs_norm(_H),
+    lambda: von_neumann_entropy(_RHO),
+    lambda: partial_trace(_JOINT, [2, 2], 0),
+], ids=["is_hermitian", "check_unitary", "check_density", "hermitian_eig", "exp_neg_i_0",
+        "exp_neg_i_0.3", "principal_generator", "trace_norm", "operator_norm", "hs_norm",
+        "von_neumann_entropy", "partial_trace"])
+def test_public_function_checks_its_matrix_once(monkeypatch, call):
+    checked = []
+    as_matrix = linalg._as_matrix
+
+    def counting(a, stack=False):
+        checked.append(a)
+        return as_matrix(a, stack)
+
+    monkeypatch.setattr(linalg, "_as_matrix", counting)
+    call()
+    assert len(checked) == 1

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, single_step_bound
 from swapframe.conservation import ExtensiveObservable, lift_extensive, commutator_norm
+from swapframe import linalg
 from swapframe.linalg import (
     check_density,
     dagger,
@@ -376,6 +379,25 @@ def test_run_protocol_deterministic():
     assert a.round_errors == b.round_errors
     assert np.array_equal(a.ledger.system, b.ledger.system)
     assert np.array_equal(a.ledger.frame, b.ledger.frame)
+
+
+def test_run_protocol_makes_no_hermitian_eig_call(monkeypatch):
+    # the principal generator is exactly Hermitian, so the run diagonalizes it unchecked
+    spec = ProtocolSpec(target=haar_unitary(3, rng_from_seed(61)), n_rounds=20,
+                        basis=build_state_basis(3), rho_s=random_density(3, rng_from_seed(62)),
+                        charges=(ExtensiveObservable(random_hermitian(3, rng_from_seed(63))),))
+    calls = []
+    hermitian_eig = linalg.hermitian_eig
+
+    def counting(h):
+        calls.append(h)
+        return hermitian_eig(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("swapframe") and getattr(module, "hermitian_eig", None) is hermitian_eig:
+            monkeypatch.setattr(module, "hermitian_eig", counting)
+    run_protocol(spec)
+    assert calls == []
 
 
 def test_protocol_spec_validation():

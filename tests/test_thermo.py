@@ -221,6 +221,8 @@ def test_battery_deviation_within_bound():
     assert check.bound == pytest.approx(result.total_error)  # ||Z|| = 1
     assert check.deviation <= check.bound
     assert check.passed
+    assert check.to_json_dict() == {"deviation": check.deviation, "bound": check.bound,
+                                    "passed": True}
 
 
 def test_battery_deviation_identity_target():
