@@ -105,7 +105,7 @@ def fit_loglog_slope(n_values, errors):
 def convergence_sweep(spec, n_list) -> ConvergenceTable:
     """Run the protocol across ascending round counts and fit the decay rate.
 
-    The target is prepared once; each N adds only its map, mat-vecs and error stack.
+    The target is prepared once; each N adds only its unit sweep, mat-vecs and error stack.
     """
     from .protocol import _protocol_runs
 

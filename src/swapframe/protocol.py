@@ -16,12 +16,11 @@ Collisions use the exact closed form of their reduced action, the
 density-matrix exponentiation identity (Lloyd, Mohseni, Rebentrost,
 arXiv:1307.0401): with c, s = cos, sin of alpha/N and K = i·c·s·[sigma, rho],
 the system leaves as c²·rho + s²·tr(rho)·sigma - K and the particle as
-c²·sigma + s²·rho + K. The tr(rho) factor, 1 for any state, makes a round
-one fixed linear map M on vec(rho), swept once over the d² matrix units; N
-mat-vecs follow, and the ledger comes from one more round over the stack of
-round-start states. A target is prepared once per sweep over round counts:
-each N adds only its map, mat-vecs and error stack. The dense d²×d² gate
-``partial_swap`` is kept only as the reference that tests compare against.
+c²·tr(rho)·sigma + s²·rho + K. The tr(rho) factors, 1 for any state, make
+both linear in rho, so one round swept over the d² matrix units gives the
+round map M on vec(rho) and the ledger functionals; N mat-vecs give the
+round-start states, and contracting them with the functionals, the ledger.
+The dense d²×d² gate ``partial_swap`` is only a reference for tests.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     of the consumed particle; the system's loss of any extensive charge is the
     particle's gain. Closed form (arXiv:1307.0401), with c, s = cos, sin of
     alpha/N and K = i·c·s·(sigma·rho - rho·sigma): c²·rho + s²·tr(rho)·sigma - K
-    and c²·sigma + s²·rho + K. The tr(rho) factor, the exact partial trace,
-    makes the system output linear in rho. ``rho`` may be a stack (..., d, d);
+    and c²·tr(rho)·sigma + s²·rho + K. The tr(rho) factors, the exact partial
+    traces, make both outputs linear in rho. ``rho`` may be a stack (..., d, d);
     ``sigma`` and ``alpha`` broadcast against it.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -79,7 +78,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     c, s = np.cos(a), np.sin(a)
     k = (1j * c * s) * (sigma @ rho - rho @ sigma)
     tr = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-    return c * c * rho + s * s * tr * sigma - k, c * c * sigma + s * s * rho + k
+    return c * c * rho + s * s * tr * sigma - k, c * c * tr * sigma + s * s * rho + k
 
 
 @dataclass
@@ -118,8 +117,8 @@ def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
 
     Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k,
     on one state or a stack (..., d, d), and returns the result. When given,
-    ``ledger`` (arrays rho.shape[:-2] + (D, K), or (1, D, K) for one state)
-    receives each slot's charge deltas.
+    ``ledger`` (complex, rho.shape[:-2] + (D, K)) receives each slot's charge
+    deltas tr(A·(rho_out - rho)) and tr(A·(frame_out - tr(rho)·sigma)).
     """
     if len(alphas) != basis.size:
         raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
@@ -127,8 +126,9 @@ def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
     for slot, (alpha, sigma) in enumerate(zip(alphas, basis.states)):
         rho_next, frame_out = step_channel(rho, sigma, alpha, n_rounds)
         if ledger is not None and charges:
-            ledger.system[..., slot, :] = np.einsum("kij,...ji->...k", mats, rho_next - rho).real
-            ledger.frame[..., slot, :] = np.einsum("kij,...ji->...k", mats, frame_out - sigma).real
+            frame_out -= np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * sigma
+            ledger.system[..., slot, :] = np.einsum("kij,...ji->...k", mats, rho_next - rho)
+            ledger.frame[..., slot, :] = np.einsum("kij,...ji->...k", mats, frame_out)
         rho = rho_next
     return rho
 
@@ -197,17 +197,15 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
 
     for n in n_list:
         bound, valid = total_bound(basis.size, basis.alpha_max, n)  # raises for n < 1
-        round_map = collision_round(units, basis, dec.alphas, n).reshape(d * d, d * d).T
+        functionals = np.zeros((2, d * d, basis.size, len(labels)), complex)  # system, frame
+        round_map = collision_round(units, basis, dec.alphas, n, spec.charges,
+                                    BatteryLedger(labels, *functionals)).reshape(d * d, d * d).T
         states = np.empty((n + 1, d * d), dtype=complex)
         states[0] = spec.rho_s.reshape(-1)
         for t in range(n):
             np.dot(round_map, states[t], out=states[t + 1])
+        ledger = (states[:-1] @ functionals.reshape(2, d * d, -1)).real  # (2, N, D·K)
         states = states.reshape(n + 1, d, d)
-
-        shape = (n, basis.size, len(spec.charges))
-        ledger = BatteryLedger(labels, np.zeros(shape), np.zeros(shape))
-        if spec.charges:
-            collision_round(states[:-1], basis, dec.alphas, n, spec.charges, ledger)
 
         phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
         ideal = v @ (rho_eig * phases) @ dagger(v)
@@ -218,7 +216,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
             total_bound=bound,
             bound_valid=valid,
             n_min=4.0 * basis.size * basis.alpha_max,
-            ledger=ledger,
+            ledger=BatteryLedger(labels, *ledger.reshape(2, n, basis.size, -1)),
             decomposition=dec,
         )
 
@@ -227,8 +225,8 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
     Every round is the same linear map M on vec(rho): one round swept over the
-    d² matrix units gives M, and N mat-vecs give the round-start states. With
-    charges, one more round swept over that stack fills the ledger. Ideal
+    d² matrix units gives M and the ledger functionals, N mat-vecs give the
+    round-start states, and one contraction with them gives the ledger. Ideal
     states exp(-iHt/N)·rho·exp(+iHt/N) for every t come from one
     eigendecomposition of the generator. Identical specs produce bit-identical
     results.

@@ -35,6 +35,8 @@ class ThermalSpec:
     def __post_init__(self):
         charges = tuple(self.charges)
         betas = tuple(float(b) for b in self.betas)
+        if not np.isfinite(betas).all():
+            raise ValueError(f"betas must be finite, got {list(betas)}")
         if len(charges) != len(betas):
             raise ValueError("need one inverse temperature per charge")
         if not charges:

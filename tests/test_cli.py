@@ -283,11 +283,14 @@ def test_module_entry_point(tmp_path):
       "bath_subsystems": 40}, "bath_subsystems"),
     ({"mode": "converge", "dimension": 100000, "N_list": [10, 20, 40],
       "unitary": {"exp": "Z"}}, "dimension"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z", "X", "Y"],
+      "betas": [float("nan"), 0.5, 0.7]}, "betas"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
         "numeric_basis", "numeric_out", "list_charge_label", "out_names_a_file",
-        "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap"])
+        "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
+        "nan_beta"])
 def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))

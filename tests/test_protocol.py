@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapframe.basis import build_state_basis, decompose_generator
-from swapframe.bounds import block_bound, single_step_bound
+from swapframe.bounds import block_bound, convergence_sweep, single_step_bound
 from swapframe.conservation import ExtensiveObservable, lift_extensive, commutator_norm
-from swapframe import linalg
+from swapframe import linalg, protocol
 from swapframe.linalg import (
     check_density,
     dagger,
@@ -177,9 +177,12 @@ def test_stacked_step_channel_matches_per_matrix_calls_and_is_linear(d, size, n_
             np.testing.assert_allclose(frame[i], own_frame, rtol=0, atol=1e-13)
     # the system output is linear in rho: expand rho[0] over the matrix units
     units = np.eye(d * d).reshape(d * d, d, d)
-    unit_out, _ = step_channel(units, sigmas[0], alphas[0], n_rounds)
-    out, _ = step_channel(rho[0], sigmas[0], alphas[0], n_rounds)
+    unit_out, unit_frame = step_channel(units, sigmas[0], alphas[0], n_rounds)
+    out, frame = step_channel(rho[0], sigmas[0], alphas[0], n_rounds)
     np.testing.assert_allclose(np.tensordot(rho[0].reshape(-1), unit_out, axes=1), out,
+                               rtol=0, atol=1e-12)
+    # and so is the particle output, the exact partial trace c²·tr(rho)·sigma + s²·rho + K
+    np.testing.assert_allclose(np.tensordot(rho[0].reshape(-1), unit_frame, axes=1), frame,
                                rtol=0, atol=1e-12)
 
 
@@ -210,7 +213,7 @@ def test_frame_locality_full_space_equals_sequential():
 def test_collision_round_all_zero_coefficients():
     from swapframe.protocol import BatteryLedger
 
-    ledger = BatteryLedger(("Z",), np.zeros((1, 3, 1)), np.zeros((1, 3, 1)))
+    ledger = BatteryLedger(("Z",), np.zeros((1, 3, 1), complex), np.zeros((1, 3, 1), complex))
     rho = random_density(2, rng_from_seed(55))
     out = collision_round(
         rho, QUBIT_BASIS, (0.0, 0.0, 0.0), 10,
@@ -343,6 +346,29 @@ def test_run_protocol_matches_sequential_collisions(d, n):
     np.testing.assert_allclose(result.round_errors, errors, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.ledger.system, system, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.ledger.frame, frame, rtol=0, atol=1e-12)
+
+
+def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
+    # the ledger comes from the sweep over the matrix units that builds the round map
+    rng = rng_from_seed(64)
+    basis = build_state_basis(3)
+    charges = tuple(ExtensiveObservable(random_hermitian(3, rng), f"A{i}") for i in range(3))
+    spec = ProtocolSpec(target=haar_unitary(3, rng), n_rounds=30, basis=basis,
+                        rho_s=random_density(3, rng), charges=charges)
+    calls = []
+    step = protocol.step_channel
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(protocol, "step_channel", counting)
+    result = run_protocol(spec)
+    assert len(calls) == basis.size
+    assert result.ledger.frame.shape == (30, basis.size, 3)
+    calls.clear()
+    convergence_sweep(spec, [10, 20, 40])
+    assert len(calls) == 3 * basis.size
 
 
 def test_run_protocol_below_threshold_flagged():

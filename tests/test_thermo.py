@@ -35,6 +35,16 @@ def test_thermal_spec_validation():
         ThermalSpec(charges=(CHARGE_Z, ExtensiveObservable(np.eye(3), "I3")), betas=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_thermal_spec_rejects_non_finite_betas(beta):
+    with pytest.raises(ValueError, match="betas"):
+        ThermalSpec(charges=(CHARGE_Z, CHARGE_X), betas=(0.5, beta))
+    # refused before work accounting could return a NaN margin
+    with pytest.raises(ValueError, match="betas"):
+        work_accounting(np.eye(4) / 4, np.eye(4) / 4, [2, 2], bath=[0, 1],
+                        spec=ThermalSpec((CHARGE_Z,), [beta]))
+
+
 def test_thermal_spec_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         ThermalSpec(charges=(ExtensiveObservable(X, "A"), ExtensiveObservable(Z, "A")),
