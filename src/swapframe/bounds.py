@@ -103,10 +103,7 @@ def fit_loglog_slope(n_values, errors):
 
 
 def convergence_sweep(spec, n_list) -> ConvergenceTable:
-    """Run the protocol across ascending round counts and fit the decay rate.
-
-    The target is prepared once; each N adds only its unit sweep, mat-vecs and error stack.
-    """
+    """Decay-rate fit over ascending round counts: one prepared target, one kernel call per N."""
     from .protocol import _protocol_runs
 
     n_list = [int(n) for n in n_list]

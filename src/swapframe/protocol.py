@@ -1,37 +1,28 @@
 """Implementing unitaries with partial-swap collisions against a frame of system copies.
 
-One collision couples the system to a fresh frame particle through
-exp(-i(alpha/N)·SWAP), which commutes with every extensive charge. A round of
-D collisions, one per basis state, effects the small rotation exp(-iH/N) with
-H decomposed over the basis; N rounds build up an arbitrary target unitary
-with O(1/N) trace-norm error. Frame particles double as a battery: every
-collision's charge flow into its particle is recorded in a ledger.
+One collision couples the system to a fresh frame particle through exp(-i(alpha/N)·SWAP),
+which commutes with every extensive charge. A round of D collisions, one per basis state,
+effects exp(-iH/N) with H decomposed over the basis; N rounds build up an arbitrary target
+unitary with O(1/N) trace-norm error. Each particle is touched once, so the frame is never
+materialized; as a battery, it books every collision's charge flow in a ledger.
 
-Each frame particle starts in product form and is touched exactly once, so
-the frame is never materialized; the protocol consumes one fresh particle per
-collision, which is mathematically identical to acting on the full
-tensor-power frame state.
-
-Collisions use the exact closed form of their reduced action, the
-density-matrix exponentiation identity (Lloyd, Mohseni, Rebentrost,
-arXiv:1307.0401): with c, s = cos, sin of alpha/N and K = i·c·s·[sigma, rho],
-the system leaves as c²·rho + s²·tr(rho)·sigma - K and the particle as
-c²·tr(rho)·sigma + s²·rho + K. The tr(rho) factors, 1 for any state, make
-both linear in rho, so one round swept over the d² matrix units gives the
-round map M on vec(rho) and the ledger functionals; N mat-vecs give the
-round-start states, and contracting them with the functionals, the ledger.
-The dense d²×d² gate ``partial_swap`` is only a reference for tests.
+A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each
+slot is a fixed d²×d² map on vec(rho): one broadcast kernel call over slots × matrix units
+gives all D, and chaining them, the round map M and the ledger functionals. N mat-vecs give
+the round-start states; contracting them with the functionals gives the ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .basis import GeneratorDecomposition, OperatorBasis, decompose_generator
 from .bounds import total_bound
 from .linalg import (
+    _as_square,
     check_density,
     check_unitary,
     dagger,
@@ -45,7 +36,7 @@ def partial_swap(alpha: float, n_rounds: int, d: int) -> np.ndarray:
     """Collision unitary exp(-i(alpha/N)·SWAP) on two d-dimensional factors.
 
     SWAP is an involution, so this is exactly cos(a)·1 - i·sin(a)·SWAP with
-    a = alpha/N; no series truncation is involved.
+    a = alpha/N; no series truncation is involved. Only a dense test reference.
     """
     if n_rounds < 1:
         raise ValueError("round count must be >= 1")
@@ -111,26 +102,41 @@ class BatteryLedger:
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
+def _round_map(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
+    """Round map M on vec(rho) and complex ledger functionals G[side, unit, slot, charge],
+    None without charges: side 0 (system) or 1 (frame) deltas of a state are vec(rho)·G."""
+    d2, size, sigmas = basis.dim ** 2, basis.size, np.array(basis.states)
+    units = np.eye(d2, dtype=complex).reshape(d2, basis.dim, basis.dim)
+    # the one kernel call: every matrix unit through every slot, shape (D, d², d, d)
+    outs = step_channel(units, sigmas[:, None], np.asarray(alphas, dtype=float)[:, None], n_rounds)
+    # column u of slot k's map is vec of unit u's output: S_k on the system, F_k on the particle
+    slot_maps, frame_maps = (out.reshape(size, d2, d2).transpose(0, 2, 1) for out in outs)
+    prefix = list(accumulate(slot_maps, lambda p, m: m @ p, initial=np.eye(d2)))  # P_k = S_k·P_k-1
+    if not charges:
+        return prefix[-1], None
+    frame_maps = frame_maps - sigmas.reshape(size, d2, 1) * np.eye(basis.dim).reshape(-1)
+    rows = np.array([c.matrix.T.reshape(-1) for c in charges])  # vec(A_j^T)
+    deltas = rows @ np.stack([slot_maps - np.eye(d2), frame_maps]) @ np.array(prefix[:-1])
+    return prefix[-1], deltas.transpose(0, 3, 1, 2)
+
+
 def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
                     charges=(), ledger: BatteryLedger | None = None):
     """One sweep of collisions, slot k against a fresh particle in basis state k.
 
     Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k,
-    on one state or a stack (..., d, d), and returns the result. When given,
-    ``ledger`` (complex, rho.shape[:-2] + (D, K)) receives each slot's charge
-    deltas tr(A·(rho_out - rho)) and tr(A·(frame_out - tr(rho)·sigma)).
+    on one state or a stack (..., d, d): applies the round map M to vec(rho).
+    When given, ``ledger`` (complex, rho.shape[:-2] + (D, K)) receives each
+    slot's deltas tr(A·(rho_out - rho)) and tr(A·(frame_out - tr(rho)·sigma)).
     """
     if len(alphas) != basis.size:
         raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
-    mats = np.array([c.matrix for c in charges], dtype=complex)
-    for slot, (alpha, sigma) in enumerate(zip(alphas, basis.states)):
-        rho_next, frame_out = step_channel(rho, sigma, alpha, n_rounds)
-        if ledger is not None and charges:
-            frame_out -= np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * sigma
-            ledger.system[..., slot, :] = np.einsum("kij,...ji->...k", mats, rho_next - rho)
-            ledger.frame[..., slot, :] = np.einsum("kij,...ji->...k", mats, frame_out)
-        rho = rho_next
-    return rho
+    rho = _as_square(rho, stack=True)
+    vec = rho.reshape(*rho.shape[:-2], basis.dim ** 2)  # a ValueError unless rho is d×d
+    round_map, functionals = _round_map(basis, alphas, n_rounds, charges if ledger else ())
+    if functionals is not None:
+        ledger.system[...], ledger.frame[...] = np.einsum("...u,sukj->s...kj", vec, functionals)
+    return (vec @ round_map.T).reshape(rho.shape)
 
 
 @dataclass(frozen=True)
@@ -192,19 +198,16 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
     w, v = np.linalg.eigh(h)  # h is exactly Hermitian, so no check or hermitize is needed
     rho_eig = dagger(v) @ spec.rho_s @ v
     final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    labels = tuple(c.label for c in spec.charges)
 
     for n in n_list:
         bound, valid = total_bound(basis.size, basis.alpha_max, n)  # raises for n < 1
-        functionals = np.zeros((2, d * d, basis.size, len(labels)), complex)  # system, frame
-        round_map = collision_round(units, basis, dec.alphas, n, spec.charges,
-                                    BatteryLedger(labels, *functionals)).reshape(d * d, d * d).T
+        round_map, functionals = _round_map(basis, dec.alphas, n, spec.charges)
         states = np.empty((n + 1, d * d), dtype=complex)
         states[0] = spec.rho_s.reshape(-1)
         for t in range(n):
             np.dot(round_map, states[t], out=states[t + 1])
-        ledger = (states[:-1] @ functionals.reshape(2, d * d, -1)).real  # (2, N, D·K)
+        ledger = np.zeros((2, n, basis.size, 0)) if functionals is None else (
+            states[:-1] @ functionals.reshape(2, d * d, -1)).real.reshape(2, n, basis.size, -1)
         states = states.reshape(n + 1, d, d)
 
         phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
@@ -216,7 +219,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
             total_bound=bound,
             bound_valid=valid,
             n_min=4.0 * basis.size * basis.alpha_max,
-            ledger=BatteryLedger(labels, *ledger.reshape(2, n, basis.size, -1)),
+            ledger=BatteryLedger(tuple(c.label for c in spec.charges), *ledger),
             decomposition=dec,
         )
 
@@ -224,12 +227,11 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
 def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
-    Every round is the same linear map M on vec(rho): one round swept over the
-    d² matrix units gives M and the ledger functionals, N mat-vecs give the
-    round-start states, and one contraction with them gives the ledger. Ideal
-    states exp(-iHt/N)·rho·exp(+iHt/N) for every t come from one
-    eigendecomposition of the generator. Identical specs produce bit-identical
-    results.
+    Every round is the same linear map M on vec(rho): one kernel call builds M
+    and the ledger functionals, N mat-vecs give the round-start states, and one
+    contraction with them the ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N)
+    for every t come from one eigendecomposition of the generator. Identical
+    specs produce bit-identical results.
     """
     return next(_protocol_runs(spec, (spec.n_rounds,)))
 

@@ -285,12 +285,14 @@ def test_module_entry_point(tmp_path):
       "unitary": {"exp": "Z"}}, "dimension"),
     ({"mode": "thermo", "dimension": 2, "charges": ["Z", "X", "Y"],
       "betas": [float("nan"), 0.5, 0.7]}, "betas"),
+    ({"mode": "thermo", "dimension": 2, "betas": [1e308],
+      "charges": [{"matrix": [[[10, 0], [0, 0]], [[0, 0], [-10, 0]]], "label": "A"}]}, "betas"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
         "numeric_basis", "numeric_out", "list_charge_label", "out_names_a_file",
         "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
-        "nan_beta"])
+        "nan_beta", "overflowing_beta"])
 def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))

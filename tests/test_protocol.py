@@ -243,6 +243,37 @@ def test_collision_round_tracks_small_rotation():
     assert trace_norm(out - u @ rho @ dagger(u)) <= bound
 
 
+@settings(max_examples=40)
+@given(d=st.integers(2, 5), n_charges=st.integers(0, 3), n_rounds=st.integers(1, 6),
+       shape=st.sampled_from([(), (3,), (2, 2)]), seed=st.integers(0, 2**32 - 1))
+@example(d=2, n_charges=2, n_rounds=1, shape=(2, 2), seed=5)
+def test_collision_round_matches_per_slot_collisions(d, n_charges, n_rounds, shape, seed):
+    rng = np.random.default_rng(seed)
+    basis = build_state_basis(d)
+    # zero, negative and beyond-quarter-period (|alpha/N| > pi/2) coefficients
+    alphas = rng.uniform(-3.0, 3.0, basis.size) * n_rounds
+    alphas[0], alphas[-1] = 0.0, -2.0 * n_rounds
+    charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{j}")
+                    for j in range(n_charges))
+    rho = (rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))) / d
+    ledger = protocol.BatteryLedger(tuple(c.label for c in charges),
+                                    *np.zeros((2,) + shape + (basis.size, n_charges), complex))
+    out = collision_round(rho, basis, alphas, n_rounds, charges, ledger)
+
+    ref, system, frame = rho, [], []
+    for alpha, sigma in zip(alphas, basis.states):
+        rho_next, frame_out = step_channel(ref, sigma, alpha, n_rounds)
+        frame_out = frame_out - np.trace(ref, axis1=-2, axis2=-1)[..., None, None] * sigma
+        system.append([np.trace(c.matrix @ (rho_next - ref), axis1=-2, axis2=-1) for c in charges])
+        frame.append([np.trace(c.matrix @ frame_out, axis1=-2, axis2=-1) for c in charges])
+        ref = rho_next
+    expected = np.moveaxis(np.reshape(system + frame, (2, basis.size, n_charges) + shape),
+                           (1, 2), (-2, -1))
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ledger.system, expected[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ledger.frame, expected[1], rtol=0, atol=1e-12)
+
+
 def test_collision_round_coefficient_count():
     with pytest.raises(ValueError):
         collision_round(PLUS, QUBIT_BASIS, (1.0,), 10)
@@ -349,7 +380,7 @@ def test_run_protocol_matches_sequential_collisions(d, n):
 
 
 def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
-    # the ledger comes from the sweep over the matrix units that builds the round map
+    # one kernel call takes every matrix unit through every slot; the ledger comes from it too
     rng = rng_from_seed(64)
     basis = build_state_basis(3)
     charges = tuple(ExtensiveObservable(random_hermitian(3, rng), f"A{i}") for i in range(3))
@@ -364,11 +395,11 @@ def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
 
     monkeypatch.setattr(protocol, "step_channel", counting)
     result = run_protocol(spec)
-    assert len(calls) == basis.size
+    assert len(calls) == 1
     assert result.ledger.frame.shape == (30, basis.size, 3)
     calls.clear()
     convergence_sweep(spec, [10, 20, 40])
-    assert len(calls) == 3 * basis.size
+    assert len(calls) == 3
 
 
 def test_run_protocol_below_threshold_flagged():

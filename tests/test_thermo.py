@@ -45,6 +45,12 @@ def test_thermal_spec_rejects_non_finite_betas(beta):
                         spec=ThermalSpec((CHARGE_Z,), [beta]))
 
 
+def test_thermal_spec_rejects_overflowing_exponent():
+    # finite betas whose weighted charge sum overflows are refused at construction
+    with pytest.raises(ValueError, match="betas"):
+        ThermalSpec(charges=(ExtensiveObservable(10 * Z, "A"),), betas=[1e308])
+
+
 def test_thermal_spec_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         ThermalSpec(charges=(ExtensiveObservable(X, "A"), ExtensiveObservable(Z, "A")),
