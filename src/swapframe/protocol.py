@@ -8,8 +8,8 @@ materialized; as a battery, it books every collision's charge flow in a ledger.
 
 A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each
 slot is a fixed d²×d² map on vec(rho): one broadcast kernel call over slots × matrix units
-gives all D, and chaining them, the round map M and the ledger functionals. N mat-vecs give
-the round-start states; contracting them with the functionals gives the ledger.
+gives all D (from d = 7, a few calls of bounded size), and chaining them, M and the ledger
+functionals. N mat-vecs give the round-start states; contracting them gives the ledger.
 """
 
 from __future__ import annotations
@@ -102,41 +102,50 @@ class BatteryLedger:
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
-def _round_map(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
-    """Round map M on vec(rho) and complex ledger functionals G[side, unit, slot, charge],
-    None without charges: side 0 (system) or 1 (frame) deltas of a state are vec(rho)·G."""
-    d2, size, sigmas = basis.dim ** 2, basis.size, np.array(basis.states)
-    units = np.eye(d2, dtype=complex).reshape(d2, basis.dim, basis.dim)
-    # the one kernel call: every matrix unit through every slot, shape (D, d², d, d)
-    outs = step_channel(units, sigmas[:, None], np.asarray(alphas, dtype=float)[:, None], n_rounds)
-    # column u of slot k's map is vec of unit u's output: S_k on the system, F_k on the particle
-    slot_maps, frame_maps = (out.reshape(size, d2, d2).transpose(0, 2, 1) for out in outs)
-    prefix = list(accumulate(slot_maps, lambda p, m: m @ p, initial=np.eye(d2)))  # P_k = S_k·P_k-1
-    if not charges:
-        return prefix[-1], None
-    frame_maps = frame_maps - sigmas.reshape(size, d2, 1) * np.eye(basis.dim).reshape(-1)
-    rows = np.array([c.matrix.T.reshape(-1) for c in charges])  # vec(A_j^T)
-    deltas = rows @ np.stack([slot_maps - np.eye(d2), frame_maps]) @ np.array(prefix[:-1])
-    return prefix[-1], deltas.transpose(0, 3, 1, 2)
+def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, x, charges=()):
+    """Columns x (d², m) after one round, and their complex ledger deltas[side, column, slot,
+    charge] (side 0 the system, 1 the particle): M and its functionals when x is the identity.
+    One kernel call per chunk of slots, sized so that its outputs hold at most 2^16 entries
+    (1 MB) or one slot: all D slots in one call up to d = 6, one slot per call from d = 14."""
+    d, d2, size = basis.dim, basis.dim ** 2, basis.size
+    units = np.eye(d2, dtype=complex).reshape(d2, d, d)
+    sigmas, alphas = np.array(basis.states), np.asarray(alphas, dtype=float)
+    rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
+    deltas = np.empty((2, x.shape[1], size, len(rows)), dtype=complex)
+    chunk = max(1, 2**16 // d2 ** 2)
+    for lo in range(0, size, chunk):
+        part = slice(lo, lo + chunk)
+        outs = step_channel(units, sigmas[part, None], alphas[part, None], n_rounds)
+        # column u of slot k's map is vec of unit u's output: S_k on the system, F_k on the particle
+        slot_maps, frame_maps = (out.reshape(-1, d2, d2).transpose(0, 2, 1) for out in outs)
+        ins = np.array(list(accumulate(slot_maps, lambda y, m: m @ y, initial=x)))  # slot chain
+        x = ins[-1]
+        if charges:
+            frame_maps = frame_maps - sigmas[part].reshape(-1, d2, 1) * np.eye(d).reshape(-1)
+            sides = np.stack([rows @ (ins[1:] - ins[:-1]), rows @ frame_maps @ ins[:-1]])
+            deltas[:, :, part] = sides.transpose(0, 3, 1, 2)
+    return x, deltas
 
 
 def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
                     charges=(), ledger: BatteryLedger | None = None):
     """One sweep of collisions, slot k against a fresh particle in basis state k.
 
-    Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k,
-    on one state or a stack (..., d, d): applies the round map M to vec(rho).
-    When given, ``ledger`` (complex, rho.shape[:-2] + (D, K)) receives each
-    slot's deltas tr(A·(rho_out - rho)) and tr(A·(frame_out - tr(rho)·sigma)).
+    Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k, on one state
+    or a stack (..., d, d): the slot maps act on the columns vec(rho). When given, ``ledger``
+    (complex, rho.shape[:-2] + (D, K)) receives each slot's deltas tr(A·(rho_out - rho))
+    and tr(A·(frame_out - tr(rho)·sigma)).
     """
     if len(alphas) != basis.size:
         raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
     rho = _as_square(rho, stack=True)
     vec = rho.reshape(*rho.shape[:-2], basis.dim ** 2)  # a ValueError unless rho is d×d
-    round_map, functionals = _round_map(basis, alphas, n_rounds, charges if ledger else ())
-    if functionals is not None:
-        ledger.system[...], ledger.frame[...] = np.einsum("...u,sukj->s...kj", vec, functionals)
-    return (vec @ round_map.T).reshape(rho.shape)
+    out, deltas = _slot_sweep(basis, alphas, n_rounds, vec.reshape(-1, basis.dim ** 2).T,
+                              charges if ledger is not None else ())
+    if ledger is not None:
+        shape = (2,) + vec.shape[:-1] + deltas.shape[2:]
+        ledger.system[...], ledger.frame[...] = deltas.reshape(shape)
+    return out.T.reshape(rho.shape)
 
 
 @dataclass(frozen=True)
@@ -201,12 +210,12 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
 
     for n in n_list:
         bound, valid = total_bound(basis.size, basis.alpha_max, n)  # raises for n < 1
-        round_map, functionals = _round_map(basis, dec.alphas, n, spec.charges)
+        round_map, functionals = _slot_sweep(basis, dec.alphas, n, np.eye(d * d), spec.charges)
         states = np.empty((n + 1, d * d), dtype=complex)
         states[0] = spec.rho_s.reshape(-1)
         for t in range(n):
             np.dot(round_map, states[t], out=states[t + 1])
-        ledger = np.zeros((2, n, basis.size, 0)) if functionals is None else (
+        ledger = np.zeros((2, n, basis.size, 0)) if not spec.charges else (
             states[:-1] @ functionals.reshape(2, d * d, -1)).real.reshape(2, n, basis.size, -1)
         states = states.reshape(n + 1, d, d)
 
@@ -227,11 +236,10 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
 def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
-    Every round is the same linear map M on vec(rho): one kernel call builds M
-    and the ledger functionals, N mat-vecs give the round-start states, and one
-    contraction with them the ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N)
-    for every t come from one eigendecomposition of the generator. Identical
-    specs produce bit-identical results.
+    Every round is the same linear map M on vec(rho), built with its ledger functionals by
+    ``_slot_sweep`` (one kernel call up to d = 6); N mat-vecs give the round-start states, and one
+    contraction with them the ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) come from
+    one eigendecomposition of the generator. Identical specs give bit-identical results.
     """
     return next(_protocol_runs(spec, (spec.n_rounds,)))
 

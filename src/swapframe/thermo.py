@@ -45,19 +45,22 @@ class ThermalSpec:
         labels = [c.label for c in charges]
         if len(set(labels)) != len(labels):
             raise ValueError(f"charge labels are not distinct: {labels}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflowing beta
+            exponent = hermitize(sum(b * c.matrix for b, c in zip(betas, charges)))
+        if not np.isfinite(exponent).all():
+            raise ValueError(f"betas {list(betas)} give a non-finite sum_i beta_i A_i")
+        exponent.flags.writeable = False
         object.__setattr__(self, "charges", charges)
         object.__setattr__(self, "betas", betas)
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflowing beta
-            if not np.isfinite(self.exponent()).all():
-                raise ValueError(f"betas {list(betas)} give a non-finite sum_i beta_i A_i")
+        object.__setattr__(self, "_exponent", exponent)
 
     @property
     def dim(self) -> int:
         return self.charges[0].dim
 
     def exponent(self) -> np.ndarray:
-        """The weighted charge sum sum_i beta_i A_i."""
-        return hermitize(sum(b * c.matrix for b, c in zip(self.betas, self.charges)))
+        """The weighted charge sum sum_i beta_i A_i, built and checked once at construction."""
+        return self._exponent
 
 
 def thermal_state(spec: ThermalSpec, d: int):

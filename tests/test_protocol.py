@@ -259,7 +259,10 @@ def test_collision_round_matches_per_slot_collisions(d, n_charges, n_rounds, sha
     ledger = protocol.BatteryLedger(tuple(c.label for c in charges),
                                     *np.zeros((2,) + shape + (basis.size, n_charges), complex))
     out = collision_round(rho, basis, alphas, n_rounds, charges, ledger)
+    _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, n_rounds, charges)
 
+
+def _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, n_rounds, charges):
     ref, system, frame = rho, [], []
     for alpha, sigma in zip(alphas, basis.states):
         rho_next, frame_out = step_channel(ref, sigma, alpha, n_rounds)
@@ -267,11 +270,34 @@ def test_collision_round_matches_per_slot_collisions(d, n_charges, n_rounds, sha
         system.append([np.trace(c.matrix @ (rho_next - ref), axis1=-2, axis2=-1) for c in charges])
         frame.append([np.trace(c.matrix @ frame_out, axis1=-2, axis2=-1) for c in charges])
         ref = rho_next
-    expected = np.moveaxis(np.reshape(system + frame, (2, basis.size, n_charges) + shape),
-                           (1, 2), (-2, -1))
+    shape = (2, basis.size, len(charges)) + rho.shape[:-2]
+    expected = np.moveaxis(np.reshape(system + frame, shape), (1, 2), (-2, -1))
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ledger.system, expected[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(ledger.frame, expected[1], rtol=0, atol=1e-12)
+
+
+def test_collision_round_bounds_each_kernel_call(monkeypatch):
+    # at d=7 all 48 slots × 49 matrix units exceed one call's 2^16 output entries: the slots are
+    # split over two calls, each within the budget, and the round is unchanged
+    rng = rng_from_seed(77)
+    basis = build_state_basis(7)
+    alphas = rng.uniform(-3.0, 3.0, basis.size)
+    charges = tuple(ExtensiveObservable(random_hermitian(7, rng), f"A{j}") for j in range(2))
+    rho = np.stack([random_density(7, rng) for _ in range(3)])
+    ledger = protocol.BatteryLedger(("A0", "A1"), *np.zeros((2, 3, basis.size, 2), complex))
+    sizes, step = [], protocol.step_channel
+
+    def recording(*args):
+        outs = step(*args)
+        sizes.append(outs[0].size)
+        return outs
+
+    monkeypatch.setattr(protocol, "step_channel", recording)
+    out = collision_round(rho, basis, alphas, 4, charges, ledger)
+    monkeypatch.undo()
+    assert len(sizes) == 2 and max(sizes) <= 2**16
+    _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, 4, charges)
 
 
 def test_collision_round_coefficient_count():
