@@ -15,7 +15,6 @@ from .linalg import (
     principal_generator,
     trace_norm,
     operator_norm,
-    hs_norm,
     von_neumann_entropy,
     check_density,
     check_unitary,
@@ -27,9 +26,7 @@ from .basis import (
     DegenerateBasisError,
     build_state_basis,
     basis_from_states,
-    dual_basis,
     decompose_generator,
-    gell_mann_generators,
 )
 from .conservation import (
     ExtensiveObservable,
@@ -44,7 +41,6 @@ from .protocol import (
     BatteryLedger,
     partial_swap,
     step_channel,
-    collision_round,
     run_protocol,
     two_subsystem_step,
 )

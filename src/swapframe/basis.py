@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitize, hs_norm, is_hermitian, operator_norm, check_density
+from .linalg import hermitize, is_hermitian, operator_norm, check_density
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -24,7 +24,7 @@ class DegenerateBasisError(ValueError):
     """Raised when candidate basis elements are not linearly independent."""
 
 
-def gell_mann_generators(d: int) -> list[np.ndarray]:
+def _gell_mann_generators(d: int) -> list[np.ndarray]:
     """The d^2 - 1 generalized Gell-Mann matrices.
 
     Traceless, Hermitian, mutually orthogonal with tr(g_a g_b) = 2 delta_ab.
@@ -75,7 +75,8 @@ class OperatorBasis:
         Holds for every generator with spectrum inside (-pi, pi], by
         Cauchy-Schwarz on the Hilbert-Schmidt inner product.
         """
-        return float(np.sqrt(self.size) * np.pi * max(hs_norm(t) for t in self.duals[1:]))
+        hs_max = max(np.linalg.norm(t, "fro") for t in self.duals[1:])
+        return float(np.sqrt(self.size) * np.pi * hs_max)
 
     def to_json(self) -> str:
         doc = {
@@ -104,7 +105,7 @@ def _matrix_from_pairs(pairs, d: int) -> np.ndarray:
     return m
 
 
-def dual_basis(elements) -> list[np.ndarray]:
+def _dual_basis(elements) -> list[np.ndarray]:
     """Hermitian duals of ``elements`` under the Hilbert-Schmidt inner product.
 
     Inverts the Gram matrix G_kl = tr(e_k e_l); raises DegenerateBasisError if
@@ -130,7 +131,7 @@ def basis_from_states(d: int, states) -> OperatorBasis:
     states = [check_density(s) for s in states]
     if len(states) != d * d - 1:
         raise ValueError(f"need {d * d - 1} states for dimension {d}, got {len(states)}")
-    duals = dual_basis([np.eye(d, dtype=complex)] + list(states))
+    duals = _dual_basis([np.eye(d, dtype=complex)] + list(states))
     return OperatorBasis(dim=d, states=tuple(states), duals=tuple(duals))
 
 
@@ -142,7 +143,7 @@ def build_state_basis(d: int) -> OperatorBasis:
     is exactly 1/max_k |min-eig(g_k)|. For d=2 this lands on the pure states
     (1 + P)/2 with P the Pauli matrices.
     """
-    gens = gell_mann_generators(d)
+    gens = _gell_mann_generators(d)
     floors = [abs(float(np.linalg.eigvalsh(g)[0])) for g in gens]
     r = 1.0 / max(floors)
     eye = np.eye(d, dtype=complex)

@@ -31,6 +31,11 @@ def single_step_bound(alpha: float, n_rounds: int):
     return value, n_rounds >= 2.0 * abs(alpha)
 
 
+def _n_min(n_generators: int, alpha_max: float) -> float:
+    """Validity threshold 4·D·amax of the block and total bounds."""
+    return 4.0 * n_generators * alpha_max
+
+
 def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
     """Error of one D-collision round vs conjugation by exp(-iH/N).
 
@@ -41,7 +46,7 @@ def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
     d_gen = n_generators
     value = (8.0 * d_gen**2 * alpha_max**2
              + 4.0 * np.pi**2 * E_MINUS_2 * (d_gen + 1)) / n_rounds**2
-    return float(value), n_rounds >= 4.0 * d_gen * alpha_max
+    return float(value), n_rounds >= _n_min(d_gen, alpha_max)
 
 
 def total_bound(n_generators: int, alpha_max: float, n_rounds: int):

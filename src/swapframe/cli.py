@@ -75,12 +75,12 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _convert(kind, value, key: str):
-    """``kind(value)`` for a number-valued config field, or a ConfigError naming it."""
+def _float(value, key: str) -> float:
+    """``float(value)`` for a number-valued config field, or a ConfigError naming it."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a single {kind.__name__}, got {value!r}") from None
+        raise ConfigError(f"{key!r} must be a single float, got {value!r}") from None
 
 
 def _path(value, key: str) -> Path:
@@ -89,19 +89,18 @@ def _path(value, key: str) -> Path:
     return Path(value)
 
 
-def _count(value, key: str) -> int:
-    """A positive integer config value, or a ConfigError naming its field."""
-    number = _convert(int, value, key)
-    if number < 1:
-        raise ConfigError(f"{key!r} must be a positive integer, got {value!r}")
-    return number
+def _integer(value, key: str, least: int = 1) -> int:
+    """A JSON integer config value >= ``least`` (no bool, float or string), or a ConfigError."""
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _round_counts(config: dict, key: str) -> list:
     value = _require(config, key)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key!r} must be a non-empty list of round counts, got {value!r}")
-    return [_count(n, key) for n in value]
+    return [_integer(n, key) for n in value]
 
 
 def parse_unitary(spec, d: int, rng) -> np.ndarray:
@@ -110,7 +109,7 @@ def parse_unitary(spec, d: int, rng) -> np.ndarray:
         raise ConfigError("unitary spec must be an object")
     if "exp" in spec:
         gen = parse_matrix(spec["exp"], d)  # exp_neg_i refuses a non-Hermitian one: exit 2
-        return exp_neg_i(gen, _convert(float, spec.get("scale", 1.0), "scale"))
+        return exp_neg_i(gen, _float(spec.get("scale", 1.0), "scale"))
     if "matrix" in spec:
         return parse_matrix(spec["matrix"], d)
     if spec.get("random"):
@@ -123,8 +122,8 @@ def parse_state(spec, d: int, rng) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("state spec must be an object")
     if "basis" in spec:
-        i = _convert(int, spec["basis"], "basis")
-        if not 0 <= i < d:
+        i = _integer(spec["basis"], "basis", 0)
+        if i >= d:
             raise ConfigError(f"basis state index {i} out of range for dimension {d}")
         rho = np.zeros((d, d), dtype=complex)
         rho[i, i] = 1.0
@@ -179,7 +178,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _protocol_spec(config: dict, n_rounds: int, rng, mode: str = "") -> ProtocolSpec:
     """The spec a protocol mode's config describes; a named ``mode`` needs charges."""
-    d = _count(_require(config, "dimension"), "dimension")
+    d = _integer(_require(config, "dimension"), "dimension")
     if d * d > DEFAULT_DIMENSION_CAP:
         raise ConfigError(f"'dimension' {d}: round map side {d * d} "
                           f"exceeds cap {DEFAULT_DIMENSION_CAP}")
@@ -218,7 +217,7 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
 
 
 def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
-    spec = _protocol_spec(config, _count(_require(config, "N"), "N"), rng, "conserve")
+    spec = _protocol_spec(config, _integer(_require(config, "N"), "N"), rng, "conserve")
     result = run_protocol(spec)
     residual = result.ledger.max_closure_residual()
     ok = residual <= 1e-10
@@ -239,18 +238,18 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
 
 
 def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
-    d = _count(_require(config, "dimension"), "dimension")
+    d = _integer(_require(config, "dimension"), "dimension")
     charges = parse_charges(config, d)
     betas = _require(config, "betas")
     if not isinstance(betas, list):
         raise ConfigError(f"'betas' must be a list with one number per charge, got {betas!r}")
-    spec = ThermalSpec(charges=charges, betas=[_convert(float, b, "betas") for b in betas])
-    bath_subsystems = _count(config.get("bath_subsystems", 2), "bath_subsystems")
+    spec = ThermalSpec(charges=charges, betas=[_float(b, "betas") for b in betas])
+    bath_subsystems = _integer(config.get("bath_subsystems", 2), "bath_subsystems")
     # clipped exponent: any d >= 2 already exceeds the cap there, and a huge count stays cheap
     if d ** min(bath_subsystems, DEFAULT_DIMENSION_CAP.bit_length()) > DEFAULT_DIMENSION_CAP:
         raise ConfigError(f"'bath_subsystems' {bath_subsystems}: bath dimension "
                           f"{d}^{bath_subsystems} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    draws = _count(config.get("draws", 200), "draws")
+    draws = _integer(config.get("draws", 200), "draws")
 
     tau, ln_z = thermal_state(spec, d)
     bath0 = functools.reduce(np.kron, [tau] * bath_subsystems)
@@ -280,7 +279,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
 
 def run_battery(config: dict, out: Path, rng, verbose: bool) -> int:
     n_list = (_round_counts(config, "N_list") if "N_list" in config
-              else [_count(_require(config, "N"), "N")])
+              else [_integer(_require(config, "N"), "N")])
     spec = _protocol_spec(config, n_list[0], rng, "battery")
     works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target), spec.charges)
 
@@ -340,7 +339,7 @@ def main(argv=None) -> int:
         print(f"error: unknown mode {mode!r}; expected one of {sorted(MODES)}", file=sys.stderr)
         return 2
     try:
-        seed = args.seed if args.seed is not None else _convert(int, config.get("seed", 0), "seed")
+        seed = _integer(config.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
         out = Path(args.out) if args.out is not None else _path(config.get("out", "."), "out")
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -193,11 +193,6 @@ def operator_norm(op) -> float:
     return float(np.max(_singular_values(_as_square(op))))
 
 
-def hs_norm(op) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr(O†O))."""
-    return float(np.linalg.norm(_as_matrix(op), "fro"))
-
-
 def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0."""
     w = _density_spectrum(rho)[1]

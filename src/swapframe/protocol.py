@@ -6,10 +6,10 @@ effects exp(-iH/N) with H decomposed over the basis; N rounds build up an arbitr
 unitary with O(1/N) trace-norm error. Each particle is touched once, so the frame is never
 materialized; as a battery, it books every collision's charge flow in a ledger.
 
-A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each
-slot is a fixed d²×d² map on vec(rho): one broadcast kernel call over slots × matrix units
-gives all D (from d = 7, a few calls of bounded size), and chaining them, M and the ledger
-functionals. N mat-vecs give the round-start states; contracting them gives the ledger.
+A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each slot
+is a fixed d²×d² map on vec(rho). Per round count, ``_protocol_runs`` chains the D slot maps from
+the identity into M and the ledger functionals (one broadcast kernel call over slots × matrix
+units; a few of bounded size from d = 7), takes N mat-vecs and contracts them for the ledger.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from itertools import accumulate
 import numpy as np
 
 from .basis import GeneratorDecomposition, OperatorBasis, decompose_generator
-from .bounds import total_bound
+from .bounds import _n_min, total_bound
 from .linalg import (
-    _as_square,
     check_density,
     check_unitary,
     dagger,
@@ -102,16 +101,17 @@ class BatteryLedger:
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
-def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, x, charges=()):
-    """Columns x (d², m) after one round, and their complex ledger deltas[side, column, slot,
-    charge] (side 0 the system, 1 the particle): M and its functionals when x is the identity.
-    One kernel call per chunk of slots, sized so that its outputs hold at most 2^16 entries
-    (1 MB) or one slot: all D slots in one call up to d = 6, one slot per call from d = 14."""
+def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
+    """M on vec(rho) and its complex ledger functionals[side, column, slot, charge] (side 0 the
+    system, 1 the particle) for ``_protocol_runs``: the slot chain starts from the identity. One
+    kernel call per chunk of slots whose outputs hold at most 2^16 entries (1 MB) or one slot:
+    all D slots in one call up to d = 6, one slot per call from d = 14."""
     d, d2, size = basis.dim, basis.dim ** 2, basis.size
     units = np.eye(d2, dtype=complex).reshape(d2, d, d)
     sigmas, alphas = np.array(basis.states), np.asarray(alphas, dtype=float)
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
-    deltas = np.empty((2, x.shape[1], size, len(rows)), dtype=complex)
+    functionals = np.empty((2, d2, size, len(rows)), dtype=complex)
+    x = np.eye(d2)
     chunk = max(1, 2**16 // d2 ** 2)
     for lo in range(0, size, chunk):
         part = slice(lo, lo + chunk)
@@ -123,29 +123,8 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, x, charges=()):
         if charges:
             frame_maps = frame_maps - sigmas[part].reshape(-1, d2, 1) * np.eye(d).reshape(-1)
             sides = np.stack([rows @ (ins[1:] - ins[:-1]), rows @ frame_maps @ ins[:-1]])
-            deltas[:, :, part] = sides.transpose(0, 3, 1, 2)
-    return x, deltas
-
-
-def collision_round(rho, basis: OperatorBasis, alphas, n_rounds: int,
-                    charges=(), ledger: BatteryLedger | None = None):
-    """One sweep of collisions, slot k against a fresh particle in basis state k.
-
-    Approximates conjugation by exp(-iH/N) where H = sum_k alphas[k]·sigma_k, on one state
-    or a stack (..., d, d): the slot maps act on the columns vec(rho). When given, ``ledger``
-    (complex, rho.shape[:-2] + (D, K)) receives each slot's deltas tr(A·(rho_out - rho))
-    and tr(A·(frame_out - tr(rho)·sigma)).
-    """
-    if len(alphas) != basis.size:
-        raise ValueError(f"need {basis.size} coefficients, got {len(alphas)}")
-    rho = _as_square(rho, stack=True)
-    vec = rho.reshape(*rho.shape[:-2], basis.dim ** 2)  # a ValueError unless rho is d×d
-    out, deltas = _slot_sweep(basis, alphas, n_rounds, vec.reshape(-1, basis.dim ** 2).T,
-                              charges if ledger is not None else ())
-    if ledger is not None:
-        shape = (2,) + vec.shape[:-1] + deltas.shape[2:]
-        ledger.system[...], ledger.frame[...] = deltas.reshape(shape)
-    return out.T.reshape(rho.shape)
+            functionals[:, :, part] = sides.transpose(0, 3, 1, 2)
+    return x, functionals
 
 
 @dataclass(frozen=True)
@@ -207,10 +186,11 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
     w, v = np.linalg.eigh(h)  # h is exactly Hermitian, so no check or hermitize is needed
     rho_eig = dagger(v) @ spec.rho_s @ v
     final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
+    n_min = _n_min(basis.size, basis.alpha_max)
 
     for n in n_list:
         bound, valid = total_bound(basis.size, basis.alpha_max, n)  # raises for n < 1
-        round_map, functionals = _slot_sweep(basis, dec.alphas, n, np.eye(d * d), spec.charges)
+        round_map, functionals = _slot_sweep(basis, dec.alphas, n, spec.charges)
         states = np.empty((n + 1, d * d), dtype=complex)
         states[0] = spec.rho_s.reshape(-1)
         for t in range(n):
@@ -227,7 +207,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
             total_error=trace_norm(states[-1] - final_ideal),
             total_bound=bound,
             bound_valid=valid,
-            n_min=4.0 * basis.size * basis.alpha_max,
+            n_min=n_min,
             ledger=BatteryLedger(tuple(c.label for c in spec.charges), *ledger),
             decomposition=dec,
         )

@@ -178,13 +178,12 @@ class BatteryCheck:
         return asdict(self)
 
 
-def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float,
-                            charges, n_sys_bath: int = 1) -> dict:
+def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float, charges) -> dict:
     """Check that frame charge gains track the implicit work to within precision.
 
     For each charge: |ledger cumulative - W| must not exceed epsilon times the
-    operator norm of the charge lifted over the system+bath slots, with
-    epsilon the measured trace error of the same run.
+    operator norm of the charge, with epsilon the measured trace error of the
+    same run.
     """
     if result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")
@@ -194,8 +193,7 @@ def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float,
         if charge.label not in cumulative:
             raise ValueError(f"ledger has no entries for charge {charge.label!r}")
         deviation = abs(cumulative[charge.label] - works[charge.label])
-        # The lifted total's extreme eigenvalues are n·λ_max and n·λ_min.
-        bound = epsilon * n_sys_bath * operator_norm(charge.matrix)
+        bound = epsilon * operator_norm(charge.matrix)
         checks[charge.label] = BatteryCheck(
             deviation, bound, deviation <= bound + BATTERY_FP_SLACK
         )

@@ -23,7 +23,6 @@ from swapframe.linalg import (
 )
 from swapframe.protocol import (
     ProtocolSpec,
-    collision_round,
     partial_swap,
     run_protocol,
     step_channel,
@@ -131,11 +130,9 @@ def test_criterion_4_block_bound():
         assert valid
         for _ in range(20):
             h = random_bounded_generator(2, rng)
-            dec = decompose_generator(h, QUBIT_BASIS)
             rho = random_density(2, rng)
-            out = collision_round(rho, QUBIT_BASIS, dec.alphas, n)
-            u = exp_neg_i(h, 1.0 / n)
-            err = trace_norm(out - u @ rho @ dagger(u))
+            err = run_protocol(ProtocolSpec(target=exp_neg_i(h, 1.0), n_rounds=n,
+                                            basis=QUBIT_BASIS, rho_s=rho)).round_errors[0]
             worst_ratio = max(worst_ratio, err / bound)
             assert err <= bound
     _report(4, f"round error within block bound at N={n_threshold} and 10x, "

@@ -22,8 +22,10 @@ GENERIC_STATE = [
 
 
 # A bad config must be refused before any joint-space array exists: under this
-# address-space limit an oversized allocation fails with MemoryError (exit 3).
+# address-space limit an oversized allocation fails with MemoryError (exit 3). Only
+# the rows whose config asks for such an array run in a child process under it.
 ADDRESS_SPACE_LIMIT = 2 * 1024**3
+OVER_CAP_ROWS = {"bath_over_dimension_cap", "round_map_over_dimension_cap"}
 SINGLE_THREAD_ENV = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                      "MKL_NUM_THREADS": "1"}
 
@@ -287,25 +289,46 @@ def test_module_entry_point(tmp_path):
       "betas": [float("nan"), 0.5, 0.7]}, "betas"),
     ({"mode": "thermo", "dimension": 2, "betas": [1e308],
       "charges": [{"matrix": [[[10, 0], [0, 0]], [[0, 0], [-10, 0]]], "label": "A"}]}, "betas"),
+    ({"mode": "conserve", "dimension": 2, "N": 2.5, "unitary": {"exp": "Z"},
+      "charges": ["Z"]}, "N"),
+    ({"mode": "conserve", "dimension": 2, "N": "20", "unitary": {"exp": "Z"},
+      "charges": ["Z"]}, "N"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0], "draws": True},
+     "draws"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "seed": -1}, "seed"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
         "numeric_basis", "numeric_out", "list_charge_label", "out_names_a_file",
         "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
-        "nan_beta", "overflowing_beta"])
-def test_bad_config_exits_2_without_traceback(tmp_path, doc, named):
+        "nan_beta", "overflowing_beta", "fractional_N", "string_N", "bool_draws",
+        "negative_seed"])
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
     config = write_config(tmp_path / "c.json", doc)
     # a config that sets its own output directory is run without --out, which would override it
     out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "out")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "swapframe.cli", "--config", config, *out],
-        capture_output=True, text=True, env=SINGLE_THREAD_ENV, preexec_fn=_limit_address_space,
-    )
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    if request.node.callspec.id in OVER_CAP_ROWS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "swapframe.cli", "--config", config, *out],
+            capture_output=True, text=True, env=SINGLE_THREAD_ENV, preexec_fn=_limit_address_space,
+        )
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = main(["--config", config, *out]), capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and named in err
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", {
+        "mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"random": True},
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: 'seed'")
 
 
 @pytest.mark.parametrize("basis_doc, field", [

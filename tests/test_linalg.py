@@ -13,7 +13,6 @@ from swapframe.linalg import (
     dagger,
     exp_neg_i,
     hermitian_eig,
-    hs_norm,
     is_hermitian,
     operator_norm,
     partial_trace,
@@ -271,7 +270,6 @@ def test_principal_generator_roundtrip_at_branch_cut_and_degenerate(
 def test_norms_small_cases():
     assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
     assert operator_norm(tensor(Z, I2) + tensor(I2, Z)) == pytest.approx(2.0)  # spectrum {-2,0,0,2}
-    assert hs_norm(X) == pytest.approx(np.sqrt(2.0))
 
 
 def test_norms_on_non_hermitian():
@@ -366,11 +364,10 @@ _JOINT = tensor(_RHO, _RHO)
     lambda: principal_generator(_U),
     lambda: trace_norm(_H),
     lambda: operator_norm(_H),
-    lambda: hs_norm(_H),
     lambda: von_neumann_entropy(_RHO),
     lambda: partial_trace(_JOINT, [2, 2], 0),
 ], ids=["is_hermitian", "check_unitary", "check_density", "hermitian_eig", "exp_neg_i_0",
-        "exp_neg_i_0.3", "principal_generator", "trace_norm", "operator_norm", "hs_norm",
+        "exp_neg_i_0.3", "principal_generator", "trace_norm", "operator_norm",
         "von_neumann_entropy", "partial_trace"])
 def test_public_function_checks_its_matrix_once(monkeypatch, call):
     checked = []

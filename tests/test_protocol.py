@@ -22,7 +22,6 @@ from swapframe.linalg import (
 )
 from swapframe.protocol import (
     ProtocolSpec,
-    collision_round,
     partial_swap,
     run_protocol,
     step_channel,
@@ -210,15 +209,21 @@ def test_frame_locality_full_space_equals_sequential():
     np.testing.assert_allclose(full, seq, atol=1e-12)
 
 
-def test_collision_round_all_zero_coefficients():
-    from swapframe.protocol import BatteryLedger
+def _collision_round(rho, basis, alphas, n_rounds, charges=()):
+    """One round of ``rho`` (d×d or a stack) the way ``_protocol_runs`` takes it: the round map
+    on vec(rho), and the complex ledger vec(rho)·functionals, rho.shape[:-2] + (D, K) per side."""
+    round_map, functionals = protocol._slot_sweep(basis, alphas, n_rounds, charges)
+    vec = rho.reshape(*rho.shape[:-2], -1)
+    deltas = np.moveaxis(np.tensordot(vec, functionals, axes=([-1], [1])), -3, 0)
+    return (vec @ round_map.T).reshape(rho.shape), protocol.BatteryLedger(
+        tuple(c.label for c in charges), *deltas)
 
-    ledger = BatteryLedger(("Z",), np.zeros((1, 3, 1), complex), np.zeros((1, 3, 1), complex))
-    rho = random_density(2, rng_from_seed(55))
-    out = collision_round(
-        rho, QUBIT_BASIS, (0.0, 0.0, 0.0), 10,
-        charges=(ExtensiveObservable(Z, "Z"),), ledger=ledger,
-    )
+
+def test_collision_round_all_zero_coefficients():
+    # a stack of one state: its ledger has the (round, slot, charge) shape of one round
+    rho = random_density(2, rng_from_seed(55))[None]
+    out, ledger = _collision_round(rho, QUBIT_BASIS, (0.0, 0.0, 0.0), 10,
+                                   charges=(ExtensiveObservable(Z, "Z"),))
     np.testing.assert_allclose(out, rho, atol=1e-14)
     assert np.all(np.abs(ledger.frame) <= 1e-14)
     assert ledger.cumulative()["Z"] == pytest.approx(0.0, abs=1e-13)
@@ -226,7 +231,7 @@ def test_collision_round_all_zero_coefficients():
 
 def test_collision_round_single_slot_reduces_to_step():
     rho = random_density(2, rng_from_seed(56))
-    out = collision_round(rho, QUBIT_BASIS, (0.0, 1.1, 0.0), 50)
+    out, _ = _collision_round(rho, QUBIT_BASIS, (0.0, 1.1, 0.0), 50)
     expected, _ = step_channel(rho, QUBIT_BASIS.states[1], 1.1, 50)
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -238,7 +243,7 @@ def test_collision_round_tracks_small_rotation():
     bound, valid = block_bound(QUBIT_BASIS.size, QUBIT_BASIS.alpha_max, n)
     assert valid
     rho = PLUS
-    out = collision_round(rho, QUBIT_BASIS, dec.alphas, n)
+    out, _ = _collision_round(rho, QUBIT_BASIS, dec.alphas, n)
     u = exp_neg_i(h, 1.0 / n)
     assert trace_norm(out - u @ rho @ dagger(u)) <= bound
 
@@ -256,9 +261,7 @@ def test_collision_round_matches_per_slot_collisions(d, n_charges, n_rounds, sha
     charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{j}")
                     for j in range(n_charges))
     rho = (rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))) / d
-    ledger = protocol.BatteryLedger(tuple(c.label for c in charges),
-                                    *np.zeros((2,) + shape + (basis.size, n_charges), complex))
-    out = collision_round(rho, basis, alphas, n_rounds, charges, ledger)
+    out, ledger = _collision_round(rho, basis, alphas, n_rounds, charges)
     _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, n_rounds, charges)
 
 
@@ -285,7 +288,6 @@ def test_collision_round_bounds_each_kernel_call(monkeypatch):
     alphas = rng.uniform(-3.0, 3.0, basis.size)
     charges = tuple(ExtensiveObservable(random_hermitian(7, rng), f"A{j}") for j in range(2))
     rho = np.stack([random_density(7, rng) for _ in range(3)])
-    ledger = protocol.BatteryLedger(("A0", "A1"), *np.zeros((2, 3, basis.size, 2), complex))
     sizes, step = [], protocol.step_channel
 
     def recording(*args):
@@ -294,15 +296,10 @@ def test_collision_round_bounds_each_kernel_call(monkeypatch):
         return outs
 
     monkeypatch.setattr(protocol, "step_channel", recording)
-    out = collision_round(rho, basis, alphas, 4, charges, ledger)
+    out, ledger = _collision_round(rho, basis, alphas, 4, charges)
     monkeypatch.undo()
     assert len(sizes) == 2 and max(sizes) <= 2**16
     _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, 4, charges)
-
-
-def test_collision_round_coefficient_count():
-    with pytest.raises(ValueError):
-        collision_round(PLUS, QUBIT_BASIS, (1.0,), 10)
 
 
 def test_run_protocol_identity_target():
