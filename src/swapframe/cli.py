@@ -69,96 +69,82 @@ def parse_matrix(value, d: int | None = None) -> np.ndarray:
     return m
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return config[key]
+_KIND_NAMES = {float: "a number", bool: "true or false", str: "a string",
+               list: "a non-empty list", dict: "an object"}
 
 
-def _float(value, key: str) -> float:
-    """``float(value)`` for a number-valued config field, or a ConfigError naming it."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a single float, got {value!r}") from None
+def _check(value, key: str, kind: type, least: int = 1):
+    """``value`` as a JSON ``kind``, or a ConfigError naming ``key``.
 
-
-def _path(value, key: str) -> Path:
-    if not isinstance(value, str):
-        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
-    return Path(value)
-
-
-def _integer(value, key: str, least: int = 1) -> int:
-    """A JSON integer config value >= ``least`` (no bool, float or string), or a ConfigError."""
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{key!r} must be an integer >= {least}, got {value!r}")
+    ``int`` is a JSON integer >= ``least``, ``float`` any JSON number (returned
+    as a float) and ``list`` a non-empty list; ``object`` accepts anything. The
+    type is compared exactly, so neither a bool nor a string passes as a number.
+    """
+    if kind is float and type(value) is int:
+        value = float(value)
+    if kind is not object and (type(value) is not kind or (kind is int and value < least)
+                               or (kind is list and not value)):
+        what = f"an integer >= {least}" if kind is int else _KIND_NAMES[kind]
+        raise ConfigError(f"{key!r} must be {what}, got {value!r}")
     return value
 
 
-def _round_counts(config: dict, key: str) -> list:
-    value = _require(config, key)
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key!r} must be a non-empty list of round counts, got {value!r}")
-    return [_integer(n, key) for n in value]
+def _get(config: dict, key: str, kind: type, default=None, least: int = 1):
+    """``config[key]`` checked as ``kind``, or ``default`` if absent; no default means required."""
+    if key in config:
+        return _check(config[key], key, kind, least)
+    if default is None:
+        raise ConfigError(f"config is missing required field {key!r}")
+    return default
 
 
-def parse_unitary(spec, d: int, rng) -> np.ndarray:
+def parse_unitary(spec: dict, d: int, rng) -> np.ndarray:
     """Unitary from {"exp": matrix, "scale": s}, {"matrix": m}, or {"random": true}."""
-    if not isinstance(spec, dict):
-        raise ConfigError("unitary spec must be an object")
     if "exp" in spec:
         gen = parse_matrix(spec["exp"], d)  # exp_neg_i refuses a non-Hermitian one: exit 2
-        return exp_neg_i(gen, _float(spec.get("scale", 1.0), "scale"))
+        return exp_neg_i(gen, _get(spec, "scale", float, 1.0))
     if "matrix" in spec:
         return parse_matrix(spec["matrix"], d)
-    if spec.get("random"):
+    if _get(spec, "random", bool, False):
         return haar_unitary(d, rng)
     raise ConfigError("unitary spec needs one of 'exp', 'matrix', 'random'")
 
 
-def parse_state(spec, d: int, rng) -> np.ndarray:
-    """State from {"basis": i}, {"plus": true} (qubit), {"matrix": m}, or {"random": true}."""
-    if not isinstance(spec, dict):
-        raise ConfigError("state spec must be an object")
+def parse_state(spec: dict, d: int, rng) -> np.ndarray:
+    """State from {"basis": i}, {"plus": true} (any d), {"matrix": m}, or {"random": true}."""
     if "basis" in spec:
-        i = _integer(spec["basis"], "basis", 0)
+        i = _get(spec, "basis", int, least=0)
         if i >= d:
             raise ConfigError(f"basis state index {i} out of range for dimension {d}")
         rho = np.zeros((d, d), dtype=complex)
         rho[i, i] = 1.0
         return rho
-    if spec.get("plus"):
+    if _get(spec, "plus", bool, False):
         psi = np.ones(d, dtype=complex) / np.sqrt(d)
         return np.outer(psi, psi.conj())
     if "matrix" in spec:
         return parse_matrix(spec["matrix"], d)
-    if spec.get("random"):
+    if _get(spec, "random", bool, False):
         return random_density(d, rng)
     raise ConfigError("state spec needs one of 'basis', 'plus', 'matrix', 'random'")
 
 
-def parse_charges(config: dict, d: int) -> tuple:
-    entries = config.get("charges", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"'charges' must be a list, got {entries!r}")
+def parse_charges(entries: list, d: int) -> tuple:
     charges = []
     for i, entry in enumerate(entries):
         label = entry if isinstance(entry, str) else f"A{i}"
         if isinstance(entry, dict):
-            label, entry = entry.get("label", label), _require(entry, "matrix")
-            if not isinstance(label, str):
-                raise ConfigError(f"charge 'label' must be a string, got {label!r}")
+            label, entry = _get(entry, "label", str, label), _get(entry, "matrix", object)
         charges.append(ExtensiveObservable(parse_matrix(entry, d), label=label))
     return tuple(charges)
 
 
 def load_basis(config: dict, d: int) -> OperatorBasis:
-    name = config.get("basis", "default")
+    name = _get(config, "basis", str, "default")
     if name == "default":
         return build_state_basis(d)
     try:
-        text = _path(name, "basis").read_text()
+        text = Path(name).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read basis file: {exc}") from None
     try:
@@ -172,35 +158,27 @@ def load_basis(config: dict, d: int) -> OperatorBasis:
     return basis
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _protocol_spec(config: dict, n_rounds: int, rng, mode: str = "") -> ProtocolSpec:
-    """The spec a protocol mode's config describes; a named ``mode`` needs charges."""
-    d = _integer(_require(config, "dimension"), "dimension")
+def _protocol_spec(config: dict, n_rounds: int, rng, charged: bool = False) -> ProtocolSpec:
+    """The spec a protocol mode's config describes, with its 'charges' when ``charged``."""
+    d = _get(config, "dimension", int)
     if d * d > DEFAULT_DIMENSION_CAP:
         raise ConfigError(f"'dimension' {d}: round map side {d * d} "
                           f"exceeds cap {DEFAULT_DIMENSION_CAP}")
     basis = load_basis(config, d)
-    charges = parse_charges(config, d) if mode else ()
-    if mode and not charges:
-        raise ConfigError(f"{mode} mode needs a 'charges' list")
-    target = parse_unitary(_require(config, "unitary"), d, rng)
-    rho = parse_state(config.get("state", {"plus": True}), d, rng)
+    charges = parse_charges(_get(config, "charges", list), d) if charged else ()
+    target = parse_unitary(_get(config, "unitary", dict), d, rng)
+    rho = parse_state(_get(config, "state", dict, {"plus": True}), d, rng)
     return ProtocolSpec(target=target, n_rounds=n_rounds, basis=basis, rho_s=rho, charges=charges)
 
 
-def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
-    n_list = _round_counts(config, "N_list")
+def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
+    n_list = [_check(n, "N_list", int) for n in _get(config, "N_list", list)]
     spec = _protocol_spec(config, n_list[0], rng)
 
     table = convergence_sweep(spec, n_list)
     (out / "converge.csv").write_text(table.to_csv())
     violations = table.violations()
-    _write_json(out / "converge.json", {
-        "schema": SCHEMA_VERSION,
-        "mode": "converge",
+    doc = {
         # NaN when no error rose above the fp floor; JSON has no NaN.
         "slope": None if np.isnan(table.slope) else table.slope,
         "intercept": None if np.isnan(table.intercept) else table.intercept,
@@ -210,46 +188,39 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> int:
             for r in table.rows
         ],
         "violations": len(violations),
-    })
-    print(f"converge: {len(table.rows)} round counts, slope {table.slope:+.3f}, "
-          f"{len(violations)} bound violation(s)")
-    return 1 if violations else 0
+    }
+    summary = (f"{len(table.rows)} round counts, slope {table.slope:+.3f}, "
+               f"{len(violations)} bound violation(s)")
+    return doc, summary, not violations
 
 
-def run_conserve(config: dict, out: Path, rng, verbose: bool) -> int:
-    spec = _protocol_spec(config, _integer(_require(config, "N"), "N"), rng, "conserve")
+def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
+    spec = _protocol_spec(config, _get(config, "N", int), rng, charged=True)
     result = run_protocol(spec)
     residual = result.ledger.max_closure_residual()
-    ok = residual <= 1e-10
-    _write_json(out / "conserve.json", {
-        "schema": SCHEMA_VERSION,
-        "mode": "conserve",
+    doc = {
         "max_closure_residual": residual,
         "total_error": result.total_error,
         "total_bound": result.total_bound,
         "bound_valid": result.bound_valid,
         "ledger": result.ledger.to_json_dict(),
-    })
-    print(f"conserve: {result.ledger.frame.size} collision entries, "
-          f"max closure residual {residual:.3e}")
-    if result.bound_valid and result.total_error > result.total_bound:
-        return 1
-    return 0 if ok else 1
+    }
+    summary = (f"{result.ledger.frame.size} collision entries, "
+               f"max closure residual {residual:.3e}")
+    ok = residual <= 1e-10 and not (result.bound_valid and result.total_error > result.total_bound)
+    return doc, summary, ok
 
 
-def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
-    d = _integer(_require(config, "dimension"), "dimension")
-    charges = parse_charges(config, d)
-    betas = _require(config, "betas")
-    if not isinstance(betas, list):
-        raise ConfigError(f"'betas' must be a list with one number per charge, got {betas!r}")
-    spec = ThermalSpec(charges=charges, betas=[_float(b, "betas") for b in betas])
-    bath_subsystems = _integer(config.get("bath_subsystems", 2), "bath_subsystems")
+def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
+    d = _get(config, "dimension", int)
+    charges = parse_charges(_get(config, "charges", list), d)
+    spec = ThermalSpec(charges, [_check(b, "betas", float) for b in _get(config, "betas", list)])
+    bath_subsystems = _get(config, "bath_subsystems", int, 2)
     # clipped exponent: any d >= 2 already exceeds the cap there, and a huge count stays cheap
     if d ** min(bath_subsystems, DEFAULT_DIMENSION_CAP.bit_length()) > DEFAULT_DIMENSION_CAP:
         raise ConfigError(f"'bath_subsystems' {bath_subsystems}: bath dimension "
                           f"{d}^{bath_subsystems} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    draws = _integer(config.get("draws", 200), "draws")
+    draws = _get(config, "draws", int, 200)
 
     tau, ln_z = thermal_state(spec, d)
     bath0 = functools.reduce(np.kron, [tau] * bath_subsystems)
@@ -264,23 +235,20 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> int:
         worst = min(worst, record.margin_bath_only)
         records.append(record.to_json_dict())
 
-    ok = worst >= -SECOND_LAW_SLACK
-    _write_json(out / "thermo.json", {
-        "schema": SCHEMA_VERSION,
-        "mode": "thermo",
+    doc = {
         "ln_z": ln_z,
         "draws": draws,
         "worst_margin": worst,
         "records": records if verbose else records[:10],
-    })
-    print(f"thermo: {draws} random bath unitaries, worst second-law margin {worst:.3e}")
-    return 0 if ok else 1
+    }
+    summary = f"{draws} random bath unitaries, worst second-law margin {worst:.3e}"
+    return doc, summary, worst >= -SECOND_LAW_SLACK
 
 
-def run_battery(config: dict, out: Path, rng, verbose: bool) -> int:
-    n_list = (_round_counts(config, "N_list") if "N_list" in config
-              else [_integer(_require(config, "N"), "N")])
-    spec = _protocol_spec(config, n_list[0], rng, "battery")
+def run_battery(config: dict, out: Path, rng, verbose: bool) -> tuple:
+    n_list = ([_check(n, "N_list", int) for n in _get(config, "N_list", list)]
+              if "N_list" in config else [_get(config, "N", int)])
+    spec = _protocol_spec(config, n_list[0], rng, charged=True)
     works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target), spec.charges)
 
     runs = []
@@ -294,14 +262,9 @@ def run_battery(config: dict, out: Path, rng, verbose: bool) -> int:
             "checks": {label: c.to_json_dict() for label, c in checks.items()},
         })
 
-    _write_json(out / "battery.json", {
-        "schema": SCHEMA_VERSION,
-        "mode": "battery",
-        "runs": runs,
-    })
     worst = max(c["deviation"] for r in runs for c in r["checks"].values())
-    print(f"battery: {len(runs)} run(s), worst ledger-vs-work deviation {worst:.3e}")
-    return 0 if all(c["passed"] for r in runs for c in r["checks"].values()) else 1
+    summary = f"{len(runs)} run(s), worst ledger-vs-work deviation {worst:.3e}"
+    return {"runs": runs}, summary, all(c["passed"] for r in runs for c in r["checks"].values())
 
 
 MODES = {
@@ -335,18 +298,22 @@ def main(argv=None) -> int:
         return 2
 
     mode = args.mode or config.get("mode")
-    if mode not in MODES:
+    if type(mode) is not str or mode not in MODES:
         print(f"error: unknown mode {mode!r}; expected one of {sorted(MODES)}", file=sys.stderr)
         return 2
     try:
-        seed = _integer(config.get("seed", 0) if args.seed is None else args.seed, "seed", 0)
-        out = Path(args.out) if args.out is not None else _path(config.get("out", "."), "out")
+        seed = _check(config.get("seed", 0) if args.seed is None else args.seed, "seed", int, 0)
+        out = Path(args.out if args.out is not None else _get(config, "out", str, "."))
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from None
-        return MODES[mode](config, out, rng_from_seed(seed), args.verbose)
-    except (ConfigError, KeyError, ValueError) as exc:
+        doc, summary, ok = MODES[mode](config, out, rng_from_seed(seed), args.verbose)
+        doc.update(schema=SCHEMA_VERSION, mode=mode)
+        (out / f"{mode}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"{mode}: {summary}")
+        return 0 if ok else 1
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapframe import cli
 from swapframe.basis import build_state_basis
@@ -13,7 +22,7 @@ from swapframe.cli import ConfigError, main, parse_matrix
 from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import dagger, exp_neg_i
 from swapframe.protocol import ProtocolSpec, run_protocol
-from swapframe.thermo import battery_deviation_check, implicit_work
+from swapframe.thermo import SECOND_LAW_SLACK, battery_deviation_check, implicit_work
 
 GENERIC_STATE = [
     [[0.85, 0.0], [0.15, -0.1]],
@@ -206,17 +215,19 @@ def test_non_hermitian_exp_generator_exits_2(tmp_path, capsys, scale):
     assert len(err) == 1 and err[0].startswith("error: ") and "Hermitian" in err[0]
 
 
-def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
-    def out_of_memory(d, rng):
-        raise MemoryError("cannot allocate the bath unitary")
+@pytest.mark.parametrize("error", [MemoryError, KeyError], ids=lambda error: error.__name__)
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
+    # a KeyError is a library fault, not a bad config: no config path raises one
+    def fail(d, rng):
+        raise error("cannot allocate the bath unitary")
 
-    monkeypatch.setattr(cli, "haar_unitary", out_of_memory)
+    monkeypatch.setattr(cli, "haar_unitary", fail)
     config = write_config(tmp_path / "c.json", {
         "mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0], "draws": 3,
     })
     assert main(["--config", config, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["internal error: MemoryError: cannot allocate the bath unitary"]
+    assert err == [f"internal error: {error.__name__}: {error('cannot allocate the bath unitary')}"]
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):
@@ -297,13 +308,25 @@ def test_module_entry_point(tmp_path):
      "draws"),
     ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
       "seed": -1}, "seed"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z", "scale": True},
+      "charges": ["Z"]}, "scale"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z", "scale": "0.5"},
+      "charges": ["Z"]}, "scale"),
+    ({"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [True]}, "betas"),
+    ({"mode": ["converge"], "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"}},
+     "mode"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"random": "no"}},
+     "random"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "state": {"plus": "no"}}, "plus"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
         "numeric_basis", "numeric_out", "list_charge_label", "out_names_a_file",
         "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
         "nan_beta", "overflowing_beta", "fractional_N", "string_N", "bool_draws",
-        "negative_seed"])
+        "negative_seed", "bool_scale", "string_scale", "bool_beta", "list_mode", "string_random",
+        "string_plus"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
@@ -402,3 +425,62 @@ def test_converge_output_is_strict_json_at_the_fp_floor(tmp_path):
     doc = json.loads((out / "converge.json").read_text(), parse_constant=_reject_constant)
     assert doc["slope"] is None and doc["intercept"] is None
     assert len(doc["rows"]) == 3
+
+
+# Small valid configs, one per mode, holding every optional field so the fuzz test
+# can overwrite it too.
+FUZZ_BASES = (
+    {"mode": "converge", "dimension": 2, "N_list": [2, 4, 8], "seed": 0, "basis": "default",
+     "unitary": {"exp": "Z", "scale": 0.5}, "state": {"plus": True}},
+    {"mode": "conserve", "dimension": 2, "N": 3, "unitary": {"random": True},
+     "state": {"basis": 0}, "charges": ["Z", {"matrix": "X", "label": "B"}]},
+    {"mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [0.5], "bath_subsystems": 2,
+     "draws": 3},
+    {"mode": "battery", "dimension": 2, "N_list": [4, 8], "unitary": {"matrix": "H"},
+     "state": {"random": True}, "charges": ["X", {"matrix": "Y"}]},
+)
+FUZZ_POOL = (None, True, False, -1, 0, 1, 2, 3, 2.5, float("nan"), "Z", "converge", [], [1], {})
+# Only a capped field draws a huge value: its cap refuses it before any work is done.
+CAPPED_FIELDS = {"dimension", "bath_subsystems"}
+
+
+def _fuzz_paths(node, path=()):
+    """The key path of every value inside a config, at any depth."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fuzz_paths(child, path + (key,))
+
+
+def _records_violation(doc):
+    if doc["mode"] == "converge":
+        return doc["violations"] > 0
+    if doc["mode"] == "conserve":
+        return doc["max_closure_residual"] > 1e-10 or (
+            doc["bound_valid"] and doc["total_error"] > doc["total_bound"])
+    if doc["mode"] == "thermo":
+        return doc["worst_margin"] < -SECOND_LAW_SLACK
+    return not all(c["passed"] for run in doc["runs"] for c in run["checks"].values())
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_fuzzed_config_keeps_the_exit_contract(data):
+    config = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, key = data.draw(st.sampled_from(list(_fuzz_paths(config))))
+        pool = FUZZ_POOL + ((10**5,) if key in CAPPED_FIELDS else ())
+        value = copy.deepcopy(data.draw(st.sampled_from(pool)))
+        functools.reduce(operator.getitem, parents, config)[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out, stdout, stderr = Path(tmp, "out"), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--config", write_config(Path(tmp, "c.json"), config), "--out", str(out)])
+        assert code in (0, 1, 2), stderr.getvalue()
+        if code == 2:
+            err = stderr.getvalue().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+        if code == 1:
+            (written,) = out.glob("*.json")
+            assert _records_violation(json.loads(written.read_text()))
