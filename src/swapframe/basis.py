@@ -10,7 +10,7 @@ coefficients are read off with a dual basis obtained by Gram-matrix inversion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +24,8 @@ class DegenerateBasisError(ValueError):
     """Raised when candidate basis elements are not linearly independent."""
 
 
-def _gell_mann_generators(d: int) -> list[np.ndarray]:
-    """The d^2 - 1 generalized Gell-Mann matrices.
+def _gell_mann_generators(d: int) -> np.ndarray:
+    """The d^2 - 1 generalized Gell-Mann matrices, as one (d^2 - 1, d, d) stack.
 
     Traceless, Hermitian, mutually orthogonal with tr(g_a g_b) = 2 delta_ab.
     Ordering: symmetric off-diagonal pairs, antisymmetric pairs, then diagonal.
@@ -49,20 +49,32 @@ def _gell_mann_generators(d: int) -> list[np.ndarray]:
         diag[:l] = 1.0
         diag[l] = -l
         gens.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag).astype(complex))
-    return gens
+    return np.array(gens)
 
 
 @dataclass(frozen=True)
 class OperatorBasis:
     """D density operators spanning, with the identity, all Hermitian operators.
 
-    ``duals`` has D+1 entries: slot 0 pairs with the identity, slot k >= 1 with
-    ``states[k-1]``, under tr(e_k dual_l) = delta_kl.
+    ``states`` is one read-only (D, d, d) stack; ``dim`` and ``size`` are read
+    off its shape, and ``duals``, a read-only (D+1, d, d) stack, is built from
+    it once: slot 0 pairs with the identity, slot k >= 1 with ``states[k-1]``,
+    under tr(e_k dual_l) = delta_kl.
     """
 
-    dim: int
-    states: tuple
-    duals: tuple
+    states: np.ndarray
+    duals: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        states = np.array(self.states, dtype=complex)
+        duals = _dual_basis([np.eye(states.shape[-1]), *states])
+        states.flags.writeable = duals.flags.writeable = False
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "duals", duals)
+
+    @property
+    def dim(self) -> int:
+        return self.states.shape[-1]
 
     @property
     def size(self) -> int:
@@ -75,64 +87,49 @@ class OperatorBasis:
         Holds for every generator with spectrum inside (-pi, pi], by
         Cauchy-Schwarz on the Hilbert-Schmidt inner product.
         """
-        hs_max = max(np.linalg.norm(t, "fro") for t in self.duals[1:])
+        hs_max = np.linalg.norm(self.duals[1:], axis=(-2, -1)).max()
         return float(np.sqrt(self.size) * np.pi * hs_max)
 
     def to_json(self) -> str:
-        doc = {
-            "schema": 1,
-            "dimension": self.dim,
-            "states": [_matrix_to_pairs(s) for s in self.states],
-        }
-        return json.dumps(doc, sort_keys=True)
+        pairs = np.stack([self.states.real, self.states.imag], -1).tolist()
+        return json.dumps({"schema": 1, "dimension": self.dim, "states": pairs}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "OperatorBasis":
         doc = json.loads(text)
         d = int(doc["dimension"])
-        states = [_matrix_from_pairs(m, d) for m in doc["states"]]
-        return basis_from_states(d, states)
+        return basis_from_states(d, [_matrix_from_pairs(m) for m in doc["states"]])
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+def _matrix_from_pairs(pairs) -> np.ndarray:
+    """Complex matrix from row-major [re, im] pairs; checks no shape, and no string is a number."""
+    return np.array([[complex(re, im) for re, im in row] for row in pairs])
 
 
-def _matrix_from_pairs(pairs, d: int) -> np.ndarray:
-    m = np.array([[complex(re, im) for re, im in row] for row in pairs])
-    if m.shape != (d, d):
-        raise ValueError(f"matrix shape {m.shape} does not match dimension {d}")
-    return m
-
-
-def _dual_basis(elements) -> list[np.ndarray]:
+def _dual_basis(elements) -> np.ndarray:
     """Hermitian duals of ``elements`` under the Hilbert-Schmidt inner product.
 
     Inverts the Gram matrix G_kl = tr(e_k e_l); raises DegenerateBasisError if
     it is singular or has condition number beyond 1e12.
     """
-    elems = [np.asarray(e, dtype=complex) for e in elements]
-    n = len(elems)
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = np.trace(elems[i] @ elems[j]).real
+    elems = np.asarray(elements, dtype=complex)
+    gram = np.einsum("kij,lji->kl", elems, elems).real
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
         raise DegenerateBasisError(
             f"basis elements are (numerically) linearly dependent: Gram condition {cond:.3e}"
         )
-    ginv = np.linalg.inv(gram)
-    return [hermitize(sum(ginv[l, m] * elems[m] for m in range(n))) for l in range(n)]
+    return hermitize(np.einsum("lm,mij->lij", np.linalg.inv(gram), elems))
 
 
 def basis_from_states(d: int, states) -> OperatorBasis:
-    """Assemble an OperatorBasis from d^2 - 1 density operators."""
+    """Assemble an OperatorBasis from d^2 - 1 density operators of shape (d, d)."""
     states = [check_density(s) for s in states]
     if len(states) != d * d - 1:
         raise ValueError(f"need {d * d - 1} states for dimension {d}, got {len(states)}")
-    duals = _dual_basis([np.eye(d, dtype=complex)] + list(states))
-    return OperatorBasis(dim=d, states=tuple(states), duals=tuple(duals))
+    if any(s.shape != (d, d) for s in states):
+        raise ValueError(f"states must have shape ({d}, {d}) for dimension {d}")
+    return OperatorBasis(states)
 
 
 def build_state_basis(d: int) -> OperatorBasis:
@@ -144,11 +141,8 @@ def build_state_basis(d: int) -> OperatorBasis:
     (1 + P)/2 with P the Pauli matrices.
     """
     gens = _gell_mann_generators(d)
-    floors = [abs(float(np.linalg.eigvalsh(g)[0])) for g in gens]
-    r = 1.0 / max(floors)
-    eye = np.eye(d, dtype=complex)
-    states = [hermitize((eye + r * g) / d) for g in gens]
-    return basis_from_states(d, states)
+    r = 1.0 / np.abs(np.linalg.eigvalsh(gens)[:, 0]).max()
+    return basis_from_states(d, hermitize((np.eye(d, dtype=complex) + r * gens) / d))
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class GeneratorDecomposition:
 
     @property
     def max_alpha(self) -> float:
-        return max(abs(a) for a in self.alphas) if self.alphas else 0.0
+        return float(np.max(np.abs(self.alphas), initial=0.0))
 
 
 def decompose_generator(h, basis: OperatorBasis) -> GeneratorDecomposition:
@@ -173,9 +167,8 @@ def decompose_generator(h, basis: OperatorBasis) -> GeneratorDecomposition:
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("generator must be Hermitian")
-    c0 = float(np.trace(h @ basis.duals[0]).real)
-    alphas = tuple(float(np.trace(h @ t).real) for t in basis.duals[1:])
-    recon = c0 * np.eye(basis.dim) + sum(a * s for a, s in zip(alphas, basis.states))
+    c0, *alphas = np.einsum("ij,kji->k", h, basis.duals).real.tolist()
+    recon = c0 * np.eye(basis.dim) + np.tensordot(alphas, basis.states, 1)
     residual = operator_norm(h - recon)
-    return GeneratorDecomposition(alphas=alphas, identity_coefficient=c0, residual=residual)
+    return GeneratorDecomposition(alphas=tuple(alphas), identity_coefficient=c0, residual=residual)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import OperatorBasis, build_state_basis
+from .basis import OperatorBasis, _matrix_from_pairs, build_state_basis
 from .bounds import convergence_sweep
 from .conservation import DEFAULT_DIMENSION_CAP, ExtensiveObservable
 from .linalg import dagger, exp_neg_i
@@ -59,7 +59,7 @@ def parse_matrix(value, d: int | None = None) -> np.ndarray:
         m = PAULI[value]
     else:
         try:
-            m = np.array([[complex(re, im) for re, im in row] for row in value])
+            m = _matrix_from_pairs(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -76,12 +76,16 @@ _KIND_NAMES = {float: "a number", bool: "true or false", str: "a string",
 def _check(value, key: str, kind: type, least: int = 1):
     """``value`` as a JSON ``kind``, or a ConfigError naming ``key``.
 
-    ``int`` is a JSON integer >= ``least``, ``float`` any JSON number (returned
-    as a float) and ``list`` a non-empty list; ``object`` accepts anything. The
-    type is compared exactly, so neither a bool nor a string passes as a number.
+    ``int`` is a JSON integer >= ``least``, ``float`` any JSON number in float
+    range (returned as a float) and ``list`` a non-empty list; ``object`` accepts
+    anything. The type is compared exactly, so neither a bool nor a string passes
+    as a number.
     """
     if kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{key!r} must be a number in float range") from None
     if kind is not object and (type(value) is not kind or (kind is int and value < least)
                                or (kind is list and not value)):
         what = f"an integer >= {least}" if kind is int else _KIND_NAMES[kind]
@@ -290,7 +294,7 @@ def main(argv=None) -> int:
 
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an int past the digit limit
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     if not isinstance(config, dict):

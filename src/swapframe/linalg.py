@@ -41,17 +41,21 @@ def _as_square(a, stack: bool = False) -> np.ndarray:
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., m, n)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
+
+
+def _hermitian_defect(a: np.ndarray):
+    """max |A - A†| of a square matrix, or an array of one per matrix of a stack."""
+    return np.abs(a - dagger(a)).max(axis=(-2, -1))
 
 
 def is_hermitian(a) -> bool:
-    a = _as_square(a)
-    return bool(np.max(np.abs(a - dagger(a))) <= HERMITIAN_ATOL)
+    return bool(_hermitian_defect(_as_square(a)) <= HERMITIAN_ATOL)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A†)/2 of a library-built array; cleans fp drift, checks nothing."""
+    """Hermitian part (A + A†)/2 of each library-built matrix; cleans fp drift, checks nothing."""
     return (a + dagger(a)) / 2
 
 
@@ -67,12 +71,11 @@ def check_unitary(u) -> np.ndarray:
 def _density_spectrum(rho):
     """``(rho, ascending eigenvalues)`` after the checks of ``check_density``."""
     rho = _as_square(rho)
-    adj = rho.conj().T
-    if np.abs(rho - adj).max() > HERMITIAN_ATOL:
+    if _hermitian_defect(rho) > HERMITIAN_ATOL:
         raise ValueError("density operator is not Hermitian")
     if abs(rho.trace() - 1.0) > HERMITIAN_ATOL:
         raise ValueError(f"density operator has trace {rho.trace():.12g}, expected 1")
-    w = np.linalg.eigvalsh((rho + adj) / 2)
+    w = np.linalg.eigvalsh(hermitize(rho))
     if w[0] < -HERMITIAN_ATOL:
         raise ValueError(f"density operator has negative eigenvalue {w[0]:.3e}")
     return rho, w
@@ -138,10 +141,9 @@ def hermitian_eig(h):
     such that ``h = v @ diag(w) @ v†``.
     """
     h = _as_square(h)
-    adj = dagger(h)
-    if np.max(np.abs(h - adj)) > HERMITIAN_ATOL:
+    if _hermitian_defect(h) > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigh((h + adj) / 2)
+    return np.linalg.eigh(hermitize(h))
 
 
 def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
@@ -169,10 +171,9 @@ def principal_generator(u) -> np.ndarray:
 
 def _singular_values(op) -> np.ndarray:
     """Per matrix of a stack: |eigenvalues| if Hermitian, else singular values."""
-    adj = op.conj().swapaxes(-1, -2)
-    herm = np.max(np.abs(op - adj), axis=(-2, -1)) <= HERMITIAN_ATOL
+    herm = _hermitian_defect(op) <= HERMITIAN_ATOL
     values = np.empty(op.shape[:-1])
-    values[herm] = np.abs(np.linalg.eigvalsh((op[herm] + adj[herm]) / 2))
+    values[herm] = np.abs(np.linalg.eigvalsh(hermitize(op[herm])))
     values[~herm] = np.linalg.svd(op[~herm], compute_uv=False)
     return values
 

@@ -19,7 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .basis import GeneratorDecomposition, OperatorBasis, decompose_generator
+from .basis import OperatorBasis, decompose_generator
 from .bounds import _n_min, total_bound
 from .linalg import (
     check_density,
@@ -108,7 +108,7 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
     all D slots in one call up to d = 6, one slot per call from d = 14."""
     d, d2, size = basis.dim, basis.dim ** 2, basis.size
     units = np.eye(d2, dtype=complex).reshape(d2, d, d)
-    sigmas, alphas = np.array(basis.states), np.asarray(alphas, dtype=float)
+    sigmas, alphas = basis.states, np.asarray(alphas, dtype=float)
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
     functionals = np.empty((2, d2, size, len(rows)), dtype=complex)
     x = np.eye(d2)
@@ -175,7 +175,6 @@ class ProtocolResult:
     bound_valid: bool
     n_min: float
     ledger: BatteryLedger
-    decomposition: GeneratorDecomposition
 
 
 def _protocol_runs(spec: ProtocolSpec, n_list):
@@ -209,7 +208,6 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
             bound_valid=valid,
             n_min=n_min,
             ledger=BatteryLedger(tuple(c.label for c in spec.charges), *ledger),
-            decomposition=dec,
         )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_qubit_duals_hand_computed():
         np.testing.assert_allclose(dual, pauli, atol=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_duality_relations(d):
     basis = build_state_basis(d)
     elements = [np.eye(d, dtype=complex)] + list(basis.states)
@@ -130,7 +132,7 @@ def test_alpha_max_qubit_value():
 def test_alpha_max_unit_norm_duals():
     # duals of unit Hilbert-Schmidt norm and three generators give sqrt(3)*pi
     unit_duals = (I2 / np.sqrt(2), X / np.sqrt(2), Y / np.sqrt(2), Z / np.sqrt(2))
-    basis = OperatorBasis(dim=2, states=unit_duals[1:], duals=unit_duals)
+    basis = OperatorBasis(unit_duals[1:])
     assert basis.alpha_max == pytest.approx(np.pi * np.sqrt(3.0))
 
 
@@ -154,6 +156,21 @@ def test_json_roundtrip_bit_exact():
     assert restored.alpha_max == basis.alpha_max
 
 
+def test_basis_is_one_read_only_stack():
+    basis = build_state_basis(3)
+    assert [f.name for f in dataclasses.fields(OperatorBasis) if f.init] == ["states"]
+    assert basis.states.shape == (8, 3, 3) and basis.duals.shape == (9, 3, 3)
+    with pytest.raises(ValueError):
+        basis.states[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        basis.duals[0, 0, 0] = 5.0
+    states = np.array([(I2 + X) / 2, (I2 + Y) / 2, (I2 + Z) / 2])
+    rebuilt = OperatorBasis(states)
+    assert rebuilt.dim == states.shape[-1] and rebuilt.size == 3
+    states[0] = I2 / 2  # the basis holds its own copy
+    np.testing.assert_array_equal(rebuilt.states[0], (I2 + X) / 2)
+
+
 def test_basis_from_states_validates():
     with pytest.raises(ValueError):
         basis_from_states(2, [I2 / 2, I2 / 2])  # wrong count
@@ -161,3 +178,5 @@ def test_basis_from_states_validates():
         basis_from_states(2, [np.diag([2.0, -1.0])] * 3)  # not density operators
     with pytest.raises(DegenerateBasisError):
         basis_from_states(2, [(I2 + X) / 2, (I2 + X) / 2, (I2 + Z) / 2])
+    with pytest.raises(ValueError, match="dimension 2"):
+        basis_from_states(2, [np.eye(3) / 3] * 3)  # three qutrit states, right count for d = 2

@@ -235,6 +235,11 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(bad), "--out", str(tmp_path)]) == 2
     bad.write_text("{not json")
     assert main(["--config", str(bad), "--out", str(tmp_path)]) == 2
+    # bytes that are not UTF-8, and an integer past Python's int digit limit
+    for text in (b"\xff{}", b'{"dimension": 2' + b"0" * 5000 + b"}"):
+        bad.write_bytes(text)
+        assert main(["--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
 
 def test_unknown_mode_exits_2(tmp_path, capsys):
@@ -319,6 +324,8 @@ def test_module_entry_point(tmp_path):
      "random"),
     ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
       "state": {"plus": "no"}}, "plus"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z", "scale": 10**400},
+      "charges": ["Z"]}, "scale"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
@@ -326,7 +333,7 @@ def test_module_entry_point(tmp_path):
         "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
         "nan_beta", "overflowing_beta", "fractional_N", "string_N", "bool_draws",
         "negative_seed", "bool_scale", "string_scale", "bool_beta", "list_mode", "string_random",
-        "string_plus"])
+        "string_plus", "huge_int_scale"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
@@ -440,7 +447,8 @@ FUZZ_BASES = (
      "state": {"random": True}, "charges": ["X", {"matrix": "Y"}]},
 )
 FUZZ_POOL = (None, True, False, -1, 0, 1, 2, 3, 2.5, float("nan"), "Z", "converge", [], [1], {})
-# Only a capped field draws a huge value: its cap refuses it before any work is done.
+# A huge value goes only where it is refused before any work is done: 10**5 to a capped
+# integer field, by its cap, and 10**400 to a number field, as out of float range.
 CAPPED_FIELDS = {"dimension", "bath_subsystems"}
 
 
@@ -471,7 +479,9 @@ def test_fuzzed_config_keeps_the_exit_contract(data):
     for _ in range(data.draw(st.integers(1, 2))):
         *parents, key = data.draw(st.sampled_from(list(_fuzz_paths(config))))
         pool = FUZZ_POOL + ((10**5,) if key in CAPPED_FIELDS else ())
-        value = copy.deepcopy(data.draw(st.sampled_from(pool)))
+        number = key == "scale" or parents[-1:] == ["betas"]
+        huge = number and data.draw(st.booleans())
+        value = 10**400 if huge else copy.deepcopy(data.draw(st.sampled_from(pool)))
         functools.reduce(operator.getitem, parents, config)[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         out, stdout, stderr = Path(tmp, "out"), io.StringIO(), io.StringIO()
@@ -481,6 +491,6 @@ def test_fuzzed_config_keeps_the_exit_contract(data):
         if code == 2:
             err = stderr.getvalue().splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
-        if code == 1:
+        if code in (0, 1):
             (written,) = out.glob("*.json")
-            assert _records_violation(json.loads(written.read_text()))
+            assert _records_violation(json.loads(written.read_text())) == (code == 1)
