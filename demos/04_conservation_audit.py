@@ -12,11 +12,11 @@ import numpy as np
 from swapframe import (
     ExtensiveObservable,
     ProtocolSpec,
-    audit_evolution,
     build_state_basis,
     commutator_norm,
     dagger,
     exp_neg_i,
+    implicit_work,
     lift_extensive,
     partial_swap,
     run_protocol,
@@ -41,22 +41,22 @@ print("=== Audit of one collision ===")
 joint = tensor(random_density(2, rng), random_density(2, rng))
 v = partial_swap(0.8, 5, 2)
 after = v @ joint @ dagger(v)
-for name, a in (("X", X), ("Y", Y), ("Z", Z)):
-    delta = audit_evolution(joint, after, ExtensiveObservable(a, name))
-    print(f"delta <{name} total> = {delta:+.2e}")
+charges = tuple(ExtensiveObservable(a, n) for n, a in (("X", X), ("Y", Y), ("Z", Z)))
+# a charge's change is minus the work implicit_work books for it
+for name, work in implicit_work(joint, after, charges).items():
+    print(f"delta <{name} total> = {-work:+.2e}")
 
 print()
 print("=== Contrast: a bare local rotation is not charge-conserving ===")
 u = tensor(exp_neg_i(X, np.pi / 4), np.eye(2))
 after = u @ joint @ dagger(u)
-delta = audit_evolution(joint, after, ExtensiveObservable(Z, "Z"))
+delta = -implicit_work(joint, after, (ExtensiveObservable(Z, "Z"),))["Z"]
 print(f"local x-rotation: delta <Z total> = {delta:+.4f}, "
       f"commutator norm {commutator_norm(u, lift_extensive(Z, 2)):.4f}")
 
 print()
 print("=== Full protocol ledger: per-collision closure ===")
 basis = build_state_basis(2)
-charges = tuple(ExtensiveObservable(a, n) for n, a in (("X", X), ("Y", Y), ("Z", Z)))
 spec = ProtocolSpec(target=exp_neg_i(Y, 0.7), n_rounds=100, basis=basis,
                     rho_s=random_density(2, rng), charges=charges)
 result = run_protocol(spec)

@@ -36,7 +36,7 @@ spec = ThermalSpec(
     charges=(ExtensiveObservable(Z, "Z"), ExtensiveObservable(X, "X")),
     betas=(1.0, 0.5),
 )
-tau, ln_z = thermal_state(spec, 2)
+tau, ln_z = thermal_state(spec)
 print("=== Generalized thermal state for non-commuting charges Z, X ===")
 print(f"betas = (1.0, 0.5), ln Z = {ln_z:.6f}")
 print(f"free entropy of the thermal state: {free_entropy(tau, spec):+.6f} (= -ln Z)")

@@ -33,7 +33,6 @@ from .conservation import (
     CapacityError,
     lift_extensive,
     commutator_norm,
-    audit_evolution,
 )
 from .protocol import (
     ProtocolSpec,

@@ -52,7 +52,7 @@ def _gell_mann_generators(d: int) -> np.ndarray:
     return np.array(gens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorBasis:
     """D density operators spanning, with the identity, all Hermitian operators.
 

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -226,7 +227,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
                           f"{d}^{bath_subsystems} exceeds cap {DEFAULT_DIMENSION_CAP}")
     draws = _get(config, "draws", int, 200)
 
-    tau, ln_z = thermal_state(spec, d)
+    tau, ln_z = thermal_state(spec)
     bath0 = functools.reduce(np.kron, [tau] * bath_subsystems)
     dims = [d] * bath_subsystems
 
@@ -237,7 +238,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
         after = u @ bath0 @ dagger(u)
         record = work_accounting(bath0, after, dims, bath=range(bath_subsystems), spec=spec)
         worst = min(worst, record.margin_bath_only)
-        records.append(record.to_json_dict())
+        records.append(asdict(record))
 
     doc = {
         "ln_z": ln_z,
@@ -263,7 +264,7 @@ def run_battery(config: dict, out: Path, rng, verbose: bool) -> tuple:
             "total_error": result.total_error,
             "works": works,
             "ledger_cumulative": result.ledger.cumulative(),
-            "checks": {label: c.to_json_dict() for label, c in checks.items()},
+            "checks": {label: asdict(c) for label, c in checks.items()},
         })
 
     worst = max(c["deviation"] for r in runs for c in r["checks"].values())

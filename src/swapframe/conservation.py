@@ -1,4 +1,4 @@
-"""Extensive conserved quantities and conservation audits.
+"""Extensive conserved quantities and their changes.
 
 A charge is a single-subsystem Hermitian observable; its extensive total on a
 joint space is the sum of one copy per subsystem. Charges are arbitrary
@@ -22,7 +22,7 @@ class CapacityError(ValueError):
     """Raised when a lifted operator would exceed the dense-dimension cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensiveObservable:
     """A single-subsystem Hermitian charge with a label for reports."""
 
@@ -38,6 +38,18 @@ class ExtensiveObservable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _charge_set(charges, d: int) -> tuple:
+    """``charges`` as a tuple, checked to act on dimension ``d`` and to carry distinct labels."""
+    charges = tuple(charges)
+    for charge in charges:
+        if charge.dim != d:
+            raise ValueError(f"charge {charge.label!r} has dimension {charge.dim}, expected {d}")
+    labels = [c.label for c in charges]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"charge labels are not distinct: {labels}")
+    return charges
 
 
 def _charge_matrix(charge) -> np.ndarray:
@@ -86,6 +98,18 @@ def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
     return np.einsum("kij,sji->k", mats, reduced.reshape(-1, d, d))
 
 
+def _charge_change(charges, before, after, dims, slots) -> np.ndarray:
+    """Real change of each charge's total over ``slots`` from ``before`` to ``after``.
+
+    Checks that the states share a shape; ``extensive_expectation`` checks the rest.
+    """
+    before = np.asarray(before, dtype=complex)
+    after = np.asarray(after, dtype=complex)
+    if before.shape != after.shape:
+        raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape}")
+    return extensive_expectation(charges, after - before, dims, slots).real
+
+
 def uniform_dims(total: int, d: int) -> list[int]:
     """Subsystem dims ``[d] * n`` of a joint space of dimension ``total == d**n``.
 
@@ -104,17 +128,3 @@ def commutator_norm(v, a_tot) -> float:
     if v.shape != a_tot.shape:
         raise ValueError(f"dimension mismatch: {v.shape} vs {a_tot.shape}")
     return operator_norm(v @ a_tot - a_tot @ v)
-
-
-def audit_evolution(before, after, charge: ExtensiveObservable) -> float:
-    """Change of the extensive total of a charge across a joint evolution.
-
-    The number of subsystems is inferred from the matrix dimension.
-    Charge-conserving evolutions give deltas at fp-noise level.
-    """
-    before = np.asarray(before, dtype=complex)
-    after = np.asarray(after, dtype=complex)
-    if before.shape != after.shape:
-        raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape}")
-    dims = uniform_dims(before.shape[0], charge.dim)
-    return float(extensive_expectation((charge,), after - before, dims, range(len(dims)))[0].real)

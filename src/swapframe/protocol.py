@@ -21,6 +21,7 @@ import numpy as np
 
 from .basis import OperatorBasis, decompose_generator
 from .bounds import _n_min, total_bound
+from .conservation import _charge_set
 from .linalg import (
     check_density,
     check_unitary,
@@ -71,7 +72,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     return c * c * rho + s * s * tr * sigma - k, c * c * tr * sigma + s * s * rho + k
 
 
-@dataclass
+@dataclass(eq=False)
 class BatteryLedger:
     """Charge deltas of every collision, on the system and on its particle.
 
@@ -127,7 +128,7 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
     return x, functionals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolSpec:
     """Target unitary, round count, basis, initial state, and audited charges."""
 
@@ -147,18 +148,12 @@ class ProtocolSpec:
             raise ValueError(
                 f"dimension mismatch: basis dim {d}, target {target.shape}, state {rho.shape}"
             )
-        for charge in self.charges:
-            if charge.dim != d:
-                raise ValueError(f"charge {charge.label!r} has dimension {charge.dim}, expected {d}")
-        labels = [c.label for c in self.charges]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"charge labels are not distinct: {labels}")
+        object.__setattr__(self, "charges", _charge_set(self.charges, d))
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rho_s", rho)
-        object.__setattr__(self, "charges", tuple(self.charges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Outcome of a full protocol run.
 

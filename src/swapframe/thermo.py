@@ -10,12 +10,11 @@ in the system's free entropy.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conservation import extensive_expectation, uniform_dims
+from .conservation import _charge_change, _charge_set, extensive_expectation, uniform_dims
 from .linalg import _reduce, hermitize, operator_norm, von_neumann_entropy
 from .protocol import ProtocolResult
 
@@ -25,12 +24,16 @@ SECOND_LAW_SLACK = 1e-9
 BATTERY_FP_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalSpec:
-    """Charges with their inverse generalized temperatures."""
+    """Charges of one dimension and distinct labels, with their inverse generalized temperatures.
+
+    ``exponent``, sum_i beta_i A_i, is built, checked finite and made read-only at construction.
+    """
 
     charges: tuple
     betas: tuple
+    exponent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         charges = tuple(self.charges)
@@ -39,12 +42,7 @@ class ThermalSpec:
             raise ValueError("need one inverse temperature per charge")
         if not charges:
             raise ValueError("need at least one charge")
-        dims = {c.dim for c in charges}
-        if len(dims) != 1:
-            raise ValueError(f"charges act on mixed dimensions {sorted(dims)}")
-        labels = [c.label for c in charges]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"charge labels are not distinct: {labels}")
+        charges = _charge_set(charges, charges[0].dim)
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflowing beta
             exponent = hermitize(sum(b * c.matrix for b, c in zip(betas, charges)))
         if not np.isfinite(exponent).all():
@@ -52,26 +50,20 @@ class ThermalSpec:
         exponent.flags.writeable = False
         object.__setattr__(self, "charges", charges)
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "_exponent", exponent)
+        object.__setattr__(self, "exponent", exponent)
 
     @property
     def dim(self) -> int:
         return self.charges[0].dim
 
-    def exponent(self) -> np.ndarray:
-        """The weighted charge sum sum_i beta_i A_i, built and checked once at construction."""
-        return self._exponent
 
+def thermal_state(spec: ThermalSpec):
+    """Generalized Gibbs state exp(-sum beta_i A_i)/Z on the charges' dimension ``spec.dim``.
 
-def thermal_state(spec: ThermalSpec, d: int):
-    """Generalized Gibbs state exp(-sum beta_i A_i)/Z on dimension d.
-
-    Returns ``(tau, ln_z)``. The exponent is diagonalized once; weights are
-    shifted by the smallest eigenvalue to avoid overflow.
+    Returns ``(tau, ln_z)``. The spec's stored exponent is diagonalized once;
+    weights are shifted by the smallest eigenvalue to avoid overflow.
     """
-    if spec.dim != d:
-        raise ValueError(f"charges act on dimension {spec.dim}, expected {d}")
-    w, v = np.linalg.eigh(spec.exponent())  # Hermitian, and finite by ThermalSpec
+    w, v = np.linalg.eigh(spec.exponent)  # Hermitian, and finite by ThermalSpec
     shift = float(w[0])
     weights = np.exp(-(w - shift))
     z_shifted = float(np.sum(weights))
@@ -107,9 +99,6 @@ class WorkRecord:
     margin_bath_only: float
     margin_with_system: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> WorkRecord:
     """Charge bookkeeping for a joint evolution over ``dims`` subsystems.
@@ -118,32 +107,27 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     block may be empty). Work of type A_i is -d<A_i on system slots>
     - d<A_i on bath slots>; the free-entropy change is evaluated on the
     reduced system state.
+
+    ``conservation``'s charge-change helper checks the states and slots (same
+    shape, square, finite, ``dims``, slot range and dimension); only a
+    repeated or shared slot and an empty bath are checked here.
     """
-    before = np.asarray(before, dtype=complex)
-    after = np.asarray(after, dtype=complex)
     dims = [int(d) for d in dims]
-    total = math.prod(dims)
-    if before.shape != (total, total) or after.shape != (total, total):
-        raise ValueError(f"joint states do not match dims {tuple(dims)}")
     bath = tuple(int(s) for s in bath)
     system = tuple(int(s) for s in system)
     if len({*bath, *system}) != len(bath) + len(system):
         raise ValueError(f"bath {bath} and system {system} slots overlap or repeat a slot")
     if not bath:
         raise ValueError("need at least one bath slot")
-    for slot in (*bath, *system):
-        if slot < 0 or slot >= len(dims):
-            raise ValueError(f"slot {slot} out of range for {len(dims)} subsystems")
-        if dims[slot] != spec.dim:
-            raise ValueError(f"slot {slot} has dimension {dims[slot]}, charges need {spec.dim}")
 
-    # extensive_expectation checks after - before, which is finite only when both states are
-    deltas = extensive_expectation(spec.charges, after - before, dims, (*system, *bath)).real
+    # the helper checks after - before, which is finite only when both states are
+    deltas = _charge_change(spec.charges, before, after, dims, (*system, *bath))
     works = {c.label: -float(delta) for c, delta in zip(spec.charges, deltas)}
 
     delta_f = 0.0
     if system:
-        rho_before, rho_after = _reduce(np.stack([before, after]), dims, sorted(system))
+        pair = np.array([before, after], dtype=complex)
+        rho_before, rho_after = _reduce(pair, dims, sorted(system))
         delta_f = free_entropy(rho_after, spec) - free_entropy(rho_before, spec)
 
     weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))
@@ -156,13 +140,19 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
 
 
 def implicit_work(before, after, charges) -> dict:
-    """Work each charge type would register if the evolution were ideal: -d<A>.
+    """Work each charge type would register if the evolution were ideal: -d<A total>.
 
-    ``before`` and ``after`` are states of the single system the charges act on.
+    ``before`` and ``after`` are same-shape states on n >= 1 subsystems of the
+    charges' one dimension, n inferred as in ``free_entropy``; the charges pass
+    the specs' charge-set check. A charge's conservation audit is
+    ``-implicit_work(before, after, (c,))[c.label]``.
     """
     charges = tuple(charges)
-    diff = np.asarray(after, dtype=complex) - np.asarray(before, dtype=complex)
-    deltas = extensive_expectation(charges, diff, [diff.shape[0]], [0]).real
+    if not charges:
+        raise ValueError("need at least one charge")
+    charges = _charge_set(charges, charges[0].dim)
+    dims = uniform_dims(len(before), charges[0].dim)
+    deltas = _charge_change(charges, before, after, dims, range(len(dims)))
     return {c.label: -float(delta) for c, delta in zip(charges, deltas)}
 
 
@@ -173,9 +163,6 @@ class BatteryCheck:
     deviation: float
     bound: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float, charges) -> dict:

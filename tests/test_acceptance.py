@@ -213,7 +213,7 @@ def test_criterion_8_second_law_and_gibbs_minimality():
         charges=(ExtensiveObservable(Z, "Z"), ExtensiveObservable(X, "X")),
         betas=(1.0, 0.5),
     )
-    tau, ln_z = thermal_state(spec, 2)
+    tau, ln_z = thermal_state(spec)
     bath0 = tensor(tau, tau)
     rng = rng_from_seed(800)
     worst_margin = np.inf

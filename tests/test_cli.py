@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -400,7 +401,7 @@ def test_battery_runs_match_single_protocol_runs(tmp_path):
         assert run["total_error"] == result.total_error
         assert run["works"] == works
         assert run["ledger_cumulative"] == result.ledger.cumulative()
-        assert run["checks"] == {label: c.to_json_dict() for label, c in checks.items()}
+        assert run["checks"] == {label: asdict(c) for label, c in checks.items()}
 
 
 def _reject_constant(name):

@@ -4,7 +4,6 @@ import pytest
 from swapframe.conservation import (
     CapacityError,
     ExtensiveObservable,
-    audit_evolution,
     commutator_norm,
     extensive_expectation,
     lift_extensive,
@@ -12,6 +11,7 @@ from swapframe.conservation import (
 from swapframe.linalg import dagger, exp_neg_i, tensor
 from swapframe.protocol import partial_swap
 from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
+from swapframe.thermo import implicit_work
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -87,7 +87,7 @@ def test_local_rotation_breaks_conservation():
 
 def test_audit_no_evolution():
     rho = random_density(4, rng_from_seed(42))
-    assert audit_evolution(rho, rho, ExtensiveObservable(Z, "Z")) == 0.0
+    assert -implicit_work(rho, rho, (ExtensiveObservable(Z, "Z"),))["Z"] == 0.0
 
 
 def test_audit_collision_conserves():
@@ -97,7 +97,7 @@ def test_audit_collision_conserves():
         joint = tensor(random_density(2, rng), random_density(2, rng))
         v = partial_swap(float(rng.uniform(0, 2)), 11, 2)
         after = v @ joint @ dagger(v)
-        assert abs(audit_evolution(joint, after, charge)) <= 1e-10
+        assert abs(-implicit_work(joint, after, (charge,))[charge.label]) <= 1e-10
 
 
 def test_audit_local_rotation_closed_form():
@@ -107,7 +107,7 @@ def test_audit_local_rotation_closed_form():
     joint = tensor(rho0, np.eye(2) / 2)
     u = tensor(exp_neg_i(X, theta), np.eye(2))
     after = u @ joint @ dagger(u)
-    delta = audit_evolution(joint, after, ExtensiveObservable(Z, "Z"))
+    delta = -implicit_work(joint, after, (ExtensiveObservable(Z, "Z"),))["Z"]
     assert delta == pytest.approx(np.cos(2 * theta) - 1.0, abs=1e-12)
 
 
@@ -120,14 +120,14 @@ def test_simultaneous_noncommuting_charges():
     after = v @ joint @ dagger(v)
     for charge in charges:
         assert commutator_norm(v, lift_extensive(charge, 2)) <= 1e-12
-        assert abs(audit_evolution(joint, after, charge)) <= 1e-10
+        assert abs(-implicit_work(joint, after, (charge,))[charge.label]) <= 1e-10
 
 
 def test_audit_dimension_mismatch():
     with pytest.raises(ValueError):
-        audit_evolution(np.eye(4) / 4, np.eye(8) / 8, ExtensiveObservable(Z, "Z"))
+        implicit_work(np.eye(4) / 4, np.eye(8) / 8, (ExtensiveObservable(Z, "Z"),))
     with pytest.raises(ValueError):
-        audit_evolution(np.eye(3) / 3, np.eye(3) / 3, ExtensiveObservable(Z, "Z"))
+        implicit_work(np.eye(3) / 3, np.eye(3) / 3, (ExtensiveObservable(Z, "Z"),))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -151,6 +151,10 @@ def test_extensive_expectation_matches_dense_lift(d, n):
         assert values.shape == (3,)
         for charge, value in zip(stack, values):
             assert abs(value - np.trace(lift_extensive(charge, n) @ x)) <= 1e-12
+    # implicit_work infers n from the state dimension and gives minus the change of the total
+    before, after = random_density(d**n, rng), random_density(d**n, rng)
+    work = implicit_work(before, after, (ExtensiveObservable(a, "A"),))["A"]
+    assert abs(work + np.trace(lift_extensive(a, n) @ (after - before)).real) <= 1e-12
 
 
 def test_extensive_expectation_rejects_misfit_slot():

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -58,20 +60,20 @@ def test_thermal_spec_rejects_duplicate_labels():
 
 
 def test_thermal_state_infinite_temperature():
-    tau, ln_z = thermal_state(ThermalSpec(charges=(CHARGE_Z,), betas=(0.0,)), 2)
+    tau, ln_z = thermal_state(ThermalSpec(charges=(CHARGE_Z,), betas=(0.0,)))
     np.testing.assert_allclose(tau, I2 / 2, atol=1e-12)
     assert ln_z == pytest.approx(np.log(2.0))
 
 
 def test_thermal_state_single_charge_closed_form():
-    tau, ln_z = thermal_state(ThermalSpec(charges=(CHARGE_Z,), betas=(1.0,)), 2)
+    tau, ln_z = thermal_state(ThermalSpec(charges=(CHARGE_Z,), betas=(1.0,)))
     z = np.e + 1.0 / np.e
     np.testing.assert_allclose(tau, np.diag([np.exp(-1.0), np.exp(1.0)]) / z, atol=1e-12)
     assert ln_z == pytest.approx(np.log(z))
 
 
 def test_thermal_state_noncommuting_charges():
-    tau, ln_z = thermal_state(ZX_SPEC, 2)
+    tau, ln_z = thermal_state(ZX_SPEC)
     # the weighted exponent Z + X/2 has eigenvalues +-sqrt(1.25)
     assert ln_z == pytest.approx(np.log(2 * np.cosh(np.sqrt(1.25))))
     exponent = Z + 0.5 * X
@@ -105,7 +107,7 @@ def test_free_entropy_rejects_non_power_dimension():
 
 
 def test_thermal_state_minimizes_free_entropy():
-    tau, ln_z = thermal_state(ZX_SPEC, 2)
+    tau, ln_z = thermal_state(ZX_SPEC)
     assert free_entropy(tau, ZX_SPEC) == pytest.approx(-ln_z, abs=1e-10)
     rng = rng_from_seed(70)
     for _ in range(100):
@@ -113,7 +115,7 @@ def test_thermal_state_minimizes_free_entropy():
 
 
 def test_work_accounting_identity_evolution():
-    tau, _ = thermal_state(ZX_SPEC, 2)
+    tau, _ = thermal_state(ZX_SPEC)
     joint = tensor(tau, tau)
     record = work_accounting(joint, joint, [2, 2], bath=[0, 1], spec=ZX_SPEC)
     assert record.works == {"Z": 0.0, "X": 0.0}
@@ -122,7 +124,7 @@ def test_work_accounting_identity_evolution():
 
 
 def test_second_law_on_random_bath_unitaries():
-    tau, _ = thermal_state(ZX_SPEC, 2)
+    tau, _ = thermal_state(ZX_SPEC)
     bath0 = tensor(tau, tau)
     rng = rng_from_seed(71)
     for _ in range(200):
@@ -134,7 +136,7 @@ def test_second_law_on_random_bath_unitaries():
 def test_swap_with_bath_qubit_work_and_margin():
     # exchanging an excited system qubit with one thermal qubit moves charge
     # between the blocks but extracts no work; free entropy drops by ln Z - 1
-    tau, ln_z = thermal_state(ZX_SPEC, 2)
+    tau, ln_z = thermal_state(ZX_SPEC)
     excited = np.diag([0.0, 1.0]).astype(complex)
     before = tensor(excited, tau)
     s = swap_operator(2)
@@ -147,7 +149,7 @@ def test_swap_with_bath_qubit_work_and_margin():
 
 
 def test_with_system_margin_on_random_unitaries():
-    tau, _ = thermal_state(ZX_SPEC, 2)
+    tau, _ = thermal_state(ZX_SPEC)
     rng = rng_from_seed(72)
     for _ in range(100):
         before = tensor(random_density(2, rng), tau)
@@ -161,7 +163,7 @@ def test_work_accounting_matches_dense_lift_for_noncommuting_charges():
     rng = rng_from_seed(74)
     charges = (CHARGE_X, ExtensiveObservable(Y, "Y"), CHARGE_Z)
     spec = ThermalSpec(charges=charges, betas=(0.3, 0.5, 0.7))
-    tau, _ = thermal_state(spec, 2)
+    tau, _ = thermal_state(spec)
     before = tensor(random_density(2, rng), tau, tau)
     u = haar_unitary(8, rng)
     after = u @ before @ dagger(u)
@@ -202,7 +204,7 @@ def test_work_accounting_rejects_non_finite_states():
 
 def test_work_accounting_checks_the_reduced_system_states():
     # trace 1 and Hermitian, but the system marginal has eigenvalue -0.5
-    tau, _ = thermal_state(ZX_SPEC, 2)
+    tau, _ = thermal_state(ZX_SPEC)
     before = tensor(np.diag([1.5, -0.5]).astype(complex), tau)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         work_accounting(before, before, [2, 2], bath=[1], spec=ZX_SPEC, system=[0])
@@ -217,6 +219,21 @@ def test_implicit_work_single_slot():
     works = implicit_work(rho, u @ rho @ dagger(u), (CHARGE_Z,))
     # <Z> falls from 1 to cos(pi/2) = 0, so type-Z work of 1 is extracted
     assert works["Z"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("after", [np.array([[0.5, 0.5]]), np.array([0.5, 0.5]), np.eye(4) / 4],
+                         ids=["1x2", "2", "4x4"])
+def test_implicit_work_rejects_a_misshaped_after(after):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        implicit_work(np.diag([1.0, 0.0]), after, (CHARGE_Z,))
+
+
+def test_implicit_work_rejects_an_invalid_charge_set():
+    with pytest.raises(ValueError, match="at least one charge"):
+        implicit_work(I2 / 2, I2 / 2, ())
+    # a repeated label would drop one charge's work from the returned dict
+    with pytest.raises(ValueError, match="not distinct"):
+        implicit_work(I2 / 2, I2 / 2, (ExtensiveObservable(X, "A"), ExtensiveObservable(Z, "A")))
 
 
 def _battery_run(n_rounds):
@@ -237,7 +254,7 @@ def test_battery_deviation_within_bound():
     assert check.bound == pytest.approx(result.total_error)  # ||Z|| = 1
     assert check.deviation <= check.bound
     assert check.passed
-    assert check.to_json_dict() == {"deviation": check.deviation, "bound": check.bound,
+    assert asdict(check) == {"deviation": check.deviation, "bound": check.bound,
                                     "passed": True}
 
 
