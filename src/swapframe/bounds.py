@@ -20,14 +20,19 @@ E_MINUS_2 = float(np.e - 2.0)
 FIT_FLOOR = 1e-14
 
 
+def _round_count(n) -> int:
+    """``n`` as an int, checked to be a round count: an integer (no bool) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"round count must be >= 1 and an integer, got {n!r}")
+    return int(n)
+
+
 def single_step_bound(alpha: float, n_rounds: int):
     """Trace-distance error of one collision vs the small rotation it implements.
 
     Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``.
     """
-    if n_rounds < 1:
-        raise ValueError("round count must be >= 1")
-    value = 8.0 * E_MINUS_2 * (alpha / n_rounds) ** 2
+    value = 8.0 * E_MINUS_2 * (alpha / _round_count(n_rounds)) ** 2
     return value, n_rounds >= 2.0 * abs(alpha)
 
 
@@ -41,9 +46,7 @@ def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
 
     Returns ``((8 D^2 amax^2 + 4 pi^2 (e-2)(D+1)) / N^2, N >= 4 D amax)``.
     """
-    if n_rounds < 1:
-        raise ValueError("round count must be >= 1")
-    d_gen = n_generators
+    d_gen, n_rounds = n_generators, _round_count(n_rounds)
     value = (8.0 * d_gen**2 * alpha_max**2
              + 4.0 * np.pi**2 * E_MINUS_2 * (d_gen + 1)) / n_rounds**2
     return float(value), n_rounds >= _n_min(d_gen, alpha_max)
@@ -108,10 +111,10 @@ def fit_loglog_slope(n_values, errors):
 
 
 def convergence_sweep(spec, n_list) -> ConvergenceTable:
-    """Decay-rate fit over ascending round counts: one prepared target, one kernel call per N."""
+    """Decay-rate fit over ascending integer round counts; the target is prepared once."""
     from .protocol import _protocol_runs
 
-    n_list = [int(n) for n in n_list]
+    n_list = [_round_count(n) for n in n_list]
     if len(n_list) < 3:
         raise ValueError("need at least three round counts")
     if sorted(n_list) != n_list:

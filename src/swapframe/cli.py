@@ -238,13 +238,13 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
         after = u @ bath0 @ dagger(u)
         record = work_accounting(bath0, after, dims, bath=range(bath_subsystems), spec=spec)
         worst = min(worst, record.margin_bath_only)
-        records.append(asdict(record))
+        records.append(record)
 
     doc = {
         "ln_z": ln_z,
         "draws": draws,
         "worst_margin": worst,
-        "records": records if verbose else records[:10],
+        "records": [asdict(r) for r in (records if verbose else records[:10])],
     }
     summary = f"{draws} random bath unitaries, worst second-law margin {worst:.3e}"
     return doc, summary, worst >= -SECOND_LAW_SLACK

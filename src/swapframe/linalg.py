@@ -172,6 +172,8 @@ def principal_generator(u) -> np.ndarray:
 def _singular_values(op) -> np.ndarray:
     """Per matrix of a stack: |eigenvalues| if Hermitian, else singular values."""
     herm = _hermitian_defect(op) <= HERMITIAN_ATOL
+    if herm.all():
+        return np.abs(np.linalg.eigvalsh(hermitize(op)))
     values = np.empty(op.shape[:-1])
     values[herm] = np.abs(np.linalg.eigvalsh(hermitize(op[herm])))
     values[~herm] = np.linalg.svd(op[~herm], compute_uv=False)

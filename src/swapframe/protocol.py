@@ -7,20 +7,19 @@ unitary with O(1/N) trace-norm error. Each particle is touched once, so the fram
 materialized; as a battery, it books every collision's charge flow in a ledger.
 
 A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each slot
-is a fixed d²×d² map on vec(rho). Per round count, ``_protocol_runs`` chains the D slot maps from
-the identity into M and the ledger functionals (one broadcast kernel call over slots × matrix
-units; a few of bounded size from d = 7), takes N mat-vecs and contracts them for the ledger.
+is a fixed d²×d² map on vec(rho). Per round count, ``_slot_sweep`` writes the D slot maps down in
+that closed form and chains them into M and the ledger functionals; ``_protocol_runs`` takes the
+N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉ products, and contracts them for the ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .basis import OperatorBasis, decompose_generator
-from .bounds import _n_min, total_bound
+from .bounds import _n_min, _round_count, total_bound
 from .conservation import _charge_set
 from .linalg import (
     check_density,
@@ -38,11 +37,8 @@ def partial_swap(alpha: float, n_rounds: int, d: int) -> np.ndarray:
     SWAP is an involution, so this is exactly cos(a)·1 - i·sin(a)·SWAP with
     a = alpha/N; no series truncation is involved. Only a dense test reference.
     """
-    if n_rounds < 1:
-        raise ValueError("round count must be >= 1")
-    a = alpha / n_rounds
-    eye = np.eye(d * d, dtype=complex)
-    return np.cos(a) * eye - 1j * np.sin(a) * swap_operator(d)
+    a = alpha / _round_count(n_rounds)
+    return np.cos(a) * np.eye(d * d, dtype=complex) - 1j * np.sin(a) * swap_operator(d)
 
 
 def step_channel(rho, sigma, alpha, n_rounds: int):
@@ -61,8 +57,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     if (rho.ndim < 2 or sigma.ndim < 2 or rho.shape[-1] != rho.shape[-2]
             or sigma.shape[-2:] != rho.shape[-2:]):
         raise ValueError(f"dimension mismatch: system {rho.shape} vs frame particle {sigma.shape}")
-    if n_rounds < 1:
-        raise ValueError("round count must be >= 1")
+    n_rounds = _round_count(n_rounds)
     if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
         raise ValueError("matrix has non-finite entries")
     a = np.asarray(alpha, dtype=float)[..., None, None] / n_rounds
@@ -102,30 +97,44 @@ class BatteryLedger:
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
+def _fold(stack: np.ndarray) -> np.ndarray:
+    """(m, r, c) stack -> (r, m·c) matrix, so one GEMM from the left acts on every member."""
+    return stack.swapaxes(0, 1).reshape(stack.shape[1], -1)
+
+
 def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
     """M on vec(rho) and its complex ledger functionals[side, column, slot, charge] (side 0 the
-    system, 1 the particle) for ``_protocol_runs``: the slot chain starts from the identity. One
-    kernel call per chunk of slots whose outputs hold at most 2^16 entries (1 MB) or one slot:
-    all D slots in one call up to d = 6, one slot per call from d = 14."""
+    system, 1 the particle), chaining the slots from the identity. With c, s = cos, sin of
+    alpha_k/N and K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in row-major vec, ``step_channel`` is
+    S_k = c²·1 + s²·|sigma_k⟩⟨1| - K_k and, on the particle, F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k,
+    built (not called) per chunk of slots whose maps hold at most 2^16 entries or one slot: all D
+    up to d = 6, one from d = 14. One folded GEMM per side takes S_k - 1, F_k - |sigma_k⟩⟨1|."""
     d, d2, size = basis.dim, basis.dim ** 2, basis.size
-    units = np.eye(d2, dtype=complex).reshape(d2, d, d)
-    sigmas, alphas = basis.states, np.asarray(alphas, dtype=float)
+    eye, units, angles = np.eye(d), np.eye(d2), np.asarray(alphas, dtype=float) / n_rounds
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
     functionals = np.empty((2, d2, size, len(rows)), dtype=complex)
-    x = np.eye(d2)
     chunk = max(1, 2**16 // d2 ** 2)
+    ins = np.empty((min(chunk, size) + 1, d2, d2), dtype=complex)  # ins[t + 1] = S_t·ins[t]
+    ins[0] = units
     for lo in range(0, size, chunk):
-        part = slice(lo, lo + chunk)
-        outs = step_channel(units, sigmas[part, None], alphas[part, None], n_rounds)
-        # column u of slot k's map is vec of unit u's output: S_k on the system, F_k on the particle
-        slot_maps, frame_maps = (out.reshape(-1, d2, d2).transpose(0, 2, 1) for out in outs)
-        ins = np.array(list(accumulate(slot_maps, lambda y, m: m @ y, initial=x)))  # slot chain
-        x = ins[-1]
+        sigmas, theta = basis.states[lo:lo + chunk], angles[lo:lo + chunk, None, None]
+        m, c, s = len(sigmas), np.cos(theta), np.sin(theta)
+        # [k, i, j, a, b] = sigma[i, a]·δ[j, b] - δ[i, a]·sigma[b, j]
+        comm = (sigmas[:, :, None, :, None] * eye[:, None, :]
+                - eye[:, None, :, None] * sigmas.swapaxes(1, 2)[:, None, :, None, :])
+        k = (1j * c * s) * comm.reshape(m, d2, d2)
+        proj = sigmas.reshape(m, d2, 1) * eye.reshape(-1)  # |sigma_k⟩⟨1|: rho -> tr(rho)·sigma_k
+        slot_maps = c * c * units + s * s * proj - k
+        for t in range(m):
+            np.matmul(slot_maps[t], ins[t], out=ins[t + 1])
         if charges:
-            frame_maps = frame_maps - sigmas[part].reshape(-1, d2, 1) * np.eye(d).reshape(-1)
-            sides = np.stack([rows @ (ins[1:] - ins[:-1]), rows @ frame_maps @ ins[:-1]])
-            functionals[:, :, part] = sides.transpose(0, 3, 1, 2)
-    return x, functionals
+            frame_maps = c * c * proj + s * s * units + k - proj
+            system = rows @ _fold(ins[1:m + 1] - ins[:m])
+            frame = (rows @ _fold(frame_maps)).reshape(-1, m, d2).swapaxes(0, 1) @ ins[:m]
+            functionals[0, :, lo:lo + m] = system.reshape(-1, m, d2).T
+            functionals[1, :, lo:lo + m] = frame.transpose(2, 0, 1)
+        ins[0] = ins[m]
+    return ins[0], functionals
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +150,7 @@ class ProtocolSpec:
     def __post_init__(self):
         target = check_unitary(self.target)
         rho = check_density(self.rho_s)
-        if self.n_rounds < 1:
-            raise ValueError("round count must be >= 1")
+        object.__setattr__(self, "n_rounds", _round_count(self.n_rounds))
         d = self.basis.dim
         if target.shape != (d, d) or rho.shape != (d, d):
             raise ValueError(
@@ -174,7 +182,7 @@ class ProtocolResult:
 
 def _protocol_runs(spec: ProtocolSpec, n_list):
     """``run_protocol`` at each round count in ``n_list``, preparing what no N changes once."""
-    basis, d = spec.basis, spec.basis.dim
+    basis, d, k = spec.basis, spec.basis.dim, len(spec.charges)
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
     w, v = np.linalg.eigh(h)  # h is exactly Hermitian, so no check or hermitize is needed
@@ -187,18 +195,20 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
         round_map, functionals = _slot_sweep(basis, dec.alphas, n, spec.charges)
         states = np.empty((n + 1, d * d), dtype=complex)
         states[0] = spec.rho_s.reshape(-1)
-        for t in range(n):
-            np.dot(round_map, states[t], out=states[t + 1])
-        ledger = np.zeros((2, n, basis.size, 0)) if not spec.charges else (
-            states[:-1] @ functionals.reshape(2, d * d, -1)).real.reshape(2, n, basis.size, -1)
+        for m in (2**j for j in range(int(n).bit_length())):  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
+            power = round_map.T if m == 1 else power @ power
+            np.matmul(states[:min(m, n + 1 - m)], power, out=states[m:2 * m])
+        ledger = (states[:-1] @ functionals.reshape(2, d * d, -1)).real.reshape(2, n, basis.size, k)
         states = states.reshape(n + 1, d, d)
-
+        # ideal states v·X_t·v†, X_t = rho_eig ∘ phases_t, then the target's for the total error
         phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
-        ideal = v @ (rho_eig * phases) @ dagger(v)
+        ideal = v @ _fold(((rho_eig * phases).reshape(n * d, d) @ dagger(v)).reshape(n, d, d))
+        ideal = np.concatenate((ideal.reshape(d, n, d).swapaxes(0, 1), final_ideal[None]))
+        errors = trace_norm(np.concatenate((states[1:], states[-1:])) - ideal)
         yield ProtocolResult(
             final_state=states[-1].copy(),
-            round_errors=tuple(trace_norm(states[1:] - ideal).tolist()),
-            total_error=trace_norm(states[-1] - final_ideal),
+            round_errors=tuple(errors[:-1].tolist()),
+            total_error=float(errors[-1]),
             total_bound=bound,
             bound_valid=valid,
             n_min=n_min,
@@ -210,9 +220,9 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Drive the system through N collision rounds toward the target unitary.
 
     Every round is the same linear map M on vec(rho), built with its ledger functionals by
-    ``_slot_sweep`` (one kernel call up to d = 6); N mat-vecs give the round-start states, and one
-    contraction with them the ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) come from
-    one eigendecomposition of the generator. Identical specs give bit-identical results.
+    ``_slot_sweep``; doubling gives the round-start states, and one contraction with them the
+    ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) come from one eigendecomposition of the
+    generator; one stacked trace norm gives every error. Identical specs give identical results.
     """
     return next(_protocol_runs(spec, (spec.n_rounds,)))
 
@@ -226,5 +236,4 @@ def two_subsystem_step(rho_ab, sigma_a, sigma_b, alpha: float, n_rounds: int) ->
     the composite space; its first-order action on the system is generated by
     sigma_a ⊗ sigma_b.
     """
-    rho_out, _ = step_channel(rho_ab, np.kron(sigma_a, sigma_b), alpha, n_rounds)
-    return rho_out
+    return step_channel(rho_ab, np.kron(sigma_a, sigma_b), alpha, n_rounds)[0]

@@ -135,6 +135,18 @@ def test_convergence_sweep_rejects_round_count_below_one(n_list):
         convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), n_list)
 
 
+@pytest.mark.parametrize("n_list", [[10.7, 20, 40], [10, 20.0, 40], [True, 20, 40]])
+def test_convergence_sweep_rejects_a_non_integer_round_count(n_list):
+    with pytest.raises(ValueError, match="round count must be >= 1 and an integer"):
+        convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), n_list)
+
+
+def test_convergence_sweep_takes_numpy_integer_round_counts():
+    table = convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), np.array([10, 20, 40]))
+    assert [r.n_rounds for r in table.rows] == [10, 20, 40]
+    assert all(type(r.n_rounds) is int for r in table.rows)
+
+
 def test_convergence_sweep_prepares_the_target_once(monkeypatch):
     calls = {"principal_generator": 0, "decompose_generator": 0}
 

@@ -307,6 +307,23 @@ def test_trace_norm_of_a_stack_matches_per_matrix_calls():
         trace_norm(stack)
 
 
+@pytest.mark.parametrize("hermitian", [True, False], ids=["all_hermitian", "all_non_hermitian"])
+def test_trace_norm_of_a_uniform_stack_matches_per_matrix_calls(monkeypatch, hermitian):
+    rng = rng_from_seed(15)
+    make = random_hermitian if hermitian else (lambda d, r: haar_unitary(d, r) @ np.diag([3, 1, 0]))
+    stack = np.array([make(3, rng) for _ in range(6)])
+    expected = [np.abs(np.linalg.eigvalsh(op)).sum() if hermitian
+                else np.linalg.svd(op, compute_uv=False).sum() for op in stack]
+    per_matrix = [trace_norm(op) for op in stack]
+    np.testing.assert_allclose(per_matrix, expected, rtol=0, atol=1e-13)
+    if hermitian:  # the stack takes the one-eigvalsh path: no singular-value call at all
+        monkeypatch.setattr(np.linalg, "svd", None)
+    norms = trace_norm(stack)
+    np.testing.assert_allclose(norms, per_matrix, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(trace_norm(stack.reshape(2, 3, 3, 3)), norms.reshape(2, 3),
+                               rtol=0, atol=0)
+
+
 def test_von_neumann_entropy():
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     assert von_neumann_entropy(I2 / 2) == pytest.approx(np.log(2.0))

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapframe.basis import build_state_basis, decompose_generator
-from swapframe.bounds import block_bound, convergence_sweep, single_step_bound
+from swapframe.bounds import block_bound, convergence_sweep, single_step_bound, total_bound
 from swapframe.conservation import ExtensiveObservable, lift_extensive, commutator_norm
 from swapframe import linalg, protocol
 from swapframe.linalg import (
@@ -280,25 +281,23 @@ def _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, n_round
     np.testing.assert_allclose(ledger.frame, expected[1], rtol=0, atol=1e-12)
 
 
-def test_collision_round_bounds_each_kernel_call(monkeypatch):
-    # at d=7 all 48 slots × 49 matrix units exceed one call's 2^16 output entries: the slots are
-    # split over two calls, each within the budget, and the round is unchanged
+def test_collision_round_bounds_each_kernel_call():
+    # at d=10 all 99 slots' 100×100 maps take 16 MB per stack (121 MB peak unchunked); chunks of
+    # at most 2^16 entries keep the sweep's peak near 8 MB, and the round is unchanged
     rng = rng_from_seed(77)
-    basis = build_state_basis(7)
+    basis = build_state_basis(10)
     alphas = rng.uniform(-3.0, 3.0, basis.size)
-    charges = tuple(ExtensiveObservable(random_hermitian(7, rng), f"A{j}") for j in range(2))
-    rho = np.stack([random_density(7, rng) for _ in range(3)])
-    sizes, step = [], protocol.step_channel
-
-    def recording(*args):
-        outs = step(*args)
-        sizes.append(outs[0].size)
-        return outs
-
-    monkeypatch.setattr(protocol, "step_channel", recording)
+    charges = tuple(ExtensiveObservable(random_hermitian(10, rng), f"A{j}") for j in range(2))
+    rho = np.stack([random_density(10, rng) for _ in range(3)])
+    tracemalloc.start()
+    try:
+        sweep = protocol._slot_sweep(basis, alphas, 4, charges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del sweep
+    assert peak <= 2**24
     out, ledger = _collision_round(rho, basis, alphas, 4, charges)
-    monkeypatch.undo()
-    assert len(sizes) == 2 and max(sizes) <= 2**16
     _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, 4, charges)
 
 
@@ -388,7 +387,9 @@ def _sequential_run(spec):
     return rho, np.array(errors), np.reshape(system, shape), np.reshape(frame, shape)
 
 
-@pytest.mark.parametrize("d, n", [(2, 800), (3, 400), (4, 60), (8, 50)])
+# N = 1, 2, 3, 5 and 17 sit on and beside the doubling's powers of two
+@pytest.mark.parametrize("d, n", [(2, 800), (3, 400), (4, 60), (8, 50),
+                                  *((d, n) for d in (2, 3) for n in (1, 2, 3, 5, 17))])
 def test_run_protocol_matches_sequential_collisions(d, n):
     rng = rng_from_seed(70 + d)
     charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{i}") for i in range(2))
@@ -403,20 +404,20 @@ def test_run_protocol_matches_sequential_collisions(d, n):
 
 
 def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
-    # one kernel call takes every matrix unit through every slot; the ledger comes from it too
+    # one slot sweep per round count builds the round map and the ledger functionals together
     rng = rng_from_seed(64)
     basis = build_state_basis(3)
     charges = tuple(ExtensiveObservable(random_hermitian(3, rng), f"A{i}") for i in range(3))
     spec = ProtocolSpec(target=haar_unitary(3, rng), n_rounds=30, basis=basis,
                         rho_s=random_density(3, rng), charges=charges)
     calls = []
-    step = protocol.step_channel
+    sweep = protocol._slot_sweep
 
     def counting(*args):
         calls.append(1)
-        return step(*args)
+        return sweep(*args)
 
-    monkeypatch.setattr(protocol, "step_channel", counting)
+    monkeypatch.setattr(protocol, "_slot_sweep", counting)
     result = run_protocol(spec)
     assert len(calls) == 1
     assert result.ledger.frame.shape == (30, basis.size, 3)
@@ -483,6 +484,11 @@ def test_run_protocol_makes_no_hermitian_eig_call(monkeypatch):
 def test_protocol_spec_validation():
     with pytest.raises(ValueError):
         ProtocolSpec(target=I2, n_rounds=0, basis=QUBIT_BASIS, rho_s=PLUS)
+    for n_rounds in (2.5, 3.0, True, "5", None):
+        with pytest.raises(ValueError, match="round count must be >= 1 and an integer"):
+            ProtocolSpec(target=I2, n_rounds=n_rounds, basis=QUBIT_BASIS, rho_s=PLUS)
+    spec = ProtocolSpec(target=I2, n_rounds=np.int64(5), basis=QUBIT_BASIS, rho_s=PLUS)
+    assert type(spec.n_rounds) is int and run_protocol(spec).ledger.frame.shape[0] == 5
     with pytest.raises(ValueError):
         ProtocolSpec(target=np.eye(3), n_rounds=5, basis=QUBIT_BASIS, rho_s=PLUS)
     with pytest.raises(ValueError):
@@ -491,6 +497,18 @@ def test_protocol_spec_validation():
     with pytest.raises(ValueError):
         ProtocolSpec(target=I2, n_rounds=5, basis=QUBIT_BASIS, rho_s=PLUS,
                      charges=(ExtensiveObservable(X, "A"), ExtensiveObservable(Z, "A")))
+
+
+@pytest.mark.parametrize("n_rounds", [2.5, 4.0, True, "5"])
+def test_round_counts_must_be_integers(n_rounds):
+    # one rule for every entry point that takes a round count; numpy integers pass
+    calls = [lambda n: partial_swap(1.0, n, 2), lambda n: step_channel(PLUS, KET0, 1.0, n),
+             lambda n: single_step_bound(1.0, n), lambda n: block_bound(3, 1.0, n),
+             lambda n: total_bound(3, 1.0, n)]
+    for call in calls:
+        with pytest.raises(ValueError, match="round count must be >= 1 and an integer"):
+            call(n_rounds)
+        call(np.int32(4))
 
 
 def test_two_subsystem_step_zero_angle():
