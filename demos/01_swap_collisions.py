@@ -15,7 +15,6 @@ from swapframe import (
     partial_trace,
     single_step_bound,
     step_channel,
-    swap_operator,
     tensor,
     trace_norm,
 )
@@ -25,7 +24,7 @@ rng = rng_from_seed(1)
 
 print("=== Partial-trace identities for the swap ===")
 for d in (2, 3):
-    s = swap_operator(d)
+    s = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, -1)  # |ij> -> |ji>
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     lhs1 = partial_trace(s @ tensor(a, b), [d, d], 0)

@@ -9,7 +9,6 @@ trace-norm error bounds, and use the frame as a battery for any number of
 from .linalg import (
     tensor,
     partial_trace,
-    swap_operator,
     hermitian_eig,
     exp_neg_i,
     principal_generator,
@@ -28,20 +27,13 @@ from .basis import (
     basis_from_states,
     decompose_generator,
 )
-from .conservation import (
-    ExtensiveObservable,
-    CapacityError,
-    lift_extensive,
-    commutator_norm,
-)
+from .conservation import ExtensiveObservable
 from .protocol import (
     ProtocolSpec,
     ProtocolResult,
     BatteryLedger,
-    partial_swap,
     step_channel,
     run_protocol,
-    two_subsystem_step,
 )
 from .bounds import (
     ConvergenceTable,

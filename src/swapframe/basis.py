@@ -167,6 +167,8 @@ def decompose_generator(h, basis: OperatorBasis) -> GeneratorDecomposition:
     h = np.asarray(h, dtype=complex)
     if not is_hermitian(h):
         raise ValueError("generator must be Hermitian")
+    if h.shape != (basis.dim, basis.dim):
+        raise ValueError(f"generator has dimension {h.shape[0]}, basis has dimension {basis.dim}")
     c0, *alphas = np.einsum("ij,kji->k", h, basis.duals).real.tolist()
     recon = c0 * np.eye(basis.dim) + np.tensordot(alphas, basis.states, 1)
     residual = operator_norm(h - recon)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _matrix_from_pairs, build_state_basis
 from .bounds import convergence_sweep
-from .conservation import DEFAULT_DIMENSION_CAP, ExtensiveObservable
+from .conservation import ExtensiveObservable
 from .linalg import dagger, exp_neg_i
 from .protocol import ProtocolSpec, _protocol_runs, run_protocol
 from .rand import haar_unitary, random_density, rng_from_seed
@@ -38,6 +38,7 @@ from .thermo import (
 )
 
 SCHEMA_VERSION = 1
+DEFAULT_DIMENSION_CAP = 4096  # dense round maps and baths beyond this are refused
 
 PAULI = {
     "I": np.eye(2, dtype=complex),

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _reduce, is_hermitian, operator_norm, tensor
-
-# Dense joint spaces beyond this dimension are refused rather than attempted.
-DEFAULT_DIMENSION_CAP = 4096
-
-
-class CapacityError(ValueError):
-    """Raised when a lifted operator would exceed the dense-dimension cap."""
+from .linalg import _as_square, _reduce, is_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,25 +49,6 @@ def _charge_matrix(charge) -> np.ndarray:
     if isinstance(charge, ExtensiveObservable):
         return charge.matrix
     return np.asarray(charge, dtype=complex)
-
-
-def lift_extensive(charge, n: int) -> np.ndarray:
-    """Dense extensive total of a charge over n identical subsystems.
-
-    Meant for commutator checks; expectations of the total go through
-    ``extensive_expectation`` instead, which never forms this matrix. Raises
-    CapacityError beyond ``DEFAULT_DIMENSION_CAP``.
-    """
-    a = _charge_matrix(charge)
-    if n < 1:
-        raise ValueError("need at least one subsystem")
-    d = a.shape[0]
-    if d**n > DEFAULT_DIMENSION_CAP:
-        raise CapacityError(f"joint dimension {d}^{n} exceeds cap {DEFAULT_DIMENSION_CAP}")
-    total = np.zeros((d**n, d**n), dtype=complex)
-    for slot in range(n):
-        total += tensor(np.eye(d**slot), a, np.eye(d ** (n - slot - 1)))
-    return total
 
 
 def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
@@ -120,11 +94,3 @@ def uniform_dims(total: int, d: int) -> list[int]:
         raise ValueError(f"joint dimension {total} is not {d}^{n}")
     return [d] * n
 
-
-def commutator_norm(v, a_tot) -> float:
-    """Operator norm of [V, A_total]; zero means exact conservation."""
-    v = np.asarray(v, dtype=complex)
-    a_tot = np.asarray(a_tot, dtype=complex)
-    if v.shape != a_tot.shape:
-        raise ValueError(f"dimension mismatch: {v.shape} vs {a_tot.shape}")
-    return operator_norm(v @ a_tot - a_tot @ v)

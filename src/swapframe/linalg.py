@@ -124,16 +124,6 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     return _reduce(op, dims, keep)
 
 
-def swap_operator(d: int) -> np.ndarray:
-    """Exchange unitary on two d-dimensional factors: |i j> -> |j i|.
-
-    Hermitian, unitary, and an involution.
-    """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return np.eye(d * d, dtype=complex).reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
-
-
 def hermitian_eig(h):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -148,6 +138,8 @@ def hermitian_eig(h):
 
 def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
     """Unitary exp(-i * scale * H) for Hermitian H (checked at any scale), via eigh."""
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     w, v = hermitian_eig(h)
     if scale == 0:
         return np.eye(len(w), dtype=complex)

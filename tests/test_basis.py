@@ -100,6 +100,11 @@ def test_decompose_z_rotation():
     assert dec.residual < 1e-9
 
 
+def test_decompose_rejects_a_generator_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="generator has dimension 3, basis has dimension 2"):
+        decompose_generator(np.eye(3), build_state_basis(2))
+
+
 def test_decompose_basis_state_multiple():
     basis = build_state_basis(2)
     dec = decompose_generator(np.pi * (I2 + X) / 2, basis)

@@ -327,6 +327,10 @@ def test_module_entry_point(tmp_path):
       "state": {"plus": "no"}}, "plus"),
     ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z", "scale": 10**400},
       "charges": ["Z"]}, "scale"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z", "scale": float("nan")},
+      "charges": ["Z"]}, "scale"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20],
+      "unitary": {"exp": "Z", "scale": float("-inf")}}, "scale"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
@@ -334,7 +338,7 @@ def test_module_entry_point(tmp_path):
         "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
         "nan_beta", "overflowing_beta", "fractional_N", "string_N", "bool_draws",
         "negative_seed", "bool_scale", "string_scale", "bool_beta", "list_mode", "string_random",
-        "string_plus", "huge_int_scale"])
+        "string_plus", "huge_int_scale", "nan_scale", "infinite_scale"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))

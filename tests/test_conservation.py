@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from swapframe.conservation import (
-    CapacityError,
-    ExtensiveObservable,
-    commutator_norm,
-    extensive_expectation,
-    lift_extensive,
-)
+from dense_oracle import commutator_norm, lift, partial_swap
+from swapframe.conservation import ExtensiveObservable, extensive_expectation
 from swapframe.linalg import dagger, exp_neg_i, tensor
-from swapframe.protocol import partial_swap
 from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import implicit_work
 
@@ -29,11 +23,11 @@ def test_extensive_observable_validates():
 
 
 def test_lift_single_slot_is_identity_map():
-    np.testing.assert_array_equal(lift_extensive(Z, 1), Z)
+    np.testing.assert_array_equal(lift(Z, 1), Z)
 
 
 def test_lift_two_qubits_spectrum():
-    total = lift_extensive(ExtensiveObservable(Z, "Z"), 2)
+    total = lift(Z, 2)
     np.testing.assert_allclose(np.linalg.eigvalsh(total), [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -41,7 +35,7 @@ def test_lift_expectation_on_opposite_pair():
     ket01 = np.zeros(4)
     ket01[1] = 1.0
     rho = np.outer(ket01, ket01)
-    total = lift_extensive(Z, 2)
+    total = lift(Z, 2)
     assert np.trace(total @ rho).real == pytest.approx(0.0, abs=1e-14)
 
 
@@ -50,24 +44,19 @@ def test_lift_linear_and_additive():
     a = random_hermitian(2, rng)
     b = random_hermitian(2, rng)
     np.testing.assert_allclose(
-        lift_extensive(2.0 * a - 0.5 * b, 3),
-        2.0 * lift_extensive(a, 3) - 0.5 * lift_extensive(b, 3),
+        lift(2.0 * a - 0.5 * b, 3),
+        2.0 * lift(a, 3) - 0.5 * lift(b, 3),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        lift_extensive(a, 2),
+        lift(a, 2),
         np.kron(a, I2) + np.kron(I2, a),
         atol=1e-14,
     )
 
 
-def test_lift_capacity_cap():
-    with pytest.raises(CapacityError):
-        lift_extensive(Z, 20)
-
-
 def test_commutator_norm_identity():
-    assert commutator_norm(np.eye(4), lift_extensive(Z, 2)) == 0.0
+    assert commutator_norm(np.eye(4), lift(Z, 2)) == 0.0
 
 
 def test_partial_swap_conserves_any_charge():
@@ -76,13 +65,13 @@ def test_partial_swap_conserves_any_charge():
         alpha = float(rng.uniform(-3, 3))
         a = random_hermitian(2, rng)
         v = partial_swap(alpha, 7, 2)
-        assert commutator_norm(v, lift_extensive(a, 2)) <= 1e-12
+        assert commutator_norm(v, lift(a, 2)) <= 1e-12
 
 
 def test_local_rotation_breaks_conservation():
     # [exp(-i pi/4 X), Z] has operator norm 2 sin(pi/4) = sqrt(2)
     v = tensor(exp_neg_i(X, np.pi / 4), np.eye(2))
-    assert commutator_norm(v, lift_extensive(Z, 2)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert commutator_norm(v, lift(Z, 2)) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_audit_no_evolution():
@@ -119,7 +108,7 @@ def test_simultaneous_noncommuting_charges():
     joint = tensor(random_density(2, rng), random_density(2, rng))
     after = v @ joint @ dagger(v)
     for charge in charges:
-        assert commutator_norm(v, lift_extensive(charge, 2)) <= 1e-12
+        assert commutator_norm(v, lift(charge.matrix, 2)) <= 1e-12
         assert abs(-implicit_work(joint, after, (charge,))[charge.label]) <= 1e-10
 
 
@@ -137,7 +126,7 @@ def test_extensive_expectation_matches_dense_lift(d, n):
     a = random_hermitian(d, rng)
     dims = [d] * n
     for x in (random_hermitian(d**n, rng), gaussian_matrix(d**n, rng)):
-        dense = np.trace(lift_extensive(a, n) @ x)
+        dense = np.trace(lift(a, n) @ x)
         assert abs(extensive_expectation((a,), x, dims, range(n))[0] - dense) <= 1e-12
         # a proper subset of the slots: every slot but the first
         subset = np.zeros((d**n, d**n), dtype=complex)
@@ -146,15 +135,15 @@ def test_extensive_expectation_matches_dense_lift(d, n):
         got = extensive_expectation((ExtensiveObservable(a, "A"),), x, dims, range(1, n))[0]
         assert abs(got - np.trace(subset @ x)) <= 1e-12
         # a stack of three charges, one value per charge
-        stack = (a, random_hermitian(d, rng), ExtensiveObservable(random_hermitian(d, rng), "C"))
-        values = extensive_expectation(stack, x, dims, range(n))
+        b, c = random_hermitian(d, rng), random_hermitian(d, rng)
+        values = extensive_expectation((a, b, ExtensiveObservable(c, "C")), x, dims, range(n))
         assert values.shape == (3,)
-        for charge, value in zip(stack, values):
-            assert abs(value - np.trace(lift_extensive(charge, n) @ x)) <= 1e-12
+        for m, value in zip((a, b, c), values):
+            assert abs(value - np.trace(lift(m, n) @ x)) <= 1e-12
     # implicit_work infers n from the state dimension and gives minus the change of the total
     before, after = random_density(d**n, rng), random_density(d**n, rng)
     work = implicit_work(before, after, (ExtensiveObservable(a, "A"),))["A"]
-    assert abs(work + np.trace(lift_extensive(a, n) @ (after - before)).real) <= 1e-12
+    assert abs(work + np.trace(lift(a, n) @ (after - before)).real) <= 1e-12
 
 
 def test_extensive_expectation_rejects_misfit_slot():

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import swap
 from swapframe import linalg
 from swapframe.linalg import (
     check_density,
@@ -17,7 +18,6 @@ from swapframe.linalg import (
     operator_norm,
     partial_trace,
     principal_generator,
-    swap_operator,
     tensor,
     trace_norm,
     von_neumann_entropy,
@@ -67,7 +67,7 @@ def test_partial_trace_product_state():
 def test_swap_partial_trace_lemmas(d):
     # tracing the second factor of SWAP·(A⊗B) gives BA; of (A⊗B)·SWAP gives AB
     rng = rng_from_seed(d)
-    s = swap_operator(d)
+    s = swap(d)
     for _ in range(100):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -153,8 +153,8 @@ def test_partial_trace_rejects_a_non_finite_stack_member():
 
 
 def test_swap_operator_small():
-    np.testing.assert_array_equal(swap_operator(1), [[1.0]])
-    s = swap_operator(2)
+    np.testing.assert_array_equal(swap(1), [[1.0]])
+    s = swap(2)
     expected = np.zeros((4, 4))
     expected[0, 0] = expected[3, 3] = 1.0  # |00>, |11> fixed
     expected[1, 2] = expected[2, 1] = 1.0  # |01> <-> |10>
@@ -164,7 +164,7 @@ def test_swap_operator_small():
 def test_swap_conjugation_and_involution():
     rng = rng_from_seed(4)
     for d in (2, 3):
-        s = swap_operator(d)
+        s = swap(d)
         np.testing.assert_array_equal(s @ s, np.eye(d * d))
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -198,9 +198,15 @@ def test_exp_neg_i_zero_scale_exact_identity():
         exp_neg_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_exp_neg_i_rejects_a_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="scale must be finite"):
+        exp_neg_i(Z, scale)
+
+
 def test_exp_neg_i_swap_involution():
     # SWAP^2 = 1 gives exp(-i t SWAP) = cos t - i sin t SWAP
-    s = swap_operator(2)
+    s = swap(2)
     np.testing.assert_allclose(exp_neg_i(s, np.pi / 2), -1j * s, atol=1e-12)
 
 

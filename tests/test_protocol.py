@@ -7,9 +7,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import commutator_norm, lift, partial_swap, swap
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, convergence_sweep, single_step_bound, total_bound
-from swapframe.conservation import ExtensiveObservable, lift_extensive, commutator_norm
+from swapframe.conservation import ExtensiveObservable
 from swapframe import linalg, protocol
 from swapframe.linalg import (
     check_density,
@@ -17,17 +18,10 @@ from swapframe.linalg import (
     exp_neg_i,
     partial_trace,
     principal_generator,
-    swap_operator,
     tensor,
     trace_norm,
 )
-from swapframe.protocol import (
-    ProtocolSpec,
-    partial_swap,
-    run_protocol,
-    step_channel,
-    two_subsystem_step,
-)
+from swapframe.protocol import ProtocolSpec, run_protocol, step_channel
 from swapframe.rand import haar_unitary, random_density, random_hermitian, rng_from_seed
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,13 +39,13 @@ def test_partial_swap_zero_angle():
 
 
 def test_partial_swap_quarter_period():
-    np.testing.assert_allclose(partial_swap(np.pi / 2, 1, 2), -1j * swap_operator(2), atol=1e-12)
+    np.testing.assert_allclose(partial_swap(np.pi / 2, 1, 2), -1j * swap(2), atol=1e-12)
 
 
 def test_partial_swap_unitary_and_matches_expm():
     rng = rng_from_seed(50)
     for d in (2, 3):
-        s = swap_operator(d)
+        s = swap(d)
         for _ in range(5):
             alpha = float(rng.uniform(-4, 4))
             v = partial_swap(alpha, 13, d)
@@ -110,6 +104,13 @@ def test_step_channel_dimension_mismatch():
         step_channel(np.eye(2) / 2, np.eye(3) / 3, 1.0, 5)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, [1.0, np.nan]],
+                         ids=["nan", "inf", "-inf", "nan_in_a_stack"])
+def test_step_channel_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        step_channel(np.array([PLUS, PLUS]), KET0, alpha, 5)
+
+
 @pytest.mark.parametrize("rho, sigma, n_rounds", [
     (PLUS, KET0, 0),
     (np.ones((2, 3)) / 2, KET0, 5),
@@ -131,9 +132,7 @@ def _oracle_density(d, rng, pure):
 def _oracle_collision(rho, sigma, alpha, n_rounds):
     """One collision on the joint space, sharing no code with swapframe."""
     d = rho.shape[0]
-    # SWAP|i j> = |j i>, by permuting the row indices of the identity.
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-    gate = scipy.linalg.expm(-1j * (alpha / n_rounds) * swap)
+    gate = scipy.linalg.expm(-1j * (alpha / n_rounds) * swap(d))
     joint = (gate @ np.kron(rho, sigma) @ gate.conj().T).reshape(d, d, d, d)
     return np.einsum("ijkj->ik", joint), np.einsum("ijil->jl", joint)
 
@@ -200,7 +199,7 @@ def test_frame_locality_full_space_equals_sequential():
 
     v = partial_swap(alpha, n, 2)
     v01 = tensor(v, I2)
-    s12 = tensor(I2, swap_operator(2))
+    s12 = tensor(I2, swap(2))
     v02 = s12 @ v01 @ s12
     joint = tensor(rho, sigma, sigma)
     joint = v01 @ joint @ dagger(v01)
@@ -502,9 +501,8 @@ def test_protocol_spec_validation():
 @pytest.mark.parametrize("n_rounds", [2.5, 4.0, True, "5"])
 def test_round_counts_must_be_integers(n_rounds):
     # one rule for every entry point that takes a round count; numpy integers pass
-    calls = [lambda n: partial_swap(1.0, n, 2), lambda n: step_channel(PLUS, KET0, 1.0, n),
-             lambda n: single_step_bound(1.0, n), lambda n: block_bound(3, 1.0, n),
-             lambda n: total_bound(3, 1.0, n)]
+    calls = [lambda n: step_channel(PLUS, KET0, 1.0, n), lambda n: single_step_bound(1.0, n),
+             lambda n: block_bound(3, 1.0, n), lambda n: total_bound(3, 1.0, n)]
     for call in calls:
         with pytest.raises(ValueError, match="round count must be >= 1 and an integer"):
             call(n_rounds)
@@ -513,7 +511,7 @@ def test_round_counts_must_be_integers(n_rounds):
 
 def test_two_subsystem_step_zero_angle():
     rho = random_density(4, rng_from_seed(59))
-    np.testing.assert_allclose(two_subsystem_step(rho, KET0, KET0, 0.0, 10), rho, atol=1e-14)
+    np.testing.assert_allclose(step_channel(rho, tensor(KET0, KET0), 0.0, 10)[0], rho, atol=1e-14)
 
 
 def _double_swap_permutation():
@@ -547,7 +545,7 @@ def test_two_subsystem_step_tracks_product_generator():
     u = exp_neg_i(gen, alpha / n)
     for _ in range(10):
         rho = random_density(4, rng)
-        out = two_subsystem_step(rho, sigma, sigma, alpha, n)
+        out = step_channel(rho, tensor(sigma, sigma), alpha, n)[0]
         check_density(out)
         assert trace_norm(out - u @ rho @ dagger(u)) <= bound
 
@@ -557,9 +555,4 @@ def test_two_subsystem_gate_conserves_lifted_charges():
     gate = partial_swap(0.8, 40, 4)
     for _ in range(10):
         a = random_hermitian(2, rng)
-        assert commutator_norm(gate, lift_extensive(a, 4)) <= 1e-12
-
-
-def test_two_subsystem_step_dimension_mismatch():
-    with pytest.raises(ValueError):
-        two_subsystem_step(np.eye(4) / 4, KET0, np.eye(3) / 3, 1.0, 10)
+        assert commutator_norm(gate, lift(a, 4)) <= 1e-12

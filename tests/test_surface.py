@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -8,16 +9,15 @@ import swapframe as sf
 # The names a fresh `import swapframe` exposes. Adding or removing one must
 # change this list in the same commit.
 PUBLIC_NAMES = [
-    "BatteryCheck", "BatteryLedger", "CapacityError", "ConvergenceTable", "DegenerateBasisError",
+    "BatteryCheck", "BatteryLedger", "ConvergenceTable", "DegenerateBasisError",
     "ExtensiveObservable", "GeneratorDecomposition", "OperatorBasis", "ProtocolResult",
-    "ProtocolSpec", "SweepRow", "ThermalSpec", "WorkRecord", "basis",
-    "basis_from_states", "battery_deviation_check", "block_bound", "bounds", "build_state_basis",
-    "check_density", "check_unitary", "commutator_norm", "conservation", "convergence_sweep",
-    "dagger", "decompose_generator", "exp_neg_i", "fit_loglog_slope", "free_entropy",
-    "hermitian_eig", "implicit_work", "lift_extensive", "linalg", "operator_norm", "partial_swap",
-    "partial_trace", "principal_generator", "protocol", "run_protocol", "single_step_bound",
-    "step_channel", "swap_operator", "tensor", "thermal_state", "thermo", "total_bound",
-    "trace_norm", "two_subsystem_step", "von_neumann_entropy", "work_accounting",
+    "ProtocolSpec", "SweepRow", "ThermalSpec", "WorkRecord", "basis", "basis_from_states",
+    "battery_deviation_check", "block_bound", "bounds", "build_state_basis", "check_density",
+    "check_unitary", "conservation", "convergence_sweep", "dagger", "decompose_generator",
+    "exp_neg_i", "fit_loglog_slope", "free_entropy", "hermitian_eig", "implicit_work", "linalg",
+    "operator_norm", "partial_trace", "principal_generator", "protocol", "run_protocol",
+    "single_step_bound", "step_channel", "tensor", "thermal_state", "thermo", "total_bound",
+    "trace_norm", "von_neumann_entropy", "work_accounting",
 ]
 
 
@@ -30,7 +30,17 @@ def test_public_names_are_pinned():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 44
+
+
+def test_dense_oracle_imports_no_swapframe_module():
+    # the tests' joint-space references must not share code with what they check
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dense_oracle; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'swapframe'))"],
+        capture_output=True, text=True, check=True, cwd=Path(__file__).parent,
+    )
+    assert proc.stdout.split() == []
 
 
 def _array_holders():

@@ -3,9 +3,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from dense_oracle import lift, swap
 from swapframe.basis import build_state_basis
-from swapframe.conservation import ExtensiveObservable, lift_extensive
-from swapframe.linalg import dagger, exp_neg_i, operator_norm, swap_operator, tensor
+from swapframe.conservation import ExtensiveObservable
+from swapframe.linalg import dagger, exp_neg_i, tensor
 from swapframe.protocol import ProtocolSpec, run_protocol
 from swapframe.rand import haar_unitary, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import (
@@ -139,7 +140,7 @@ def test_swap_with_bath_qubit_work_and_margin():
     tau, ln_z = thermal_state(ZX_SPEC)
     excited = np.diag([0.0, 1.0]).astype(complex)
     before = tensor(excited, tau)
-    s = swap_operator(2)
+    s = swap(2)
     after = s @ before @ dagger(s)
     record = work_accounting(before, after, [2, 2], bath=[1], spec=ZX_SPEC, system=[0])
     assert record.works["Z"] == pytest.approx(0.0, abs=1e-12)
@@ -286,5 +287,5 @@ def test_battery_bound_matches_dense_lift(n):
                         rho_s=random_density(2, rng), charges=(charge,))
     epsilon = 0.0123
     checks = battery_deviation_check(run_protocol(spec), {"A": 0.0}, epsilon, (charge,))
-    expected = epsilon * operator_norm(lift_extensive(charge, n))
+    expected = epsilon * np.linalg.norm(lift(charge.matrix, n), 2)
     assert abs(checks["A"].bound - expected) <= 1e-12
