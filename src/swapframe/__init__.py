@@ -24,7 +24,6 @@ from .basis import (
     GeneratorDecomposition,
     DegenerateBasisError,
     build_state_basis,
-    basis_from_states,
     decompose_generator,
 )
 from .conservation import ExtensiveObservable

@@ -54,20 +54,25 @@ def _gell_mann_generators(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OperatorBasis:
-    """D density operators spanning, with the identity, all Hermitian operators.
+    """D = d^2 - 1 density operators spanning, with the identity, all Hermitian operators.
 
-    ``states`` is one read-only (D, d, d) stack; ``dim`` and ``size`` are read
-    off its shape, and ``duals``, a read-only (D+1, d, d) stack, is built from
-    it once: slot 0 pairs with the identity, slot k >= 1 with ``states[k-1]``,
-    under tr(e_k dual_l) = delta_kl.
+    ``states`` is one read-only (D, d, d) stack of checked density operators;
+    ``dim`` and ``size`` are read off its shape, and ``duals``, a read-only
+    (D+1, d, d) stack, is built from it once: slot 0 pairs with the identity,
+    slot k >= 1 with ``states[k-1]``, under tr(e_k dual_l) = delta_kl.
     """
 
     states: np.ndarray
     duals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=complex)
-        duals = _dual_basis([np.eye(states.shape[-1]), *states])
+        states = np.array([check_density(s) for s in self.states])
+        d = states.shape[-1]
+        if states.shape != (d * d - 1, d, d):
+            raise ValueError(
+                f"need d^2 - 1 states of shape (d, d), got a stack of shape {states.shape}"
+            )
+        duals = _dual_basis([np.eye(d), *states])
         states.flags.writeable = duals.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "duals", duals)
@@ -98,7 +103,10 @@ class OperatorBasis:
     def from_json(cls, text: str) -> "OperatorBasis":
         doc = json.loads(text)
         d = int(doc["dimension"])
-        return basis_from_states(d, [_matrix_from_pairs(m) for m in doc["states"]])
+        basis = cls([_matrix_from_pairs(m) for m in doc["states"]])
+        if basis.dim != d:
+            raise ValueError(f"states have dimension {basis.dim}, 'dimension' says {d}")
+        return basis
 
 
 def _matrix_from_pairs(pairs) -> np.ndarray:
@@ -122,16 +130,6 @@ def _dual_basis(elements) -> np.ndarray:
     return hermitize(np.einsum("lm,mij->lij", np.linalg.inv(gram), elems))
 
 
-def basis_from_states(d: int, states) -> OperatorBasis:
-    """Assemble an OperatorBasis from d^2 - 1 density operators of shape (d, d)."""
-    states = [check_density(s) for s in states]
-    if len(states) != d * d - 1:
-        raise ValueError(f"need {d * d - 1} states for dimension {d}, got {len(states)}")
-    if any(s.shape != (d, d) for s in states):
-        raise ValueError(f"states must have shape ({d}, {d}) for dimension {d}")
-    return OperatorBasis(states)
-
-
 def build_state_basis(d: int) -> OperatorBasis:
     """Default basis: sigma_k = (1 + r g_k)/d with Gell-Mann generators g_k.
 
@@ -142,7 +140,7 @@ def build_state_basis(d: int) -> OperatorBasis:
     """
     gens = _gell_mann_generators(d)
     r = 1.0 / np.abs(np.linalg.eigvalsh(gens)[:, 0]).max()
-    return basis_from_states(d, hermitize((np.eye(d, dtype=complex) + r * gens) / d))
+    return OperatorBasis(hermitize((np.eye(d, dtype=complex) + r * gens) / d))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 # Entrywise / operator-norm tolerance for validating Hermitian and unitary
 # inputs; spectral round-trips are certified one order looser (1e-9).
@@ -150,15 +149,19 @@ def principal_generator(u) -> np.ndarray:
     """Hermitian H with U = exp(-iH) and eigenvalues in (-pi, pi].
 
     Eigenphases numerically at the branch cut (within 1e-12 of -pi) are mapped
-    to +pi, so the interval is half-open at -pi.
+    to +pi, so the interval is half-open at -pi. ``eig`` returns unit vectors V
+    that may be oblique within a (nearly) degenerate eigenspace. U is normal,
+    so vectors of distinct eigenphases are orthogonal, and the QR factor Q of V
+    mixes each column only with columns of the same eigenphase up to rounding:
+    Q is an orthonormal eigenbasis. Q† rather than V⁻¹, because a cluster that
+    the branch rule splits by 2·pi would have that jump amplified by cond(V).
     """
     u = check_unitary(u)
-    # Schur form of a normal matrix is diagonal, with orthonormal vectors even
-    # in degenerate eigenspaces.
-    t, z = scipy.linalg.schur(u, output="complex")
-    theta = -np.angle(np.diagonal(t))
+    w, v = np.linalg.eig(u)
+    theta = -np.angle(w)
     theta[theta <= -np.pi + 1e-12] += 2 * np.pi
-    return hermitize((z * theta) @ dagger(z))
+    q = np.linalg.qr(v)[0]
+    return hermitize((q * theta) @ dagger(q))
 
 
 def _singular_values(op) -> np.ndarray:

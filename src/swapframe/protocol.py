@@ -22,6 +22,7 @@ from .basis import OperatorBasis, decompose_generator
 from .bounds import _n_min, _round_count, total_bound
 from .conservation import _charge_set
 from .linalg import (
+    _as_square,
     check_density,
     check_unitary,
     dagger,
@@ -46,14 +47,10 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     a = np.asarray(alpha, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError(f"alpha must be finite, got {alpha}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if (rho.ndim < 2 or sigma.ndim < 2 or rho.shape[-1] != rho.shape[-2]
-            or sigma.shape[-2:] != rho.shape[-2:]):
+    rho, sigma = _as_square(rho, stack=True), _as_square(sigma, stack=True)
+    if sigma.shape[-1] != rho.shape[-1]:
         raise ValueError(f"dimension mismatch: system {rho.shape} vs frame particle {sigma.shape}")
     n_rounds = _round_count(n_rounds)
-    if not (np.isfinite(rho).all() and np.isfinite(sigma).all()):
-        raise ValueError("matrix has non-finite entries")
     a = a[..., None, None] / n_rounds
     c, s = np.cos(a), np.sin(a)
     k = (1j * c * s) * (sigma @ rho - rho @ sigma)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from swapframe.basis import (
     DegenerateBasisError,
     OperatorBasis,
-    basis_from_states,
     build_state_basis,
     _dual_basis,
     _gell_mann_generators,
@@ -134,11 +134,10 @@ def test_alpha_max_qubit_value():
     assert np.sqrt(3.0) * np.pi * hs_max == pytest.approx(basis.alpha_max)
 
 
-def test_alpha_max_unit_norm_duals():
-    # duals of unit Hilbert-Schmidt norm and three generators give sqrt(3)*pi
-    unit_duals = (I2 / np.sqrt(2), X / np.sqrt(2), Y / np.sqrt(2), Z / np.sqrt(2))
-    basis = OperatorBasis(unit_duals[1:])
-    assert basis.alpha_max == pytest.approx(np.pi * np.sqrt(3.0))
+def test_operator_basis_refuses_states_that_are_not_density_operators():
+    # Pauli/sqrt(2) have unit Hilbert-Schmidt norm but trace 0, so they are not states
+    with pytest.raises(ValueError, match="trace"):
+        OperatorBasis(np.array([X, Y, Z]) / np.sqrt(2))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -176,12 +175,21 @@ def test_basis_is_one_read_only_stack():
     np.testing.assert_array_equal(rebuilt.states[0], (I2 + X) / 2)
 
 
-def test_basis_from_states_validates():
-    with pytest.raises(ValueError):
-        basis_from_states(2, [I2 / 2, I2 / 2])  # wrong count
-    with pytest.raises(ValueError):
-        basis_from_states(2, [np.diag([2.0, -1.0])] * 3)  # not density operators
+def test_operator_basis_validates_its_states():
+    with pytest.raises(ValueError, match=r"d\^2 - 1 states"):
+        OperatorBasis([I2 / 2, I2 / 2])  # wrong count
+    with pytest.raises(ValueError, match=r"d\^2 - 1 states"):
+        OperatorBasis(np.array([(I2 + X) / 2, (I2 + Z) / 2]))  # two of the three qubit states
+    with pytest.raises(ValueError, match=r"d\^2 - 1 states"):
+        OperatorBasis([np.eye(3) / 3] * 3)  # three qutrit states, the count for d = 2
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        OperatorBasis([np.diag([2.0, -1.0])] * 3)  # not density operators
     with pytest.raises(DegenerateBasisError):
-        basis_from_states(2, [(I2 + X) / 2, (I2 + X) / 2, (I2 + Z) / 2])
-    with pytest.raises(ValueError, match="dimension 2"):
-        basis_from_states(2, [np.eye(3) / 3] * 3)  # three qutrit states, right count for d = 2
+        OperatorBasis([(I2 + X) / 2, (I2 + X) / 2, (I2 + Z) / 2])
+
+
+def test_json_dimension_must_match_the_states():
+    doc = json.loads(build_state_basis(2).to_json())
+    doc["dimension"] = 3
+    with pytest.raises(ValueError, match="states have dimension 2, 'dimension' says 3"):
+        OperatorBasis.from_json(json.dumps(doc))

@@ -249,28 +249,49 @@ def test_principal_generator_roundtrip(d):
         assert operator_norm(exp_neg_i(h, 1.0) - u) < 1e-9
 
 
-@settings(max_examples=60)
-@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e-13, 1e-13),
-       at_cut=st.integers(1, 5), degenerate_rest=st.booleans())
-@example(d=2, seed=0, offset=0.0, at_cut=2, degenerate_rest=False)
-@example(d=4, seed=1, offset=-1e-13, at_cut=1, degenerate_rest=True)
-@example(d=3, seed=2, offset=1e-13, at_cut=2, degenerate_rest=True)
-def test_principal_generator_roundtrip_at_branch_cut_and_degenerate(
-        d, seed, offset, at_cut, degenerate_rest):
-    rng = np.random.default_rng(seed)
+def _unitary_with_phases(rng, phases):
+    """exp(-i·V·diag(phases)·V†) for a random unitary V."""
+    d = len(phases)
     q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    # U = exp(-iH) with some eigenphases of H within 1e-13 of -pi, the rest
-    # random or all equal
+    return (v * np.exp(-1j * phases)) @ v.conj().T
+
+
+@settings(max_examples=60)
+@given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e-13, 1e-13),
+       at_cut=st.integers(1, 5), clusters=st.integers(0, 4), jitter=st.floats(0.0, 1e-13))
+@example(d=2, seed=0, offset=0.0, at_cut=2, clusters=0, jitter=0.0)
+@example(d=4, seed=1, offset=-1e-13, at_cut=1, clusters=1, jitter=0.0)
+@example(d=3, seed=2, offset=1e-13, at_cut=2, clusters=1, jitter=0.0)
+@example(d=16, seed=3, offset=0.0, at_cut=5, clusters=3, jitter=1e-13)
+@example(d=12, seed=4, offset=1e-13, at_cut=4, clusters=2, jitter=1e-15)
+def test_principal_generator_roundtrip_at_branch_cut_and_degenerate(
+        d, seed, offset, at_cut, clusters, jitter):
+    rng = np.random.default_rng(seed)
+    # U = exp(-iH) with some eigenphases of H within 2e-13 of -pi, the rest random
+    # (clusters = 0) or drawn from that many values, each spread by up to jitter
     phases = rng.uniform(-np.pi, np.pi, d)
     phases[:at_cut] = -np.pi + offset
-    if degenerate_rest:
-        phases[at_cut:] = phases[-1]
-    u = (v * np.exp(-1j * phases)) @ v.conj().T
+    if clusters:
+        phases[at_cut:] = rng.choice(rng.uniform(-np.pi, np.pi, clusters), d)[at_cut:]
+    u = _unitary_with_phases(rng, phases + rng.uniform(-jitter, jitter, d))
     h = principal_generator(u)
     w = np.linalg.eigvalsh(h)
     assert w[0] > -np.pi and w[-1] <= np.pi + 1e-12
-    assert np.max(np.abs(exp_neg_i(h) - u)) <= 1e-9
+    assert np.max(np.abs(exp_neg_i(h) - u)) <= 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-15, 1e-14, 1e-13])
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_principal_generator_near_degenerate_pair_split_by_the_branch_rule(d, gap):
+    # two eigenphases of U a gap apart on either side of -pi + 1e-12, where the
+    # branch rule maps one to about +pi and keeps the other near -pi
+    rng = rng_from_seed(40 + d)
+    for _ in range(20):
+        phases = rng.uniform(-np.pi, np.pi, d)
+        phases[:2] = -np.pi + 1e-12 + np.array([-gap, gap]) / 2
+        u = _unitary_with_phases(rng, phases)
+        assert np.max(np.abs(exp_neg_i(principal_generator(u)) - u)) <= 1e-12
 
 
 def test_norms_small_cases():

@@ -11,13 +11,13 @@ import swapframe as sf
 PUBLIC_NAMES = [
     "BatteryCheck", "BatteryLedger", "ConvergenceTable", "DegenerateBasisError",
     "ExtensiveObservable", "GeneratorDecomposition", "OperatorBasis", "ProtocolResult",
-    "ProtocolSpec", "SweepRow", "ThermalSpec", "WorkRecord", "basis", "basis_from_states",
-    "battery_deviation_check", "block_bound", "bounds", "build_state_basis", "check_density",
-    "check_unitary", "conservation", "convergence_sweep", "dagger", "decompose_generator",
-    "exp_neg_i", "fit_loglog_slope", "free_entropy", "hermitian_eig", "implicit_work", "linalg",
-    "operator_norm", "partial_trace", "principal_generator", "protocol", "run_protocol",
-    "single_step_bound", "step_channel", "tensor", "thermal_state", "thermo", "total_bound",
-    "trace_norm", "von_neumann_entropy", "work_accounting",
+    "ProtocolSpec", "SweepRow", "ThermalSpec", "WorkRecord", "basis", "battery_deviation_check",
+    "block_bound", "bounds", "build_state_basis", "check_density", "check_unitary", "conservation",
+    "convergence_sweep", "dagger", "decompose_generator", "exp_neg_i", "fit_loglog_slope",
+    "free_entropy", "hermitian_eig", "implicit_work", "linalg", "operator_norm", "partial_trace",
+    "principal_generator", "protocol", "run_protocol", "single_step_bound", "step_channel",
+    "tensor", "thermal_state", "thermo", "total_bound", "trace_norm", "von_neumann_entropy",
+    "work_accounting",
 ]
 
 
@@ -30,7 +30,7 @@ def test_public_names_are_pinned():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
 
 
 def test_dense_oracle_imports_no_swapframe_module():
@@ -39,6 +39,16 @@ def test_dense_oracle_imports_no_swapframe_module():
         [sys.executable, "-c", "import sys, dense_oracle; "
          "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'swapframe'))"],
         capture_output=True, text=True, check=True, cwd=Path(__file__).parent,
+    )
+    assert proc.stdout.split() == []
+
+
+def test_package_imports_no_scipy_module():
+    # numpy is the one runtime dependency; scipy is a test-only reference
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, swapframe, swapframe.cli; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == []
 
