@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _integer
+
 E_MINUS_2 = float(np.e - 2.0)
 
 # Measured errors at or below this level are fp noise; excluded from rate fits.
 FIT_FLOOR = 1e-14
-
-
-def _round_count(n) -> int:
-    """``n`` as an int, checked to be a round count: an integer (no bool) of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"round count must be >= 1 and an integer, got {n!r}")
-    return int(n)
 
 
 def single_step_bound(alpha: float, n_rounds: int):
@@ -32,7 +27,7 @@ def single_step_bound(alpha: float, n_rounds: int):
 
     Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``.
     """
-    value = 8.0 * E_MINUS_2 * (alpha / _round_count(n_rounds)) ** 2
+    value = 8.0 * E_MINUS_2 * (alpha / _integer(n_rounds, "round count", 1)) ** 2
     return value, n_rounds >= 2.0 * abs(alpha)
 
 
@@ -46,7 +41,7 @@ def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
 
     Returns ``((8 D^2 amax^2 + 4 pi^2 (e-2)(D+1)) / N^2, N >= 4 D amax)``.
     """
-    d_gen, n_rounds = n_generators, _round_count(n_rounds)
+    d_gen, n_rounds = n_generators, _integer(n_rounds, "round count", 1)
     value = (8.0 * d_gen**2 * alpha_max**2
              + 4.0 * np.pi**2 * E_MINUS_2 * (d_gen + 1)) / n_rounds**2
     return float(value), n_rounds >= _n_min(d_gen, alpha_max)
@@ -114,7 +109,7 @@ def convergence_sweep(spec, n_list) -> ConvergenceTable:
     """Decay-rate fit over ascending integer round counts; the target is prepared once."""
     from .protocol import _protocol_runs
 
-    n_list = [_round_count(n) for n in n_list]
+    n_list = [_integer(n, "round count", 1) for n in n_list]
     if len(n_list) < 3:
         raise ValueError("need at least three round counts")
     if sorted(n_list) != n_list:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _reduce, is_hermitian
+from .linalg import _as_square, _integer, is_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,43 +45,56 @@ def _charge_set(charges, d: int) -> tuple:
     return charges
 
 
-def _charge_matrix(charge) -> np.ndarray:
-    if isinstance(charge, ExtensiveObservable):
-        return charge.matrix
-    return np.asarray(charge, dtype=complex)
+def _slot_values(charges, op, dims, slots) -> np.ndarray:
+    """``(K, S)`` array of tr(A_k · Tr_{not s} op), one row per charge A_k, one column per slot s.
 
-
-def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
-    """Sum over ``slots`` of tr(A_k · Tr_{not s} op), one value per charge A_k.
-
-    Equals tr(A_total · op) for each charge summed over those slots of a joint
-    space with subsystem ``dims``. Each slot is reduced once and contracted
-    with the whole charge stack, so the cost does not grow with the count.
+    All the marginals come from one gather of ``op`` whose index depends on ``dims`` and
+    ``slots`` alone, so the numpy call count does not grow with the slots. When the one slot
+    is the whole space (``implicit_work`` on a single system) the marginal is ``op`` itself.
     """
-    mats = np.array([_charge_matrix(c) for c in charges], dtype=complex)
+    mats = np.array([getattr(c, "matrix", c) for c in charges], dtype=complex)
+    if not len(mats):
+        raise ValueError("need at least one charge")
     op = _as_square(op)
-    if op.shape[0] != math.prod(dims):
-        raise ValueError(f"subsystem dims {tuple(dims)} do not match matrix dimension {op.shape[0]}")
-    d = mats.shape[-1]
+    dims = [_integer(d, "subsystem dim", 1) for d in dims]
+    total, d = op.shape[0], mats.shape[-1]
+    if total != math.prod(dims):
+        raise ValueError(f"subsystem dims {tuple(dims)} do not match matrix dimension {total}")
+    slots = [_integer(s, "slot", 0) for s in slots]
     for slot in slots:
-        if not 0 <= slot < len(dims) or dims[slot] != d:
+        if slot >= len(dims) or dims[slot] != d:
             raise ValueError(
                 f"charge of dimension {d} does not fit slot {slot} of dims {tuple(dims)}"
             )
-    reduced = np.array([_reduce(op, dims, (slot,)) for slot in slots])
-    return np.einsum("kij,sji->k", mats, reduced.reshape(-1, d, d))
+    if total == d:  # the slot is the whole space: its marginal is op itself, with no index
+        marginals = op.T.reshape(1, d * d).repeat(len(slots), axis=0)
+    else:
+        # rows[s, i] lists, ascending, the joint indices whose slot-s digit is i: with the
+        # slot's stride t, the m-th is m + (m // t)·(d - 1)·t + i·t
+        t = np.array([total // math.prod(dims[:s + 1]) for s in slots], dtype=int)[:, None, None]
+        m = np.arange(total // d)
+        rows = m + t * (m // t * (d - 1) + np.arange(d)[:, None])
+        # entry (i, j) of slot s sums op[rows[s, j, m], rows[s, i, m]] over m: the transpose
+        marginals = op[rows[:, None], rows[:, :, None]].sum(-1).reshape(len(slots), d * d)
+    return mats.reshape(len(mats), d * d) @ marginals.T
+
+
+def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
+    """Sum over ``slots`` (a repeat counts twice) of tr(A_k · Tr_{not s} op), one value per
+    charge A_k: tr(A_total · op) over those slots of a joint space with subsystem ``dims``."""
+    return _slot_values(charges, op, dims, slots).sum(axis=1)
 
 
 def _charge_change(charges, before, after, dims, slots) -> np.ndarray:
-    """Real change of each charge's total over ``slots`` from ``before`` to ``after``.
+    """Real ``(K, S)`` change of each charge on each of ``slots`` from ``before`` to ``after``.
 
-    Checks that the states share a shape; ``extensive_expectation`` checks the rest.
+    Checks that the states share a shape; ``_slot_values`` checks the rest.
     """
     before = np.asarray(before, dtype=complex)
     after = np.asarray(after, dtype=complex)
     if before.shape != after.shape:
         raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape}")
-    return extensive_expectation(charges, after - before, dims, slots).real
+    return _slot_values(charges, after - before, dims, slots).real
 
 
 def uniform_dims(total: int, d: int) -> list[int]:

@@ -23,6 +23,13 @@ HERMITIAN_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
 
 
+def _integer(n, what: str, low: int) -> int:
+    """``n`` as an int, checked to be a Python or numpy integer (no bool) of at least ``low``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+        raise ValueError(f"{what} must be >= {low} and an integer, got {n!r}")
+    return int(n)
+
+
 def _as_matrix(a, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 and not (stack and a.ndim > 2):
@@ -67,17 +74,21 @@ def check_unitary(u) -> np.ndarray:
     return u
 
 
-def _density_spectrum(rho):
-    """``(rho, ascending eigenvalues)`` after the checks of ``check_density``."""
-    rho = _as_square(rho)
-    if _hermitian_defect(rho) > HERMITIAN_ATOL:
+def _density_spectrum(rho, stack: bool = False):
+    """``(rho, ascending eigenvalues)`` after the checks of ``check_density``, made on each
+    matrix of a stack (..., d, d) when ``stack``; an error quotes the worst member."""
+    rho = _as_square(rho, stack)
+    flat = rho.reshape(-1, *rho.shape[-2:])  # a single matrix is a stack of one
+    if max(_hermitian_defect(flat).tolist()) > HERMITIAN_ATOL:
         raise ValueError("density operator is not Hermitian")
-    if abs(rho.trace() - 1.0) > HERMITIAN_ATOL:
-        raise ValueError(f"density operator has trace {rho.trace():.12g}, expected 1")
-    w = np.linalg.eigvalsh(hermitize(rho))
-    if w[0] < -HERMITIAN_ATOL:
-        raise ValueError(f"density operator has negative eigenvalue {w[0]:.3e}")
-    return rho, w
+    trace = max(flat.trace(0, 1, 2).tolist(), key=lambda t: abs(t - 1.0))  # furthest from 1
+    if abs(trace - 1.0) > HERMITIAN_ATOL:
+        raise ValueError(f"density operator has trace {trace:.12g}, expected 1")
+    w = np.linalg.eigvalsh(hermitize(flat))
+    low = min(w[:, 0].tolist())
+    if low < -HERMITIAN_ATOL:
+        raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
+    return rho, w.reshape(rho.shape[:-1])
 
 
 def check_density(rho) -> np.ndarray:
@@ -112,13 +123,13 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     shape (..., D, D) is reduced matrix by matrix into (..., d_keep, d_keep).
     """
     op = _as_square(op, stack=True)
-    dims = [int(d) for d in dims]
+    dims = [_integer(d, "subsystem dim", 1) for d in dims]
     if op.shape[-1] != math.prod(dims):
         raise ValueError(
             f"subsystem dims {tuple(dims)} do not match matrix dimension {op.shape[-1]}"
         )
-    keep = sorted({int(k) for k in ([keep] if np.isscalar(keep) else keep)})
-    if any(k < 0 or k >= len(dims) for k in keep):
+    keep = sorted({_integer(k, "keep index", 0) for k in ([keep] if np.isscalar(keep) else keep)})
+    if keep and keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
     return _reduce(op, dims, keep)
 
@@ -191,8 +202,14 @@ def operator_norm(op) -> float:
     return float(np.max(_singular_values(_as_square(op))))
 
 
+def _entropy(rho, stack: bool = False):
+    """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0 and no warning, of a
+    density operator or, when ``stack``, of each matrix of a stack."""
+    w = _density_spectrum(rho, stack)[1]
+    w = np.where(w > 0, w, 1.0)  # 1·ln 1 = 0 stands in for each eigenvalue <= 0
+    return -(w * np.log(w)).sum(axis=-1)
+
+
 def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0."""
-    w = _density_spectrum(rho)[1]
-    nz = w[w > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(_entropy(rho))

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import OperatorBasis, decompose_generator
-from .bounds import _n_min, _round_count, total_bound
+from .bounds import _n_min, total_bound
 from .conservation import _charge_set
 from .linalg import (
     _as_square,
+    _integer,
     check_density,
     check_unitary,
     dagger,
@@ -50,7 +51,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     rho, sigma = _as_square(rho, stack=True), _as_square(sigma, stack=True)
     if sigma.shape[-1] != rho.shape[-1]:
         raise ValueError(f"dimension mismatch: system {rho.shape} vs frame particle {sigma.shape}")
-    n_rounds = _round_count(n_rounds)
+    n_rounds = _integer(n_rounds, "round count", 1)
     a = a[..., None, None] / n_rounds
     c, s = np.cos(a), np.sin(a)
     k = (1j * c * s) * (sigma @ rho - rho @ sigma)
@@ -141,7 +142,7 @@ class ProtocolSpec:
     def __post_init__(self):
         target = check_unitary(self.target)
         rho = check_density(self.rho_s)
-        object.__setattr__(self, "n_rounds", _round_count(self.n_rounds))
+        object.__setattr__(self, "n_rounds", _integer(self.n_rounds, "round count", 1))
         d = self.basis.dim
         if target.shape != (d, d) or rho.shape != (d, d):
             raise ValueError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conservation import _charge_change, _charge_set, extensive_expectation, uniform_dims
-from .linalg import _reduce, hermitize, operator_norm, von_neumann_entropy
+from .linalg import _entropy, _integer, _reduce, hermitize, operator_norm, von_neumann_entropy
 from .protocol import ProtocolResult
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
@@ -75,13 +75,14 @@ def thermal_state(spec: ThermalSpec):
 def free_entropy(rho, spec: ThermalSpec) -> float:
     """F = sum_i beta_i <A_i total> - S(rho) for a state on n charge-sized subsystems.
 
-    n is inferred from the state dimension, which must be a power of the
-    charge dimension. For n = 1 the thermal state minimizes F at -ln Z.
+    The weighted sum is one contraction with the spec's stored exponent. n is
+    inferred from the state dimension, which must be a power of the charge
+    dimension. For n = 1 the thermal state minimizes F at -ln Z.
     """
     entropy = von_neumann_entropy(rho)
     dims = uniform_dims(len(rho), spec.dim)
-    totals = extensive_expectation(spec.charges, rho, dims, range(len(dims))).real
-    return float(np.dot(spec.betas, totals)) - entropy
+    weighted = extensive_expectation((spec.exponent,), rho, dims, range(len(dims)))[0].real
+    return float(weighted) - entropy
 
 
 @dataclass(frozen=True)
@@ -105,30 +106,33 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
 
     ``bath`` and ``system`` list the slots in each partition block (the system
     block may be empty). Work of type A_i is -d<A_i on system slots>
-    - d<A_i on bath slots>; the free-entropy change is evaluated on the
-    reduced system state.
+    - d<A_i on bath slots>. The free-entropy change is the system slots' share
+    of that change, weighted by beta_i, minus the entropy change of the reduced
+    system state; one stacked spectrum gives both entropies.
 
-    ``conservation``'s charge-change helper checks the states and slots (same
-    shape, square, finite, ``dims``, slot range and dimension); only a
-    repeated or shared slot and an empty bath are checked here.
+    Slots and dims must be integers. ``conservation``'s charge-change helper
+    checks the states and slots (same shape, square, finite, ``dims``, slot
+    range and dimension); a repeated or shared slot and an empty bath are
+    checked here.
     """
-    dims = [int(d) for d in dims]
-    bath = tuple(int(s) for s in bath)
-    system = tuple(int(s) for s in system)
+    dims = list(dims)
+    bath = tuple(_integer(s, "slot", 0) for s in bath)
+    system = tuple(_integer(s, "slot", 0) for s in system)
     if len({*bath, *system}) != len(bath) + len(system):
         raise ValueError(f"bath {bath} and system {system} slots overlap or repeat a slot")
     if not bath:
         raise ValueError("need at least one bath slot")
 
     # the helper checks after - before, which is finite only when both states are
-    deltas = _charge_change(spec.charges, before, after, dims, (*system, *bath))
-    works = {c.label: -float(delta) for c, delta in zip(spec.charges, deltas)}
+    deltas = _charge_change(spec.charges, before, after, dims, (*system, *bath)).tolist()
+    works = {c.label: -sum(row) for c, row in zip(spec.charges, deltas)}
 
     delta_f = 0.0
     if system:
         pair = np.array([before, after], dtype=complex)
-        rho_before, rho_after = _reduce(pair, dims, sorted(system))
-        delta_f = free_entropy(rho_after, spec) - free_entropy(rho_before, spec)
+        s_before, s_after = _entropy(_reduce(pair, dims, sorted(system)), stack=True)
+        weighted_change = sum(b * sum(row[:len(system)]) for b, row in zip(spec.betas, deltas))
+        delta_f = weighted_change - float(s_after - s_before)
 
     weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))
     return WorkRecord(
@@ -152,7 +156,7 @@ def implicit_work(before, after, charges) -> dict:
         raise ValueError("need at least one charge")
     charges = _charge_set(charges, charges[0].dim)
     dims = uniform_dims(len(before), charges[0].dim)
-    deltas = _charge_change(charges, before, after, dims, range(len(dims)))
+    deltas = _charge_change(charges, before, after, dims, range(len(dims))).sum(axis=1)
     return {c.label: -float(delta) for c, delta in zip(charges, deltas)}
 
 

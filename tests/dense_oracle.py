@@ -6,6 +6,8 @@ slow, obvious way on the joint space, so a test that compares the library
 against them does not check the library against itself.
 """
 
+import math
+
 import numpy as np
 
 
@@ -20,11 +22,15 @@ def partial_swap(alpha: float, n: int, d: int) -> np.ndarray:
     return np.cos(a) * np.eye(d * d, dtype=complex) - 1j * np.sin(a) * swap(d)
 
 
-def lift(a, n: int) -> np.ndarray:
-    """Extensive total of a d×d charge over n subsystems: the sum of 1⊗…⊗a⊗…⊗1."""
+def lift(a, n, slots=None) -> np.ndarray:
+    """Extensive total of a charge, the sum of 1⊗…⊗a⊗…⊗1 over ``slots`` (default: every slot).
+
+    ``n`` is a subsystem count, each of a's dimension, or a list of subsystem dimensions.
+    """
     a = np.asarray(a, dtype=complex)
-    d = a.shape[0]
-    return sum(np.kron(np.kron(np.eye(d**k), a), np.eye(d ** (n - k - 1))) for k in range(n))
+    dims = [a.shape[0]] * n if isinstance(n, int) else list(n)
+    return sum(np.kron(np.kron(np.eye(math.prod(dims[:k])), a), np.eye(math.prod(dims[k + 1:])))
+               for k in (range(len(dims)) if slots is None else slots))
 
 
 def commutator_norm(v, a) -> float:

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dense_oracle import commutator_norm, lift, partial_swap
 from swapframe.conservation import ExtensiveObservable, extensive_expectation
-from swapframe.linalg import dagger, exp_neg_i, tensor
+from swapframe.linalg import dagger, exp_neg_i, partial_trace, tensor
 from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import implicit_work
 
@@ -161,3 +165,50 @@ def test_extensive_expectation_rejects_bad_input():
         extensive_expectation((Z,), np.eye(4), [2, 2], [2])
     with pytest.raises(ValueError, match="do not match"):
         extensive_expectation((Z,), np.eye(4), [2, 2, 2], [0])
+    with pytest.raises(ValueError, match="at least one charge"):
+        extensive_expectation((), np.eye(4), [2, 2], [])
+
+
+def test_extensive_expectation_reads_dims_and_slots_as_integers():
+    # a float slot raised a TypeError, and a bool slot was read as slot 0 or 1
+    op = np.eye(4, dtype=complex) / 4
+    for dims, slots in (([2, 2], [1.5]), ([2, 2], [True]), ([2.9, 2], [0]), ([2, 2], [-1])):
+        with pytest.raises(ValueError, match="and an integer"):
+            extensive_expectation((Z,), op, dims, slots)
+    np.testing.assert_allclose(extensive_expectation((Z,), op, np.array([2, 2]), [np.int64(1)]),
+                               [0.0], rtol=0, atol=1e-15)
+
+
+# no slot has to fit the charges when there are none: dims [3] and [3, 3] hold no qubit
+@pytest.mark.parametrize("dims", [[2], [2, 2, 2], [3], [3, 3]])
+def test_extensive_expectation_of_no_slots_is_zero_per_charge(dims):
+    op = random_density(math.prod(dims), rng_from_seed(46))
+    values = extensive_expectation((Z, X, I2), op, dims, [])
+    assert values.shape == (3,)
+    assert not values.any()
+
+
+def _fit_in_64(dims):
+    """The longest prefix of ``dims`` whose joint dimension is at most 64."""
+    kept = []
+    for d in dims:
+        if math.prod(kept) * d > 64:
+            break
+        kept.append(d)
+    return kept
+
+
+@given(st.data())
+def test_extensive_expectation_is_the_sum_of_slot_marginals(data):
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6).map(_fit_in_64))
+    d = data.draw(st.sampled_from(dims))
+    # any slot list: a subset, in any order, with repeats, or empty
+    slots = data.draw(st.lists(st.sampled_from([i for i, x in enumerate(dims) if x == d]),
+                               max_size=6))
+    rng = rng_from_seed(data.draw(st.integers(0, 2**16)))
+    op = gaussian_matrix(math.prod(dims), rng)
+    charges = [random_hermitian(d, rng) for _ in range(data.draw(st.integers(1, 3)))]
+    values = extensive_expectation(charges, op, dims, slots)
+    expected = [sum((np.trace(a @ partial_trace(op, dims, s)) for s in slots), 0j) for a in charges]
+    assert values.shape == (len(charges),)
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)

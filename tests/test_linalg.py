@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -424,3 +425,38 @@ def test_public_function_checks_its_matrix_once(monkeypatch, call):
     monkeypatch.setattr(linalg, "_as_matrix", counting)
     call()
     assert len(checked) == 1
+
+
+def test_partial_trace_reads_dims_and_keep_as_integers():
+    # a float or bool index or dimension was once truncated to a valid one and used silently
+    joint = np.eye(4, dtype=complex) / 4
+    for dims, keep in (([2, 2], 1.5), ([2, 2], [0.0]), ([2, 2], True), ([2.9, 2], 0), ([2, 2.0], 0)):
+        with pytest.raises(ValueError, match="and an integer"):
+            partial_trace(joint, dims, keep)
+    reduced = partial_trace(joint, np.array([2, 2]), np.int64(1))
+    np.testing.assert_allclose(reduced, I2 / 2, rtol=0, atol=1e-15)
+
+
+def test_stacked_entropy_matches_each_member_without_a_warning():
+    # a zero eigenvalue would warn in 0·ln 0, and pytest turns that warning into an error
+    pure = np.diag([1.0, 0.0]).astype(complex)
+    stack = np.array([pure, I2 / 2, random_density(2, rng_from_seed(15))])
+    entropies = linalg._entropy(stack, stack=True)
+    assert entropies.shape == (3,)
+    for rho, entropy in zip(stack, entropies):
+        assert abs(entropy - von_neumann_entropy(rho)) <= 1e-15
+    assert von_neumann_entropy(pure) == 0.0
+    with pytest.raises(ValueError, match="expected a matrix"):
+        von_neumann_entropy(stack)  # the public entropy takes one matrix
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "density operator is not Hermitian"),
+    (np.diag([0.7, 0.5]), "density operator has trace 1.2+0j, expected 1"),
+    (np.diag([1.5, -0.5]), "density operator has negative eigenvalue -5.000e-01"),
+], ids=["non-hermitian", "trace", "negative"])
+def test_stacked_density_checks_reach_every_member(bad, message):
+    stack = np.array([I2 / 2, bad.astype(complex)])
+    for check in (lambda: linalg._entropy(stack, stack=True), lambda: check_density(bad)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()

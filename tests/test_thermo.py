@@ -1,12 +1,14 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dense_oracle import lift, swap
+from swapframe import conservation, linalg, thermo
 from swapframe.basis import build_state_basis
 from swapframe.conservation import ExtensiveObservable
-from swapframe.linalg import dagger, exp_neg_i, tensor
+from swapframe.linalg import dagger, exp_neg_i, partial_trace, tensor
 from swapframe.protocol import ProtocolSpec, run_protocol
 from swapframe.rand import haar_unitary, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import (
@@ -289,3 +291,71 @@ def test_battery_bound_matches_dense_lift(n):
     checks = battery_deviation_check(run_protocol(spec), {"A": 0.0}, epsilon, (charge,))
     expected = epsilon * np.linalg.norm(lift(charge.matrix, n), 2)
     assert abs(checks["A"].bound - expected) <= 1e-12
+
+
+def test_work_accounting_reads_slots_and_dims_as_integers():
+    # each of these was once truncated to a valid slot or dimension and booked silently
+    joint = np.eye(4, dtype=complex) / 4
+    for dims, bath, system in (([2, 2], [1.7], [0.2]), ([2.9, 2], [1], []),
+                               ([2, 2], [True], []), ([2, 2], [1], [False])):
+        with pytest.raises(ValueError, match="and an integer"):
+            work_accounting(joint, joint, dims, bath=bath, spec=ZX_SPEC, system=system)
+    record = work_accounting(joint, joint, np.array([2, 2]), bath=[np.int64(1)], spec=ZX_SPEC,
+                             system=(np.int32(0),))
+    assert record.works == {"Z": 0.0, "X": 0.0}
+
+
+def test_work_accounting_free_entropy_change_matches_dense_oracle_on_mixed_dims():
+    # unsorted, non-contiguous system slots, and a dimension-3 spectator at slot 1
+    rng = rng_from_seed(76)
+    dims, system, bath = [2, 3, 2, 2], (2, 0), (3,)
+    spec = ThermalSpec(charges=(CHARGE_X, ExtensiveObservable(Y, "Y"), CHARGE_Z),
+                       betas=(0.3, 0.5, 0.7))
+    tau, _ = thermal_state(spec)
+    before = tensor(random_density(2, rng), random_density(3, rng), random_density(2, rng), tau)
+    u = haar_unitary(24, rng)
+    after = u @ before @ dagger(u)
+    record = work_accounting(before, after, dims, bath=bath, spec=spec, system=system)
+    for charge in spec.charges:
+        expected = -np.trace(lift(charge.matrix, dims, (*system, *bath)) @ (after - before)).real
+        assert abs(expected) > 1e-3
+        assert abs(record.works[charge.label] - expected) <= 1e-12
+    rho_before, rho_after = (partial_trace(state, dims, [0, 2]) for state in (before, after))
+    expected = free_entropy(rho_after, spec) - free_entropy(rho_before, spec)
+    assert abs(expected) > 1e-3
+    assert abs(record.delta_free_entropy - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "density operator is not Hermitian"),
+    (np.diag([0.7, 0.5]), "density operator has trace 1.2+0j, expected 1"),
+    (np.diag([1.5, -0.5]), "density operator has negative eigenvalue -5.000e-01"),
+], ids=["non-hermitian", "trace", "negative"])
+def test_work_accounting_checks_the_after_system_marginal(bad, message):
+    tau, _ = thermal_state(ZX_SPEC)
+    before = tensor(np.diag([0.25, 0.75]).astype(complex), tau)
+    after = tensor(bad.astype(complex), tau)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        work_accounting(before, after, [2, 2], bath=[1], spec=ZX_SPEC, system=[0])
+
+
+def test_work_accounting_reduces_once_with_a_system_and_never_without(monkeypatch):
+    # both system marginals come from one partial trace; charge changes need none
+    calls = []
+    reduce = linalg._reduce
+
+    def counting(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    for module in (linalg, conservation, thermo):  # every module that could hold the name
+        monkeypatch.setattr(module, "_reduce", counting, raising=False)
+    tau, _ = thermal_state(ZX_SPEC)
+    before = tensor(random_density(2, rng_from_seed(77)), tau, tau)
+    u = np.kron(I2, haar_unitary(4, rng_from_seed(78)))
+    after = u @ before @ dagger(u)
+    work_accounting(before, after, [2, 2, 2], bath=[1, 2], spec=ZX_SPEC, system=[0])
+    assert len(calls) == 1
+    calls.clear()
+    work_accounting(before, after, [2, 2, 2], bath=[0, 1, 2], spec=ZX_SPEC)
+    assert calls == []
