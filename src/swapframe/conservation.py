@@ -45,19 +45,19 @@ def _charge_set(charges, d: int) -> tuple:
     return charges
 
 
-def _slot_values(charges, op, dims, slots) -> np.ndarray:
-    """``(K, S)`` array of tr(A_k · Tr_{not s} op), one row per charge A_k, one column per slot s.
+def _slot_values(charges, op, dims, slots, stack: bool = False) -> np.ndarray:
+    """``(K, S)`` array of tr(A_k · Tr_{not s} op), one row per charge A_k, one column per slot s,
+    or ``(..., K, S)`` for each matrix of a stack ``op`` (..., D, D) when ``stack``.
 
-    All the marginals come from one gather of ``op`` whose index depends on ``dims`` and
-    ``slots`` alone, so the numpy call count does not grow with the slots. When the one slot
-    is the whole space (``implicit_work`` on a single system) the marginal is ``op`` itself.
+    One gather of ``op``, indexed by ``dims`` and ``slots`` alone, gives every marginal, so the
+    numpy call count grows with neither; a slot that is the whole space takes ``op`` itself.
     """
     mats = np.array([getattr(c, "matrix", c) for c in charges], dtype=complex)
     if not len(mats):
         raise ValueError("need at least one charge")
-    op = _as_square(op)
+    op = _as_square(op, stack)
     dims = [_integer(d, "subsystem dim", 1) for d in dims]
-    total, d = op.shape[0], mats.shape[-1]
+    total, d, lead = op.shape[-1], mats.shape[-1], op.shape[:-2]
     if total != math.prod(dims):
         raise ValueError(f"subsystem dims {tuple(dims)} do not match matrix dimension {total}")
     slots = [_integer(s, "slot", 0) for s in slots]
@@ -67,7 +67,7 @@ def _slot_values(charges, op, dims, slots) -> np.ndarray:
                 f"charge of dimension {d} does not fit slot {slot} of dims {tuple(dims)}"
             )
     if total == d:  # the slot is the whole space: its marginal is op itself, with no index
-        marginals = op.T.reshape(1, d * d).repeat(len(slots), axis=0)
+        marginals = op.swapaxes(-1, -2).reshape(*lead, 1, d * d).repeat(len(slots), axis=-2)
     else:
         # rows[s, i] lists, ascending, the joint indices whose slot-s digit is i: with the
         # slot's stride t, the m-th is m + (m // t)·(d - 1)·t + i·t
@@ -75,8 +75,8 @@ def _slot_values(charges, op, dims, slots) -> np.ndarray:
         m = np.arange(total // d)
         rows = m + t * (m // t * (d - 1) + np.arange(d)[:, None])
         # entry (i, j) of slot s sums op[rows[s, j, m], rows[s, i, m]] over m: the transpose
-        marginals = op[rows[:, None], rows[:, :, None]].sum(-1).reshape(len(slots), d * d)
-    return mats.reshape(len(mats), d * d) @ marginals.T
+        marginals = op[..., rows[:, None], rows[:, :, None]].sum(-1).reshape(*lead, -1, d * d)
+    return mats.reshape(len(mats), d * d) @ marginals.swapaxes(-1, -2)
 
 
 def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
@@ -85,16 +85,20 @@ def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
     return _slot_values(charges, op, dims, slots).sum(axis=1)
 
 
-def _charge_change(charges, before, after, dims, slots) -> np.ndarray:
-    """Real ``(K, S)`` change of each charge on each of ``slots`` from ``before`` to ``after``.
+def _charge_change(charges, before, after, dims, slots, stack: bool = False) -> np.ndarray:
+    """Real ``(K, S)`` change of each charge on each of ``slots`` from ``before`` to ``after``, or
+    ``(n, K, S)`` to each of a stack ``after`` (n, *before.shape) when ``stack``.
 
     Checks that the states share a shape; ``_slot_values`` checks the rest.
     """
     before = np.asarray(before, dtype=complex)
     after = np.asarray(after, dtype=complex)
-    if before.shape != after.shape:
-        raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape}")
-    return _slot_values(charges, after - before, dims, slots).real
+    if before.shape != after.shape[stack:]:
+        raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape[stack:]}")
+    if stack and (before.ndim != 2 or before.shape[0] != before.shape[1]):
+        _as_square(before)  # raises what the change of one state would
+    op = after - (before[None] if stack else before)  # same shapes: numpy's fast path at n = 1
+    return _slot_values(charges, op, dims, slots, stack).real
 
 
 def uniform_dims(total: int, d: int) -> list[int]:

@@ -1,9 +1,9 @@
 """Seeded random operators and states.
 
-Unitaries are drawn Haar-like by QR-decomposing a complex Gaussian matrix and
-absorbing the phases of R's diagonal; states come from normalized Gaussian
-purifications. Everything takes a ``numpy.random.Generator`` so identical
-seeds reproduce bit-for-bit.
+Unitaries are drawn Haar-like by QR-decomposing a complex Gaussian matrix and absorbing
+the phases of R's diagonal; a stack of them takes one stacked QR of the stream that as many
+single draws read. States come from normalized Gaussian purifications. Everything takes
+a ``numpy.random.Generator`` so identical seeds reproduce bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,10 +21,16 @@ def gaussian_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
+def _haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``(count, d, d)`` Haar unitaries: per draw a real, then an imaginary Gaussian block."""
+    g = rng.standard_normal((count, 2, d, d))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[:, None, :]
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(gaussian_matrix(d, rng))
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    return _haar_unitaries(d, 1, rng)[0]
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -108,13 +108,18 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     block may be empty). Work of type A_i is -d<A_i on system slots>
     - d<A_i on bath slots>. The free-entropy change is the system slots' share
     of that change, weighted by beta_i, minus the entropy change of the reduced
-    system state; one stacked spectrum gives both entropies.
+    system state. It is the record of a stack of one ``after`` (one gather, one spectrum).
 
     Slots and dims must be integers. ``conservation``'s charge-change helper
     checks the states and slots (same shape, square, finite, ``dims``, slot
     range and dimension); a repeated or shared slot and an empty bath are
     checked here.
     """
+    return _work_records(before, np.asarray(after, dtype=complex)[None], dims, bath, spec, system)[0]
+
+
+def _work_records(before, afters, dims, bath, spec: ThermalSpec, system=()) -> list:
+    """``work_accounting`` from ``before`` to each state of the stack ``afters``, in order."""
     dims = list(dims)
     bath = tuple(_integer(s, "slot", 0) for s in bath)
     system = tuple(_integer(s, "slot", 0) for s in system)
@@ -124,23 +129,19 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
         raise ValueError("need at least one bath slot")
 
     # the helper checks after - before, which is finite only when both states are
-    deltas = _charge_change(spec.charges, before, after, dims, (*system, *bath)).tolist()
-    works = {c.label: -sum(row) for c, row in zip(spec.charges, deltas)}
-
-    delta_f = 0.0
-    if system:
-        pair = np.array([before, after], dtype=complex)
-        s_before, s_after = _entropy(_reduce(pair, dims, sorted(system)), stack=True)
-        weighted_change = sum(b * sum(row[:len(system)]) for b, row in zip(spec.betas, deltas))
-        delta_f = weighted_change - float(s_after - s_before)
-
-    weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))
-    return WorkRecord(
-        works=works,
-        delta_free_entropy=delta_f,
-        margin_bath_only=-weighted,
-        margin_with_system=-delta_f - weighted,
-    )
+    changes = _charge_change(spec.charges, before, afters, dims, (*system, *bath), stack=True)
+    if system:  # entropies of the system before, then after each state
+        states = np.concatenate((np.asarray(before, dtype=complex)[None], afters))
+        entropies = _entropy(_reduce(states, dims, sorted(system)), stack=True).tolist()
+    records = []
+    for i, deltas in enumerate(changes.tolist()):
+        works = {c.label: -sum(row) for c, row in zip(spec.charges, deltas)}
+        weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))
+        delta_f = (sum(b * sum(row[:len(system)]) for b, row in zip(spec.betas, deltas))
+                   - (entropies[i + 1] - entropies[0])) if system else 0.0
+        records.append(WorkRecord(works=works, delta_free_entropy=delta_f,
+                                  margin_bath_only=-weighted, margin_with_system=-delta_f - weighted))
+    return records
 
 
 def implicit_work(before, after, charges) -> dict:

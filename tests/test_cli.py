@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,13 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapframe import cli
+from swapframe import cli, rand
 from swapframe.basis import build_state_basis
 from swapframe.cli import ConfigError, main, parse_matrix
 from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import dagger, exp_neg_i
 from swapframe.protocol import ProtocolSpec, run_protocol
-from swapframe.thermo import SECOND_LAW_SLACK, battery_deviation_check, implicit_work
+from swapframe.rand import haar_unitary, rng_from_seed
+from swapframe.thermo import (
+    SECOND_LAW_SLACK,
+    ThermalSpec,
+    battery_deviation_check,
+    implicit_work,
+    thermal_state,
+    work_accounting,
+)
 
 GENERIC_STATE = [
     [[0.85, 0.0], [0.15, -0.1]],
@@ -152,6 +161,92 @@ def test_thermo_mode(tmp_path):
     assert doc["ln_z"] == pytest.approx(np.log(2 * np.cosh(np.sqrt(1.25))))
 
 
+THERMO_CONFIG = {"mode": "thermo", "dimension": 2, "charges": ["X", "Y", "Z"],
+                 "betas": [0.3, 0.5, -0.7], "seed": 29}
+
+
+@pytest.mark.parametrize("bath_subsystems, draws", [(2, 40), (4, 300)], ids=["2-qubit", "4-qubit"])
+def test_thermo_mode_equals_the_per_draw_loop(tmp_path, bath_subsystems, draws):
+    # the stacked draws (chunks of 256 at a 4-qubit bath) book what one draw at a time books
+    config = write_config(tmp_path / "c.json",
+                          {**THERMO_CONFIG, "bath_subsystems": bath_subsystems, "draws": draws})
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out), "--verbose"]) == 0
+    doc = json.loads((out / "thermo.json").read_text())
+
+    spec = ThermalSpec(tuple(ExtensiveObservable(cli.PAULI[k], k) for k in THERMO_CONFIG["charges"]),
+                       THERMO_CONFIG["betas"])
+    tau, ln_z = thermal_state(spec)
+    bath0 = functools.reduce(np.kron, [tau] * bath_subsystems)
+    rng = rng_from_seed(THERMO_CONFIG["seed"])
+    records = []
+    for _ in range(draws):
+        u = haar_unitary(len(bath0), rng)
+        records.append(asdict(work_accounting(bath0, u @ bath0 @ dagger(u), [2] * bath_subsystems,
+                                              bath=range(bath_subsystems), spec=spec)))
+    assert doc["ln_z"] == ln_z
+    assert abs(doc["worst_margin"] - min(r["margin_bath_only"] for r in records)) <= 1e-12
+    assert len(doc["records"]) == draws
+    for got, want in zip(doc["records"], records):
+        assert got["works"].keys() == want["works"].keys()
+        for label, work in got["works"].items():
+            assert abs(work - want["works"][label]) <= 1e-12
+        for field in ("delta_free_entropy", "margin_bath_only", "margin_with_system"):
+            assert abs(got[field] - want[field]) <= 1e-12
+    # without --verbose the same run writes its first 10 records
+    assert main(["--config", config, "--out", str(tmp_path / "short")]) == 0
+    short = json.loads((tmp_path / "short" / "thermo.json").read_text())
+    assert short["records"] == doc["records"][:10]
+    assert short["worst_margin"] == doc["worst_margin"]
+
+
+def test_stacked_haar_draw_is_the_sequential_stream():
+    for d, k in ((2, 7), (16, 3)):
+        rng = rng_from_seed(31)
+        sequential = np.array([haar_unitary(d, rng) for _ in range(k)])
+        stacked_rng = rng_from_seed(31)
+        np.testing.assert_array_equal(rand._haar_unitaries(d, k, stacked_rng), sequential)
+        assert stacked_rng.random() == rng.random()  # both left the stream at the same place
+
+
+def test_thermo_mode_makes_one_qr_per_chunk_of_draws(tmp_path, monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    for bath_subsystems, draws, shapes in ((2, 40, [(40, 4, 4)]),
+                                           (4, 300, [(256, 16, 16), (44, 16, 16)])):
+        calls.clear()
+        config = write_config(tmp_path / "c.json",
+                              {**THERMO_CONFIG, "bath_subsystems": bath_subsystems, "draws": draws})
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert calls == shapes
+
+
+def _thermo_peak(tmp_path, draws):
+    config = write_config(tmp_path / f"c{draws}.json", {
+        "mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0],
+        "bath_subsystems": 4, "draws": draws,
+    })
+    tracemalloc.start()
+    try:
+        assert main(["--config", config, "--out", str(tmp_path / f"out{draws}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_thermo_memory_does_not_grow_with_draws(tmp_path):
+    # a 4-qubit bath takes 256 draws per chunk; without --verbose only 10 records are kept
+    _thermo_peak(tmp_path, 1)  # first-call allocations are not part of either peak
+    one_chunk = _thermo_peak(tmp_path, 256)
+    assert _thermo_peak(tmp_path, 5 * 256) <= 1.5 * one_chunk
+
+
 def test_battery_mode(tmp_path):
     config = write_config(tmp_path / "c.json", {
         "mode": "battery",
@@ -219,10 +314,10 @@ def test_non_hermitian_exp_generator_exits_2(tmp_path, capsys, scale):
 @pytest.mark.parametrize("error", [MemoryError, KeyError], ids=lambda error: error.__name__)
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch, error):
     # a KeyError is a library fault, not a bad config: no config path raises one
-    def fail(d, rng):
+    def fail(d, count, rng):
         raise error("cannot allocate the bath unitary")
 
-    monkeypatch.setattr(cli, "haar_unitary", fail)
+    monkeypatch.setattr(cli, "_haar_unitaries", fail)  # the stacked draw of the thermo mode
     config = write_config(tmp_path / "c.json", {
         "mode": "thermo", "dimension": 2, "charges": ["Z"], "betas": [1.0], "draws": 3,
     })

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_oracle import commutator_norm, lift, partial_swap
+from swapframe import conservation
 from swapframe.conservation import ExtensiveObservable, extensive_expectation
 from swapframe.linalg import dagger, exp_neg_i, partial_trace, tensor
 from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
@@ -148,6 +149,47 @@ def test_extensive_expectation_matches_dense_lift(d, n):
     before, after = random_density(d**n, rng), random_density(d**n, rng)
     work = implicit_work(before, after, (ExtensiveObservable(a, "A"),))["A"]
     assert abs(work + np.trace(lift(a, n) @ (after - before)).real) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, slots", [([2, 3, 2], [2, 0]), ([2], [0, 0]), ([2, 2, 2], [1])],
+                         ids=["mixed-dims", "one-slot-whole-space", "uniform"])
+def test_stacked_slot_values_equal_each_member(dims, slots):
+    rng = rng_from_seed(46)
+    total = math.prod(dims)
+    charges = [ExtensiveObservable(random_hermitian(2, rng), f"A{i}") for i in range(3)]
+    ops = np.array([[gaussian_matrix(total, rng) for _ in range(4)] for _ in range(2)])
+    values = conservation._slot_values(charges, ops, dims, slots, stack=True)
+    assert values.shape == (2, 4, 3, len(slots))
+    for op, value in zip(ops.reshape(-1, total, total), values.reshape(-1, 3, len(slots))):
+        np.testing.assert_allclose(value, conservation._slot_values(charges, op, dims, slots),
+                                   rtol=0, atol=1e-12)
+    # a stack is refused where one matrix is expected
+    with pytest.raises(ValueError, match="expected a matrix"):
+        conservation._slot_values(charges, ops, dims, slots)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_charge_change_equals_each_member(n):
+    rng = rng_from_seed(47 + n)
+    charges = [ExtensiveObservable(random_hermitian(2, rng), f"A{i}") for i in range(2)]
+    dims = [2] * n
+    before = random_density(2**n, rng)
+    afters = np.array([random_density(2**n, rng) for _ in range(5)])
+    changes = conservation._charge_change(charges, before, afters, dims, range(n), stack=True)
+    assert changes.shape == (5, 2, n)
+    for after, change in zip(afters, changes):
+        works = implicit_work(before, after, charges)
+        for charge, row in zip(charges, change):
+            assert abs(-row.sum() - works[charge.label]) <= 1e-12
+    # a non-finite member and a member of another shape are refused with the one-state messages
+    broken = afters.copy()
+    broken[3, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        conservation._charge_change(charges, before, broken, dims, range(n), stack=True)
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(\d+, \d+\) vs \(5, \d+, \d+\)"):
+        conservation._charge_change(charges, before, afters[None], dims, range(n), stack=True)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        conservation._charge_change(charges, before, afters[:, :1], dims, range(n), stack=True)
 
 
 def test_extensive_expectation_rejects_misfit_slot():

@@ -179,6 +179,42 @@ def test_work_accounting_matches_dense_lift_for_noncommuting_charges():
         assert record.works[charge.label] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims, bath, system", [
+    ([2, 3, 2], (2,), (0,)),
+    ([2, 2, 2, 2], (2, 1), (3, 0)),
+    ([2, 2, 2], (0, 2), ()),
+], ids=["mixed-dims", "unsorted-system", "bath-only"])
+def test_stacked_work_records_equal_each_member(dims, bath, system):
+    rng = rng_from_seed(52)
+    tau, _ = thermal_state(ZX_SPEC)
+    states = {slot: tau for slot in bath}
+    states.update({slot: random_density(dims[slot], rng) for slot in range(len(dims))
+                   if slot not in bath})
+    before = tensor(*(states[slot] for slot in range(len(dims))))
+    afters = []
+    for _ in range(4):
+        u = haar_unitary(len(before), rng)
+        afters.append(u @ before @ dagger(u))
+    records = thermo._work_records(before, np.array(afters), dims, bath, ZX_SPEC, system)
+    assert len(records) == 4
+    for after, record in zip(afters, records):
+        single = work_accounting(before, after, dims, bath=bath, spec=ZX_SPEC, system=system)
+        for field in ("delta_free_entropy", "margin_bath_only", "margin_with_system"):
+            assert abs(getattr(record, field) - getattr(single, field)) <= 1e-12
+        assert record.works.keys() == single.works.keys()
+        for label, work in record.works.items():
+            assert abs(work - single.works[label]) <= 1e-12
+        if not system:
+            assert record.delta_free_entropy == 0.0
+    # a non-finite member and a stack of another shape are refused as one state would be
+    broken = np.array(afters)
+    broken[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        thermo._work_records(before, broken, dims, bath, ZX_SPEC, system)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        thermo._work_records(before, np.array(afters)[:, 1:, 1:], dims, bath, ZX_SPEC, system)
+
+
 def test_work_accounting_validates_partition():
     joint = np.eye(4) / 4
     with pytest.raises(ValueError):
