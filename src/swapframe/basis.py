@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import hermitize, is_hermitian, operator_norm, check_density
+from .linalg import _integer, hermitize, is_hermitian, operator_norm, check_density
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -102,7 +102,10 @@ class OperatorBasis:
     @classmethod
     def from_json(cls, text: str) -> "OperatorBasis":
         doc = json.loads(text)
-        d = int(doc["dimension"])
+        d = _integer(doc["dimension"], "basis dimension", 1)
+        schema = doc.get("schema", 1)
+        if type(schema) is not int or schema != 1:
+            raise ValueError(f"basis schema must be 1, got {schema!r}")
         basis = cls([_matrix_from_pairs(m) for m in doc["states"]])
         if basis.dim != d:
             raise ValueError(f"states have dimension {basis.dim}, 'dimension' says {d}")

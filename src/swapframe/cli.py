@@ -26,7 +26,7 @@ from .basis import OperatorBasis, _matrix_from_pairs, build_state_basis
 from .bounds import convergence_sweep
 from .conservation import ExtensiveObservable
 from .linalg import dagger, exp_neg_i
-from .protocol import ProtocolSpec, _protocol_runs, run_protocol
+from .protocol import ProtocolSpec, _protocol_runs
 from .rand import _haar_unitaries, haar_unitary, random_density, rng_from_seed
 from .thermo import (
     SECOND_LAW_SLACK,
@@ -202,7 +202,7 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
 
 def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
     spec = _protocol_spec(config, _get(config, "N", int), rng, charged=True)
-    result = run_protocol(spec)
+    result = next(_protocol_runs(spec, (spec.n_rounds,)))
     residual = result.ledger.max_closure_residual()
     doc = {
         "max_closure_residual": residual,

@@ -10,6 +10,7 @@ A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rh
 is a fixed d²×d² map on vec(rho). Per round count, ``_slot_sweep`` writes the D slot maps down in
 that closed form and chains them into M and the ledger functionals; ``_protocol_runs`` takes the
 N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉ products, and contracts them for the ledger.
+Only ``run_protocol`` builds the ideal trajectory; sweeps and the CLI take one 1-matrix norm per N.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ class ProtocolResult:
     ledger: BatteryLedger
 
 
-def _protocol_runs(spec: ProtocolSpec, n_list):
-    """``run_protocol`` at each round count in ``n_list``, preparing what no N changes once."""
+def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False):
+    """``run_protocol`` at each round count in ``n_list``, preparing what no N changes once. Only
+    a ``trajectory`` run builds the ideal states for ``round_errors``; else they are ``()``."""
     basis, d, k = spec.basis, spec.basis.dim, len(spec.charges)
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
@@ -192,11 +194,13 @@ def _protocol_runs(spec: ProtocolSpec, n_list):
             np.matmul(states[:min(m, n + 1 - m)], power, out=states[m:2 * m])
         ledger = (states[:-1] @ functionals.reshape(2, d * d, -1)).real.reshape(2, n, basis.size, k)
         states = states.reshape(n + 1, d, d)
-        # ideal states v·X_t·v†, X_t = rho_eig ∘ phases_t, then the target's for the total error
-        phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
-        ideal = v @ _fold(((rho_eig * phases).reshape(n * d, d) @ dagger(v)).reshape(n, d, d))
-        ideal = np.concatenate((ideal.reshape(d, n, d).swapaxes(0, 1), final_ideal[None]))
-        errors = trace_norm(np.concatenate((states[1:], states[-1:])) - ideal)
+        if trajectory:  # ideal states v·X_t·v†, X_t = rho_eig ∘ phases_t, then the target's
+            phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
+            ideal = v @ _fold(((rho_eig * phases).reshape(n * d, d) @ dagger(v)).reshape(n, d, d))
+            ideal = np.concatenate((ideal.reshape(d, n, d).swapaxes(0, 1), final_ideal[None]))
+            errors = trace_norm(np.concatenate((states[1:], states[-1:])) - ideal)
+        else:
+            errors = trace_norm(states[-1:] - final_ideal)
         yield ProtocolResult(
             final_state=states[-1].copy(),
             round_errors=tuple(errors[:-1].tolist()),
@@ -214,7 +218,8 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     Every round is the same linear map M on vec(rho), built with its ledger functionals by
     ``_slot_sweep``; doubling gives the round-start states, and one contraction with them the
     ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) come from one eigendecomposition of the
-    generator; one stacked trace norm gives every error. Identical specs give identical results.
+    generator; one stacked trace norm gives the N round errors and the total error. Identical specs
+    give identical results.
     """
-    return next(_protocol_runs(spec, (spec.n_rounds,)))
+    return next(_protocol_runs(spec, (spec.n_rounds,), trajectory=True))
 

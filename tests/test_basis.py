@@ -193,3 +193,20 @@ def test_json_dimension_must_match_the_states():
     doc["dimension"] = 3
     with pytest.raises(ValueError, match="states have dimension 2, 'dimension' says 3"):
         OperatorBasis.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimension", 2.9), ("dimension", "2"), ("dimension", True), ("dimension", 0),
+    ("schema", 7), ("schema", "1"), ("schema", 1.0),
+])
+def test_json_refuses_a_non_integer_dimension_or_another_schema(field, value):
+    # refused, not truncated: 2.9 once loaded as a qubit basis
+    doc = {**json.loads(build_state_basis(2).to_json()), field: value}
+    with pytest.raises(ValueError, match=f"basis {field}"):
+        OperatorBasis.from_json(json.dumps(doc))
+
+
+def test_json_without_a_schema_loads():
+    doc = json.loads(build_state_basis(2).to_json())
+    del doc["schema"]
+    assert OperatorBasis.from_json(json.dumps(doc)).dim == 2

@@ -466,6 +466,9 @@ def test_negative_seed_option_exits_2(tmp_path, capsys):
     ({"states": []}, "'dimension'"),
     ([1, 2], "malformed"),
     ({"dimension": 2, "states": [[[[1, 0]]]]}, "malformed"),
+    ({"dimension": 2.9, "states": []}, "basis dimension"),
+    ({"dimension": "2", "states": []}, "basis dimension"),
+    ({**json.loads(build_state_basis(2).to_json()), "schema": 7}, "schema"),
 ])
 def test_malformed_basis_file_error_names_file_and_field(tmp_path, capsys, basis_doc, field):
     basis = write_config(tmp_path / "basis.json", basis_doc)
@@ -501,6 +504,27 @@ def test_battery_runs_match_single_protocol_runs(tmp_path):
         assert run["works"] == works
         assert run["ledger_cumulative"] == result.ledger.cumulative()
         assert run["checks"] == {label: asdict(c) for label, c in checks.items()}
+
+
+def test_conserve_matches_a_protocol_run(tmp_path):
+    config = write_config(tmp_path / "c.json", {
+        "mode": "conserve", "dimension": 2, "N": 30,
+        "unitary": {"exp": "X", "scale": 0.7}, "state": {"matrix": GENERIC_STATE},
+        "charges": ["Z", "Y"],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    doc = json.loads((out / "conserve.json").read_text())
+
+    charges = tuple(ExtensiveObservable(parse_matrix(name), name) for name in ("Z", "Y"))
+    result = run_protocol(ProtocolSpec(target=exp_neg_i(parse_matrix("X"), 0.7), n_rounds=30,
+                                       basis=build_state_basis(2),
+                                       rho_s=parse_matrix(GENERIC_STATE), charges=charges))
+    assert doc["total_error"] == result.total_error
+    assert doc["total_bound"] == result.total_bound
+    assert doc["bound_valid"] == result.bound_valid
+    assert doc["max_closure_residual"] == result.ledger.max_closure_residual()
+    assert doc["ledger"] == result.ledger.to_json_dict()
 
 
 def _reject_constant(name):

@@ -1,3 +1,4 @@
+import json
 import sys
 import tracemalloc
 
@@ -11,7 +12,7 @@ from dense_oracle import commutator_norm, lift, partial_swap, swap
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, convergence_sweep, single_step_bound, total_bound
 from swapframe.conservation import ExtensiveObservable
-from swapframe import linalg, protocol
+from swapframe import cli, linalg, protocol
 from swapframe.linalg import (
     check_density,
     dagger,
@@ -423,6 +424,49 @@ def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
     calls.clear()
     convergence_sweep(spec, [10, 20, 40])
     assert len(calls) == 3
+
+
+def _record_trace_norm_shapes(monkeypatch):
+    shapes = []
+
+    def recording(op):
+        shapes.append(np.shape(op))
+        return trace_norm(op)
+
+    monkeypatch.setattr(protocol, "trace_norm", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_only_run_protocol_takes_the_per_round_errors(monkeypatch, d):
+    # a sweep reads only the final error: one single-matrix norm per round count
+    rng = rng_from_seed(65 + d)
+    spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=30, basis=build_state_basis(d),
+                        rho_s=random_density(d, rng))
+    shapes = _record_trace_norm_shapes(monkeypatch)
+    n_list = [5, 12, 30, 31]
+    table = convergence_sweep(spec, n_list)
+    assert shapes == [(1, d, d)] * len(n_list)
+    shapes.clear()
+    result = run_protocol(spec)
+    assert shapes == [(31, d, d)]
+    assert len(result.round_errors) == 30
+    assert table.rows[2].measured_error == result.total_error
+
+
+def test_cli_protocol_modes_take_one_matrix_norms(monkeypatch, tmp_path):
+    drawn = {"dimension": 2, "unitary": {"random": True}, "state": {"random": True}}
+    configs = {
+        "converge": {"N_list": [10, 20, 40]},
+        "conserve": {"N": 25, "charges": ["X", "Z"]},
+        "battery": {"N_list": [8, 16], "charges": ["Z"]},
+    }
+    shapes = _record_trace_norm_shapes(monkeypatch)
+    for mode, fields in configs.items():
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps({"mode": mode, **drawn, **fields}))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / mode)]) == 0
+    assert shapes == [(1, 2, 2)] * (3 + 1 + 2)
 
 
 def test_run_protocol_below_threshold_flagged():
