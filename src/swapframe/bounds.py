@@ -93,11 +93,11 @@ class ConvergenceTable:
 def fit_loglog_slope(n_values, errors):
     """Unweighted least-squares slope/intercept of ln(error) against ln(N).
 
-    Points with error <= 1e-14 are excluded; returns (nan, nan) if fewer than
-    two remain.
+    Points with error <= 1e-14 are excluded; returns (nan, nan), without a
+    warning, if the points left span fewer than two distinct N.
     """
     pts = [(n, e) for n, e in zip(n_values, errors) if e > FIT_FLOOR]
-    if len(pts) < 2:
+    if len({n for n, _ in pts}) < 2:
         return float("nan"), float("nan")
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
@@ -106,14 +106,14 @@ def fit_loglog_slope(n_values, errors):
 
 
 def convergence_sweep(spec, n_list) -> ConvergenceTable:
-    """Decay-rate fit over ascending integer round counts; the target is prepared once."""
+    """Decay-rate fit over strictly ascending integer round counts; the target is prepared once."""
     from .protocol import _protocol_runs
 
     n_list = [_integer(n, "round count", 1) for n in n_list]
     if len(n_list) < 3:
         raise ValueError("need at least three round counts")
-    if sorted(n_list) != n_list:
-        raise ValueError("round counts must be ascending")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"round counts must be strictly ascending, got {n_list}")
 
     rows = tuple(SweepRow(n, r.total_error, r.total_bound, r.bound_valid)
                  for n, r in zip(n_list, _protocol_runs(spec, n_list)))

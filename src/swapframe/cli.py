@@ -202,7 +202,7 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
 
 def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
     spec = _protocol_spec(config, _get(config, "N", int), rng, charged=True)
-    result = next(_protocol_runs(spec, (spec.n_rounds,)))
+    result = _protocol_runs(spec, (spec.n_rounds,))[0]
     residual = result.ledger.max_closure_residual()
     doc = {
         "max_closure_residual": residual,

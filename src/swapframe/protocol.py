@@ -7,10 +7,11 @@ unitary with O(1/N) trace-norm error. Each particle is touched once, so the fram
 materialized; as a battery, it books every collision's charge flow in a ledger.
 
 A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each slot
-is a fixed d²×d² map on vec(rho). Per round count, ``_slot_sweep`` writes the D slot maps down in
-that closed form and chains them into M and the ledger functionals; ``_protocol_runs`` takes the
-N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉ products, and contracts them for the ledger.
-Only ``run_protocol`` builds the ideal trajectory; sweeps and the CLI take one 1-matrix norm per N.
+is a fixed d²×d² map on vec(rho). One ``_slot_sweep`` writes the D slot maps of every round count
+down in that closed form and chains them into M and the ledger functionals, one stacked product per
+slot; per N, ``_protocol_runs`` takes the N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉
+products, and contracts them for the ledger. Only ``run_protocol`` builds the ideal trajectory;
+sweeps and the CLI take every final error from one stacked norm.
 """
 
 from __future__ import annotations
@@ -95,39 +96,54 @@ def _fold(stack: np.ndarray) -> np.ndarray:
     return stack.swapaxes(0, 1).reshape(stack.shape[1], -1)
 
 
-def _slot_sweep(basis: OperatorBasis, alphas, n_rounds: int, charges=()):
-    """M on vec(rho) and its complex ledger functionals[side, column, slot, charge] (side 0 the
-    system, 1 the particle), chaining the slots from the identity. With c, s = cos, sin of
-    alpha_k/N and K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in row-major vec, ``step_channel`` is
-    S_k = c²·1 + s²·|sigma_k⟩⟨1| - K_k and, on the particle, F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k,
-    built (not called) per chunk of slots whose maps hold at most 2^16 entries or one slot: all D
-    up to d = 6, one from d = 14. One folded GEMM per side takes S_k - 1, F_k - |sigma_k⟩⟨1|."""
-    d, d2, size = basis.dim, basis.dim ** 2, basis.size
-    eye, units, angles = np.eye(d), np.eye(d2), np.asarray(alphas, dtype=float) / n_rounds
+def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
+    """M on vec(rho) per round count, (r, d², d²), and its complex ledger functionals[N, side,
+    column, slot, charge] (side 0 the system, 1 the particle), chaining the slots from the
+    identity. With c, s = cos, sin of alpha_k/N and K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in
+    row-major vec, ``step_channel`` is S_k = c²·1 + s²·|sigma_k⟩⟨1| - K_k and, on the particle,
+    F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, built (not called) once per chunk of slots for a group of
+    round counts: a group holds at most 2^16 // d⁴ of them (4096 at d = 2, 16 at d = 8, one from
+    d = 16) and a chunk's maps at most 2^16 entries or one (slot, N) pair. One stacked product per
+    slot chains a group; one folded GEMM per side and N takes S_k - 1, F_k - |sigma_k⟩⟨1|."""
+    d, d2, size, r = basis.dim, basis.dim ** 2, basis.size, len(n_list)
+    eye, units = np.eye(d), np.eye(d2)
+    angles = np.asarray(alphas, dtype=float) / np.array(n_list, dtype=float)[:, None]
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
-    functionals = np.empty((2, d2, size, len(rows)), dtype=complex)
-    chunk = max(1, 2**16 // d2 ** 2)
-    ins = np.empty((min(chunk, size) + 1, d2, d2), dtype=complex)  # ins[t + 1] = S_t·ins[t]
-    ins[0] = units
-    for lo in range(0, size, chunk):
-        sigmas, theta = basis.states[lo:lo + chunk], angles[lo:lo + chunk, None, None]
-        m, c, s = len(sigmas), np.cos(theta), np.sin(theta)
-        # [k, i, j, a, b] = sigma[i, a]·δ[j, b] - δ[i, a]·sigma[b, j]
-        comm = (sigmas[:, :, None, :, None] * eye[:, None, :]
-                - eye[:, None, :, None] * sigmas.swapaxes(1, 2)[:, None, :, None, :])
-        k = (1j * c * s) * comm.reshape(m, d2, d2)
-        proj = sigmas.reshape(m, d2, 1) * eye.reshape(-1)  # |sigma_k⟩⟨1|: rho -> tr(rho)·sigma_k
-        slot_maps = c * c * units + s * s * proj - k
-        for t in range(m):
-            np.matmul(slot_maps[t], ins[t], out=ins[t + 1])
-        if charges:
-            frame_maps = c * c * proj + s * s * units + k - proj
-            system = rows @ _fold(ins[1:m + 1] - ins[:m])
-            frame = (rows @ _fold(frame_maps)).reshape(-1, m, d2).swapaxes(0, 1) @ ins[:m]
-            functionals[0, :, lo:lo + m] = system.reshape(-1, m, d2).T
-            functionals[1, :, lo:lo + m] = frame.transpose(2, 0, 1)
-        ins[0] = ins[m]
-    return ins[0], functionals
+    round_maps = np.empty((r, d2, d2), dtype=complex)
+    functionals = np.empty((r, 2, d2, size, len(rows)), dtype=complex)
+    group = max(1, 2**16 // d2 ** 2)
+    for g0 in range(0, r, group):
+        g = min(group, r - g0)
+        chunk = max(1, 2**16 // (g * d2 ** 2))
+        ins = np.empty((min(chunk, size) + 1, g, d2, d2), dtype=complex)  # ins[t + 1] = S_t·ins[t]
+        ins[0] = units
+        for lo in range(0, size, chunk):
+            sigmas, theta = basis.states[lo:lo + chunk], angles[g0:g0 + g, lo:lo + chunk].T
+            m, c, s = len(sigmas), np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
+            # K_k of comm[k, i, j, a, b] = sigma[i, a]·δ[j, b] - δ[i, a]·sigma[b, j]
+            k = (1j * c * s) * (sigmas[:, :, None, :, None] * eye[:, None, :] - eye[:, None, :, None]
+                                * sigmas.swapaxes(1, 2)[:, None, :, None, :]).reshape(m, 1, d2, d2)
+            proj = sigmas.reshape(m, 1, d2, 1) * eye.reshape(-1)  # |sigma_k⟩⟨1|: tr(rho)·sigma_k
+            maps = s * s * proj  # S_k, then F_k - |sigma_k⟩⟨1|, summed in place in one buffer
+            maps += c * c * units
+            maps -= k
+            for t in range(m):
+                np.matmul(maps[t], ins[t], out=ins[t + 1])
+            if charges:
+                np.multiply(c * c, proj, out=maps)
+                maps += s * s * units
+                maps += k
+                maps -= proj
+                del k, proj
+                for i in range(g):
+                    system = rows @ _fold(ins[1:m + 1, i] - ins[:m, i])
+                    frame = (rows @ _fold(maps[:, i])).reshape(-1, m, d2).swapaxes(0, 1)
+                    frame = frame @ ins[:m, i]
+                    functionals[g0 + i, 0, :, lo:lo + m] = system.reshape(-1, m, d2).T
+                    functionals[g0 + i, 1, :, lo:lo + m] = frame.transpose(2, 0, 1)
+            ins[0] = ins[m]
+        round_maps[g0:g0 + g] = ins[0]
+    return round_maps, functionals
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,43 +189,42 @@ class ProtocolResult:
     ledger: BatteryLedger
 
 
-def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False):
-    """``run_protocol`` at each round count in ``n_list``, preparing what no N changes once. Only
-    a ``trajectory`` run builds the ideal states for ``round_errors``; else they are ``()``."""
-    basis, d, k = spec.basis, spec.basis.dim, len(spec.charges)
+def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list:
+    """``run_protocol`` at each round count in ``n_list``, from one slot sweep. Only a
+    ``trajectory`` run builds the ideal states for ``round_errors``; else they are ``()`` and
+    one stacked trace norm gives every total error."""
+    basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
-    w, v = np.linalg.eigh(h)  # h is exactly Hermitian, so no check or hermitize is needed
-    rho_eig = dagger(v) @ spec.rho_s @ v
     final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
     n_min = _n_min(basis.size, basis.alpha_max)
-
-    for n in n_list:
-        bound, valid = total_bound(basis.size, basis.alpha_max, n)  # raises for n < 1
-        round_map, functionals = _slot_sweep(basis, dec.alphas, n, spec.charges)
+    if trajectory:  # h is exactly Hermitian, so no check or hermitize is needed
+        w, v = np.linalg.eigh(h)
+        rho_eig = dagger(v) @ spec.rho_s @ v
+    bounds = [total_bound(basis.size, basis.alpha_max, n) for n in n_list]  # raises for n < 1
+    round_maps, functionals = _slot_sweep(basis, dec.alphas, n_list, spec.charges)
+    finals, errors, ledgers = np.empty((len(n_list), d, d), dtype=complex), [], []
+    for i, (n, round_map) in enumerate(zip(n_list, round_maps)):
         states = np.empty((n + 1, d * d), dtype=complex)
         states[0] = spec.rho_s.reshape(-1)
         for m in (2**j for j in range(int(n).bit_length())):  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
             power = round_map.T if m == 1 else power @ power
             np.matmul(states[:min(m, n + 1 - m)], power, out=states[m:2 * m])
-        ledger = (states[:-1] @ functionals.reshape(2, d * d, -1)).real.reshape(2, n, basis.size, k)
+        ledger = states[:-1] @ functionals[i].reshape(2, d * d, -1)
+        ledgers.append(ledger.real.reshape(2, n, basis.size, len(labels)))
         states = states.reshape(n + 1, d, d)
+        finals[i] = states[-1]
         if trajectory:  # ideal states v·X_t·v†, X_t = rho_eig ∘ phases_t, then the target's
             phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
             ideal = v @ _fold(((rho_eig * phases).reshape(n * d, d) @ dagger(v)).reshape(n, d, d))
             ideal = np.concatenate((ideal.reshape(d, n, d).swapaxes(0, 1), final_ideal[None]))
-            errors = trace_norm(np.concatenate((states[1:], states[-1:])) - ideal)
-        else:
-            errors = trace_norm(states[-1:] - final_ideal)
-        yield ProtocolResult(
-            final_state=states[-1].copy(),
-            round_errors=tuple(errors[:-1].tolist()),
-            total_error=float(errors[-1]),
-            total_bound=bound,
-            bound_valid=valid,
-            n_min=n_min,
-            ledger=BatteryLedger(tuple(c.label for c in spec.charges), *ledger),
-        )
+            errors.append(trace_norm(np.concatenate((states[1:], states[-1:])) - ideal))
+    if not trajectory:
+        errors = trace_norm(finals - final_ideal)[:, None]
+    return [ProtocolResult(final_state=final, round_errors=tuple(e[:-1].tolist()),
+                           total_error=float(e[-1]), total_bound=bound, bound_valid=valid,
+                           n_min=n_min, ledger=BatteryLedger(labels, *ledger))
+            for final, e, (bound, valid), ledger in zip(finals, errors, bounds, ledgers)]
 
 
 def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
@@ -221,5 +236,5 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     generator; one stacked trace norm gives the N round errors and the total error. Identical specs
     give identical results.
     """
-    return next(_protocol_runs(spec, (spec.n_rounds,), trajectory=True))
+    return _protocol_runs(spec, (spec.n_rounds,), trajectory=True)[0]
 

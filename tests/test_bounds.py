@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from swapframe.bounds import (
     total_bound,
 )
 import swapframe.protocol
+from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import exp_neg_i
 from swapframe.protocol import ProtocolSpec, run_protocol
-from swapframe.rand import haar_unitary, random_density, rng_from_seed
+from swapframe.rand import haar_unitary, random_density, random_hermitian, rng_from_seed
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -81,6 +84,19 @@ def test_fit_loglog_slope_skips_noise_floor():
     assert slope == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("ns, errors", [
+    ([10, 10, 10], [0.1, 0.2, 0.3]),
+    ([10, 20, 10], [0.1, 1e-16, 0.3]),
+    ([7], [0.5]),
+])
+def test_fit_loglog_slope_needs_two_distinct_round_counts(ns, errors):
+    # one distinct N above the floor fixes no slope; polyfit would warn and return one anyway
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, intercept = fit_loglog_slope(ns, errors)
+    assert np.isnan(slope) and np.isnan(intercept)
+
+
 def _sweep_spec(target):
     return ProtocolSpec(target=target, n_rounds=50, basis=QUBIT_BASIS, rho_s=PLUS)
 
@@ -111,22 +127,35 @@ def test_convergence_sweep_validates_input():
         convergence_sweep(spec, [200, 100, 50])
 
 
+@pytest.mark.parametrize("n_list", [[10, 10, 10], [10, 20, 20, 40], [10, 20, 10]])
+def test_convergence_sweep_rejects_repeated_round_counts(n_list):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), n_list)
+
+
 SWEEP_N = [10, 20, 40, 80, 160]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_convergence_sweep_rows_equal_single_runs(d):
+    # d // 4 charges; at d = 8 the five round counts share one group and the 63 slots go in
+    # chunks of three, so the grouped and chunked sweep is checked against single runs
     rng = rng_from_seed(60 + d)
     target, rho, basis = haar_unitary(d, rng), random_density(d, rng), build_state_basis(d)
-    table = convergence_sweep(ProtocolSpec(target=target, n_rounds=7, basis=basis, rho_s=rho),
-                              SWEEP_N)
+    charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{j}") for j in range(d // 4))
+    spec = ProtocolSpec(target=target, n_rounds=7, basis=basis, rho_s=rho, charges=charges)
+    table = convergence_sweep(spec, SWEEP_N)
+    runs = swapframe.protocol._protocol_runs(spec, SWEEP_N)
     assert [r.n_rounds for r in table.rows] == SWEEP_N
-    for row in table.rows:
+    for row, run in zip(table.rows, runs):
         result = run_protocol(ProtocolSpec(target=target, n_rounds=row.n_rounds, basis=basis,
-                                           rho_s=rho))
-        assert row.measured_error == result.total_error
+                                           rho_s=rho, charges=charges))
+        assert row.measured_error == run.total_error == result.total_error
         assert row.analytic_bound == result.total_bound
         assert row.valid == result.bound_valid
+        assert np.array_equal(run.final_state, result.final_state)
+        assert np.array_equal(run.ledger.system, result.ledger.system)
+        assert np.array_equal(run.ledger.frame, result.ledger.frame)
 
 
 @pytest.mark.parametrize("n_list", [[0, 10, 20], [-5, 10, 20]])

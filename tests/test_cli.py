@@ -453,6 +453,19 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, na
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("n_list", [[10, 10, 10], [10, 20, 20], [40, 20, 10]])
+def test_converge_repeated_round_counts_exit_2(tmp_path, capsys, n_list):
+    # a repeated N once passed the ascending check, and the fit made up a slope from one point
+    config = write_config(tmp_path / "c.json", {
+        "mode": "converge", "dimension": 2, "N_list": n_list,
+        "unitary": {"random": True}, "state": {"random": True},
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "strictly ascending" in err[0]
+    assert not (tmp_path / "out" / "converge.json").exists()
+
+
 def test_negative_seed_option_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "c.json", {
         "mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"random": True},

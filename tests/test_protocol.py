@@ -212,8 +212,9 @@ def test_frame_locality_full_space_equals_sequential():
 
 def _collision_round(rho, basis, alphas, n_rounds, charges=()):
     """One round of ``rho`` (d×d or a stack) the way ``_protocol_runs`` takes it: the round map
-    on vec(rho), and the complex ledger vec(rho)·functionals, rho.shape[:-2] + (D, K) per side."""
-    round_map, functionals = protocol._slot_sweep(basis, alphas, n_rounds, charges)
+    on vec(rho), and the complex ledger vec(rho)·functionals, rho.shape[:-2] + (D, K) per side.
+    The sweep takes a list of round counts; this one passes ``(n_rounds,)`` and reads member 0."""
+    (round_map,), (functionals,) = protocol._slot_sweep(basis, alphas, (n_rounds,), charges)
     vec = rho.reshape(*rho.shape[:-2], -1)
     deltas = np.moveaxis(np.tensordot(vec, functionals, axes=([-1], [1])), -3, 0)
     return (vec @ round_map.T).reshape(rho.shape), protocol.BatteryLedger(
@@ -283,7 +284,7 @@ def _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, n_round
 
 def test_collision_round_bounds_each_kernel_call():
     # at d=10 all 99 slots' 100×100 maps take 16 MB per stack (121 MB peak unchunked); chunks of
-    # at most 2^16 entries keep the sweep's peak near 8 MB, and the round is unchanged
+    # at most 2^16 entries keep the sweep's peak near 6 MB, and the round is unchanged
     rng = rng_from_seed(77)
     basis = build_state_basis(10)
     alphas = rng.uniform(-3.0, 3.0, basis.size)
@@ -291,7 +292,7 @@ def test_collision_round_bounds_each_kernel_call():
     rho = np.stack([random_density(10, rng) for _ in range(3)])
     tracemalloc.start()
     try:
-        sweep = protocol._slot_sweep(basis, alphas, 4, charges)
+        sweep = protocol._slot_sweep(basis, alphas, (4,), charges)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -299,6 +300,24 @@ def test_collision_round_bounds_each_kernel_call():
     assert peak <= 2**24
     out, ledger = _collision_round(rho, basis, alphas, 4, charges)
     _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, 4, charges)
+
+
+def test_convergence_sweep_bounds_its_grouped_slot_maps():
+    # at d = 10 the eight round counts go in groups of six and two, one slot per chunk: the
+    # sweep's peak stays within the bound of the single-N sweep above
+    rng = rng_from_seed(78)
+    basis = build_state_basis(10)
+    charges = tuple(ExtensiveObservable(random_hermitian(10, rng), f"A{j}") for j in range(2))
+    spec = ProtocolSpec(target=haar_unitary(10, rng), n_rounds=1, basis=basis,
+                        rho_s=random_density(10, rng), charges=charges)
+    tracemalloc.start()
+    try:
+        table = convergence_sweep(spec, [1, 2, 3, 5, 8, 13, 21, 34])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 8
+    assert peak <= 2**24
 
 
 def test_run_protocol_identity_target():
@@ -404,7 +423,8 @@ def test_run_protocol_matches_sequential_collisions(d, n):
 
 
 def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
-    # one slot sweep per round count builds the round map and the ledger functionals together
+    # one slot sweep builds the round maps and the ledger functionals of every round count of a
+    # run or a sweep together
     rng = rng_from_seed(64)
     basis = build_state_basis(3)
     charges = tuple(ExtensiveObservable(random_hermitian(3, rng), f"A{i}") for i in range(3))
@@ -423,7 +443,7 @@ def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
     assert result.ledger.frame.shape == (30, basis.size, 3)
     calls.clear()
     convergence_sweep(spec, [10, 20, 40])
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def _record_trace_norm_shapes(monkeypatch):
@@ -439,14 +459,14 @@ def _record_trace_norm_shapes(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_only_run_protocol_takes_the_per_round_errors(monkeypatch, d):
-    # a sweep reads only the final error: one single-matrix norm per round count
+    # a sweep reads only the final errors: one norm of a (k, d, d) stack for k round counts
     rng = rng_from_seed(65 + d)
     spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=30, basis=build_state_basis(d),
                         rho_s=random_density(d, rng))
     shapes = _record_trace_norm_shapes(monkeypatch)
     n_list = [5, 12, 30, 31]
     table = convergence_sweep(spec, n_list)
-    assert shapes == [(1, d, d)] * len(n_list)
+    assert shapes == [(len(n_list), d, d)]
     shapes.clear()
     result = run_protocol(spec)
     assert shapes == [(31, d, d)]
@@ -466,7 +486,7 @@ def test_cli_protocol_modes_take_one_matrix_norms(monkeypatch, tmp_path):
         path = tmp_path / f"{mode}.json"
         path.write_text(json.dumps({"mode": mode, **drawn, **fields}))
         assert cli.main(["--config", str(path), "--out", str(tmp_path / mode)]) == 0
-    assert shapes == [(1, 2, 2)] * (3 + 1 + 2)
+    assert shapes == [(3, 2, 2), (1, 2, 2), (2, 2, 2)]  # one stack of final states per run
 
 
 def test_run_protocol_below_threshold_flagged():

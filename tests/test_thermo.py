@@ -329,6 +329,21 @@ def test_battery_bound_matches_dense_lift(n):
     assert abs(checks["A"].bound - expected) <= 1e-12
 
 
+def test_battery_bounds_equal_per_charge_operator_norms():
+    # the stacked spectrum of all charges gives each bound bit for bit as a per-charge norm would
+    rng = rng_from_seed(76)
+    charges = tuple(ExtensiveObservable(random_hermitian(4, rng), f"A{j}") for j in range(3))
+    spec = ProtocolSpec(target=haar_unitary(4, rng), n_rounds=7, basis=build_state_basis(4),
+                        rho_s=random_density(4, rng), charges=charges)
+    result = run_protocol(spec)
+    works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target), charges)
+    checks = battery_deviation_check(result, works, result.total_error, charges)
+    assert list(checks) == ["A0", "A1", "A2"]
+    for charge in charges:
+        assert checks[charge.label].bound == result.total_error * linalg.operator_norm(charge.matrix)
+    assert battery_deviation_check(result, works, result.total_error, ()) == {}
+
+
 def test_work_accounting_reads_slots_and_dims_as_integers():
     # each of these was once truncated to a valid slot or dimension and booked silently
     joint = np.eye(4, dtype=complex) / 4
