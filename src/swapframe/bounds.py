@@ -25,8 +25,10 @@ FIT_FLOOR = 1e-14
 def single_step_bound(alpha: float, n_rounds: int):
     """Trace-distance error of one collision vs the small rotation it implements.
 
-    Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``.
+    Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``; ``alpha`` must be finite.
     """
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     value = 8.0 * E_MINUS_2 * (alpha / _integer(n_rounds, "round count", 1)) ** 2
     return value, n_rounds >= 2.0 * abs(alpha)
 
@@ -41,7 +43,10 @@ def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
 
     Returns ``((8 D^2 amax^2 + 4 pi^2 (e-2)(D+1)) / N^2, N >= 4 D amax)``.
     """
-    d_gen, n_rounds = n_generators, _integer(n_rounds, "round count", 1)
+    d_gen = _integer(n_generators, "generator count", 0)
+    n_rounds = _integer(n_rounds, "round count", 1)
+    if not 0.0 <= alpha_max < np.inf:  # also false for a NaN
+        raise ValueError(f"alpha_max must be finite and >= 0, got {alpha_max}")
     value = (8.0 * d_gen**2 * alpha_max**2
              + 4.0 * np.pi**2 * E_MINUS_2 * (d_gen + 1)) / n_rounds**2
     return float(value), n_rounds >= _n_min(d_gen, alpha_max)

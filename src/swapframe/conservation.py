@@ -45,9 +45,9 @@ def _charge_set(charges, d: int) -> tuple:
     return charges
 
 
-def _slot_values(charges, op, dims, slots, stack: bool = False) -> np.ndarray:
-    """``(K, S)`` array of tr(A_k · Tr_{not s} op), one row per charge A_k, one column per slot s,
-    or ``(..., K, S)`` for each matrix of a stack ``op`` (..., D, D) when ``stack``.
+def _slot_values(charges, op, dims, slots) -> np.ndarray:
+    """``(..., K, S)`` array of tr(A_k · Tr_{not s} op), one row per charge A_k and one column per
+    slot s, for each matrix of a stack ``op`` (..., D, D); one matrix is a stack of no axes.
 
     One gather of ``op``, indexed by ``dims`` and ``slots`` alone, gives every marginal, so the
     numpy call count grows with neither; a slot that is the whole space takes ``op`` itself.
@@ -55,7 +55,7 @@ def _slot_values(charges, op, dims, slots, stack: bool = False) -> np.ndarray:
     mats = np.array([getattr(c, "matrix", c) for c in charges], dtype=complex)
     if not len(mats):
         raise ValueError("need at least one charge")
-    op = _as_square(op, stack)
+    op = _as_square(op, stack=True)
     dims = [_integer(d, "subsystem dim", 1) for d in dims]
     total, d, lead = op.shape[-1], mats.shape[-1], op.shape[:-2]
     if total != math.prod(dims):
@@ -79,26 +79,15 @@ def _slot_values(charges, op, dims, slots, stack: bool = False) -> np.ndarray:
     return mats.reshape(len(mats), d * d) @ marginals.swapaxes(-1, -2)
 
 
-def extensive_expectation(charges, op, dims, slots) -> np.ndarray:
-    """Sum over ``slots`` (a repeat counts twice) of tr(A_k · Tr_{not s} op), one value per
-    charge A_k: tr(A_total · op) over those slots of a joint space with subsystem ``dims``."""
-    return _slot_values(charges, op, dims, slots).sum(axis=1)
-
-
-def _charge_change(charges, before, after, dims, slots, stack: bool = False) -> np.ndarray:
-    """Real ``(K, S)`` change of each charge on each of ``slots`` from ``before`` to ``after``, or
-    ``(n, K, S)`` to each of a stack ``after`` (n, *before.shape) when ``stack``.
-
-    Checks that the states share a shape; ``_slot_values`` checks the rest.
-    """
-    before = np.asarray(before, dtype=complex)
-    after = np.asarray(after, dtype=complex)
-    if before.shape != after.shape[stack:]:
-        raise ValueError(f"dimension mismatch: {before.shape} vs {after.shape[stack:]}")
-    if stack and (before.ndim != 2 or before.shape[0] != before.shape[1]):
-        _as_square(before)  # raises what the change of one state would
-    op = after - (before[None] if stack else before)  # same shapes: numpy's fast path at n = 1
-    return _slot_values(charges, op, dims, slots, stack).real
+def _charge_change(charges, before, afters, dims, slots) -> np.ndarray:
+    """Real ``(n, K, S)`` change of each charge on each of ``slots`` from the one matrix ``before``
+    to each state of the stack ``afters`` (n, *before.shape); ``_slot_values`` checks the rest."""
+    before, afters = np.asarray(before, dtype=complex), np.asarray(afters, dtype=complex)
+    if before.shape != afters.shape[1:] or before.ndim != 2:
+        _as_square(before)  # a stack or a non-matrix raises here, as one state's change would
+        raise ValueError(f"dimension mismatch: {before.shape} vs {afters.shape[1:]}")
+    op = afters - before[None]  # same shapes at n = 1: numpy's fast path
+    return _slot_values(charges, op, dims, slots).real
 
 
 def uniform_dims(total: int, d: int) -> list[int]:

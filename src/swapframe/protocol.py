@@ -10,8 +10,8 @@ A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rh
 is a fixed d²×d² map on vec(rho). One ``_slot_sweep`` writes the D slot maps of every round count
 down in that closed form and chains them into M and the ledger functionals, one stacked product per
 slot; per N, ``_protocol_runs`` takes the N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉
-products, and contracts them for the ledger. Only ``run_protocol`` builds the ideal trajectory;
-sweeps and the CLI take every final error from one stacked norm.
+products, and contracts them for the ledger. ``run_protocol`` doubles its ideal trajectory beside
+them; sweeps and the CLI take every final error from one stacked norm.
 """
 
 from __future__ import annotations
@@ -91,11 +91,6 @@ class BatteryLedger:
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
-def _fold(stack: np.ndarray) -> np.ndarray:
-    """(m, r, c) stack -> (r, m·c) matrix, so one GEMM from the left acts on every member."""
-    return stack.swapaxes(0, 1).reshape(stack.shape[1], -1)
-
-
 def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
     """M on vec(rho) per round count, (r, d², d²), and its complex ledger functionals[N, side,
     column, slot, charge] (side 0 the system, 1 the particle), chaining the slots from the
@@ -104,7 +99,8 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
     F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, built (not called) once per chunk of slots for a group of
     round counts: a group holds at most 2^16 // d⁴ of them (4096 at d = 2, 16 at d = 8, one from
     d = 16) and a chunk's maps at most 2^16 entries or one (slot, N) pair. One stacked product per
-    slot chains a group; one folded GEMM per side and N takes S_k - 1, F_k - |sigma_k⟩⟨1|."""
+    slot chains a group; one product per side, broadcast over (slot, N), takes S_k - 1 and
+    F_k - |sigma_k⟩⟨1|, so no ledger entry depends on how the slots are chunked."""
     d, d2, size, r = basis.dim, basis.dim ** 2, basis.size, len(n_list)
     eye, units = np.eye(d), np.eye(d2)
     angles = np.asarray(alphas, dtype=float) / np.array(n_list, dtype=float)[:, None]
@@ -135,12 +131,9 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
                 maps += k
                 maps -= proj
                 del k, proj
-                for i in range(g):
-                    system = rows @ _fold(ins[1:m + 1, i] - ins[:m, i])
-                    frame = (rows @ _fold(maps[:, i])).reshape(-1, m, d2).swapaxes(0, 1)
-                    frame = frame @ ins[:m, i]
-                    functionals[g0 + i, 0, :, lo:lo + m] = system.reshape(-1, m, d2).T
-                    functionals[g0 + i, 1, :, lo:lo + m] = frame.transpose(2, 0, 1)
+                out = functionals[g0:g0 + g, :, :, lo:lo + m].transpose(1, 3, 0, 4, 2)
+                out[0] = rows @ (ins[1:m + 1] - ins[:m])  # out[side, slot, N, charge, column]
+                out[1] = rows @ maps @ ins[:m]
             ins[0] = ins[m]
         round_maps[g0:g0 + g] = ins[0]
     return round_maps, functionals
@@ -190,9 +183,9 @@ class ProtocolResult:
 
 
 def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list:
-    """``run_protocol`` at each round count in ``n_list``, from one slot sweep. Only a
-    ``trajectory`` run builds the ideal states for ``round_errors``; else they are ``()`` and
-    one stacked trace norm gives every total error."""
+    """``run_protocol`` at each round count in ``n_list``, from one slot sweep, ledgers as real
+    copies. A ``trajectory`` run doubles the ideal states beside the real ones for ``round_errors``;
+    else they are ``()`` and one stacked trace norm gives every total error."""
     basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
@@ -200,29 +193,31 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     n_min = _n_min(basis.size, basis.alpha_max)
     if trajectory:  # h is exactly Hermitian, so no check or hermitize is needed
         w, v = np.linalg.eigh(h)
-        rho_eig = dagger(v) @ spec.rho_s @ v
     bounds = [total_bound(basis.size, basis.alpha_max, n) for n in n_list]  # raises for n < 1
     round_maps, functionals = _slot_sweep(basis, dec.alphas, n_list, spec.charges)
     finals, errors, ledgers = np.empty((len(n_list), d, d), dtype=complex), [], []
     for i, (n, round_map) in enumerate(zip(n_list, round_maps)):
-        states = np.empty((n + 1, d * d), dtype=complex)
-        states[0] = spec.rho_s.reshape(-1)
-        for m in (2**j for j in range(int(n).bit_length())):  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
+        states = np.empty((1 + trajectory, n + 1, d * d), dtype=complex)  # real, then ideal
+        states[:, 0] = spec.rho_s.reshape(-1)
+        steps = [2**j for j in range(int(n).bit_length())]  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
+        if trajectory:  # each U^m from the eigenphases: squaring U⊗U* would compound rounding
+            u = (v * np.exp(np.outer(steps, w * (-1j / n)))[:, None]) @ dagger(v)
+        for j, m in enumerate(steps):
             power = round_map.T if m == 1 else power @ power
-            np.matmul(states[:min(m, n + 1 - m)], power, out=states[m:2 * m])
-        ledger = states[:-1] @ functionals[i].reshape(2, d * d, -1)
-        ledgers.append(ledger.real.reshape(2, n, basis.size, len(labels)))
-        states = states.reshape(n + 1, d, d)
-        finals[i] = states[-1]
-        if trajectory:  # ideal states v·X_t·v†, X_t = rho_eig ∘ phases_t, then the target's
-            phases = np.exp(-1j * np.subtract.outer(w, w) * (np.arange(1, n + 1) / n)[:, None, None])
-            ideal = v @ _fold(((rho_eig * phases).reshape(n * d, d) @ dagger(v)).reshape(n, d, d))
-            ideal = np.concatenate((ideal.reshape(d, n, d).swapaxes(0, 1), final_ideal[None]))
-            errors.append(trace_norm(np.concatenate((states[1:], states[-1:])) - ideal))
+            np.matmul(states[0, :min(m, n + 1 - m)], power, out=states[0, m:2 * m])
+            if trajectory:  # (U^m⊗U^m*)ᵀ = U^mᵀ⊗U^m†
+                ideal = (u[j].T[:, None, :, None] * dagger(u[j])[:, None]).reshape(d * d, -1)
+                np.matmul(states[1, :min(m, n + 1 - m)], ideal, out=states[1, m:2 * m])
+        ledger = (states[0, :-1] @ functionals[i].reshape(2, d * d, -1)).real.copy()
+        ledgers.append(ledger.reshape(2, n, basis.size, len(labels)))
+        finals[i] = states[0, -1].reshape(d, d)
+        if trajectory:  # row t >= 1: round t against the ideal; row 0: the end against the target
+            states[:, 0] = states[0, -1], final_ideal.reshape(-1)
+            errors.append(trace_norm((states[0] - states[1]).reshape(n + 1, d, d)))
     if not trajectory:
         errors = trace_norm(finals - final_ideal)[:, None]
-    return [ProtocolResult(final_state=final, round_errors=tuple(e[:-1].tolist()),
-                           total_error=float(e[-1]), total_bound=bound, bound_valid=valid,
+    return [ProtocolResult(final_state=final, round_errors=tuple(e[1:].tolist()),
+                           total_error=float(e[0]), total_bound=bound, bound_valid=valid,
                            n_min=n_min, ledger=BatteryLedger(labels, *ledger))
             for final, e, (bound, valid), ledger in zip(finals, errors, bounds, ledgers)]
 
@@ -232,9 +227,9 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
 
     Every round is the same linear map M on vec(rho), built with its ledger functionals by
     ``_slot_sweep``; doubling gives the round-start states, and one contraction with them the
-    ledger. Ideal states exp(-iHt/N)·rho·exp(+iHt/N) come from one eigendecomposition of the
-    generator; one stacked trace norm gives the N round errors and the total error. Identical specs
-    give identical results.
+    ledger. The ideal states exp(-iHt/N)·rho·exp(+iHt/N) take the same doubling, each step's
+    U^m⊗U^m* built from one eigendecomposition of the generator; one stacked trace norm gives the
+    N round errors and the total error. Identical specs give identical results.
     """
     return _protocol_runs(spec, (spec.n_rounds,), trajectory=True)[0]
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conservation import _charge_change, _charge_set, extensive_expectation, uniform_dims
+from .conservation import _charge_change, _charge_set, _slot_values, uniform_dims
 from .linalg import _entropy, _integer, _reduce, _singular_values, hermitize, von_neumann_entropy
 from .protocol import ProtocolResult
 
@@ -81,8 +81,7 @@ def free_entropy(rho, spec: ThermalSpec) -> float:
     """
     entropy = von_neumann_entropy(rho)
     dims = uniform_dims(len(rho), spec.dim)
-    weighted = extensive_expectation((spec.exponent,), rho, dims, range(len(dims)))[0].real
-    return float(weighted) - entropy
+    return float(_slot_values((spec.exponent,), rho, dims, range(len(dims))).sum().real) - entropy
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def _work_records(before, afters, dims, bath, spec: ThermalSpec, system=()) -> l
         raise ValueError("need at least one bath slot")
 
     # the helper checks after - before, which is finite only when both states are
-    changes = _charge_change(spec.charges, before, afters, dims, (*system, *bath), stack=True)
+    changes = _charge_change(spec.charges, before, afters, dims, (*system, *bath))
     if system:  # entropies of the system before, then after each state
         states = np.concatenate((np.asarray(before, dtype=complex)[None], afters))
         entropies = _entropy(_reduce(states, dims, sorted(system)), stack=True).tolist()
@@ -157,8 +156,8 @@ def implicit_work(before, after, charges) -> dict:
         raise ValueError("need at least one charge")
     charges = _charge_set(charges, charges[0].dim)
     dims = uniform_dims(len(before), charges[0].dim)
-    deltas = _charge_change(charges, before, after, dims, range(len(dims))).sum(axis=1)
-    return {c.label: -float(delta) for c, delta in zip(charges, deltas)}
+    deltas = _charge_change(charges, before, np.asarray(after)[None], dims, range(len(dims)))[0]
+    return {c.label: -float(delta) for c, delta in zip(charges, deltas.sum(axis=1))}
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,23 @@ def test_block_bound_generator_term_only():
     assert value == pytest.approx(4 * np.pi**2 * (np.e - 2) / 100)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: total_bound(3, -1.0, 100), "alpha_max must be finite and >= 0"),
+    (lambda: total_bound(3, np.nan, 100), "alpha_max must be finite and >= 0"),
+    (lambda: block_bound(3, np.inf, 100), "alpha_max must be finite and >= 0"),
+    (lambda: total_bound(-3, 1.0, 100), "generator count must be >= 0 and an integer"),
+    (lambda: total_bound(2.5, 1.0, 10), "generator count must be >= 0 and an integer"),
+    (lambda: block_bound(True, 1.0, 10), "generator count must be >= 0 and an integer"),
+    (lambda: single_step_bound(np.nan, 10), "alpha must be finite"),
+    (lambda: single_step_bound(-np.inf, 10), "alpha must be finite"),
+], ids=["negative-amax", "nan-amax", "inf-amax", "negative-count", "float-count", "bool-count",
+        "nan-alpha", "inf-alpha"])
+def test_bounds_reject_invalid_input(call, match):
+    # each was once accepted; a negative amax or generator count certified valid=True at any N
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_block_bound_quadratic_scaling():
     v1, _ = block_bound(3, QUBIT_BASIS.alpha_max, 500)
     v2, _ = block_bound(3, QUBIT_BASIS.alpha_max, 1000)
@@ -136,17 +153,21 @@ def test_convergence_sweep_rejects_repeated_round_counts(n_list):
 SWEEP_N = [10, 20, 40, 80, 160]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 8])
-def test_convergence_sweep_rows_equal_single_runs(d):
-    # d // 4 charges; at d = 8 the five round counts share one group and the 63 slots go in
-    # chunks of three, so the grouped and chunked sweep is checked against single runs
+@pytest.mark.parametrize("d, n_list", [(2, SWEEP_N), (3, SWEEP_N), (4, SWEEP_N), (8, SWEEP_N),
+                                       (8, list(range(4, 21))), (5, list(range(10, 19)))],
+                         ids=["2", "3", "4", "8", "8-two-groups", "5-odd-chunks"])
+def test_convergence_sweep_rows_equal_single_runs(d, n_list):
+    # d // 4 charges; at d = 8 five round counts share one group and the 63 slots go in chunks
+    # of three, and 17 span two groups (16 and 1); at d = 5 nine round counts take the 24 slots
+    # in chunks of 11, a single run in one chunk. The grouped and chunked sweep is checked
+    # against single runs, ledgers included, bit for bit
     rng = rng_from_seed(60 + d)
     target, rho, basis = haar_unitary(d, rng), random_density(d, rng), build_state_basis(d)
     charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{j}") for j in range(d // 4))
     spec = ProtocolSpec(target=target, n_rounds=7, basis=basis, rho_s=rho, charges=charges)
-    table = convergence_sweep(spec, SWEEP_N)
-    runs = swapframe.protocol._protocol_runs(spec, SWEEP_N)
-    assert [r.n_rounds for r in table.rows] == SWEEP_N
+    table = convergence_sweep(spec, n_list)
+    runs = swapframe.protocol._protocol_runs(spec, n_list)
+    assert [r.n_rounds for r in table.rows] == n_list
     for row, run in zip(table.rows, runs):
         result = run_protocol(ProtocolSpec(target=target, n_rounds=row.n_rounds, basis=basis,
                                            rho_s=rho, charges=charges))

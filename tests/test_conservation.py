@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import commutator_norm, lift, partial_swap
 from swapframe import conservation
-from swapframe.conservation import ExtensiveObservable, extensive_expectation
+from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import dagger, exp_neg_i, partial_trace, tensor
 from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import implicit_work
@@ -122,6 +122,10 @@ def test_audit_dimension_mismatch():
         implicit_work(np.eye(4) / 4, np.eye(8) / 8, (ExtensiveObservable(Z, "Z"),))
     with pytest.raises(ValueError):
         implicit_work(np.eye(3) / 3, np.eye(3) / 3, (ExtensiveObservable(Z, "Z"),))
+    # a stack of states is refused: implicit_work reads one state before and one after
+    pair = np.stack((np.eye(2), np.diag([1.0, 0.0]))).astype(complex)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        implicit_work(pair, pair[::-1], (ExtensiveObservable(Z, "Z"),))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -132,16 +136,19 @@ def test_extensive_expectation_matches_dense_lift(d, n):
     dims = [d] * n
     for x in (random_hermitian(d**n, rng), gaussian_matrix(d**n, rng)):
         dense = np.trace(lift(a, n) @ x)
-        assert abs(extensive_expectation((a,), x, dims, range(n))[0] - dense) <= 1e-12
+        total = conservation._slot_values((a,), x, dims, range(n)).sum(axis=-1)
+        assert abs(total[0] - dense) <= 1e-12
         # a proper subset of the slots: every slot but the first
         subset = np.zeros((d**n, d**n), dtype=complex)
         for slot in range(1, n):
             subset += np.kron(np.kron(np.eye(d**slot), a), np.eye(d ** (n - slot - 1)))
-        got = extensive_expectation((ExtensiveObservable(a, "A"),), x, dims, range(1, n))[0]
+        got = conservation._slot_values((ExtensiveObservable(a, "A"),), x, dims, range(1, n))
+        got = got.sum(axis=-1)[0]
         assert abs(got - np.trace(subset @ x)) <= 1e-12
         # a stack of three charges, one value per charge
         b, c = random_hermitian(d, rng), random_hermitian(d, rng)
-        values = extensive_expectation((a, b, ExtensiveObservable(c, "C")), x, dims, range(n))
+        values = conservation._slot_values((a, b, ExtensiveObservable(c, "C")), x, dims, range(n))
+        values = values.sum(axis=-1)
         assert values.shape == (3,)
         for m, value in zip((a, b, c), values):
             assert abs(value - np.trace(lift(m, n) @ x)) <= 1e-12
@@ -158,14 +165,11 @@ def test_stacked_slot_values_equal_each_member(dims, slots):
     total = math.prod(dims)
     charges = [ExtensiveObservable(random_hermitian(2, rng), f"A{i}") for i in range(3)]
     ops = np.array([[gaussian_matrix(total, rng) for _ in range(4)] for _ in range(2)])
-    values = conservation._slot_values(charges, ops, dims, slots, stack=True)
+    values = conservation._slot_values(charges, ops, dims, slots)
     assert values.shape == (2, 4, 3, len(slots))
     for op, value in zip(ops.reshape(-1, total, total), values.reshape(-1, 3, len(slots))):
         np.testing.assert_allclose(value, conservation._slot_values(charges, op, dims, slots),
                                    rtol=0, atol=1e-12)
-    # a stack is refused where one matrix is expected
-    with pytest.raises(ValueError, match="expected a matrix"):
-        conservation._slot_values(charges, ops, dims, slots)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -175,7 +179,7 @@ def test_stacked_charge_change_equals_each_member(n):
     dims = [2] * n
     before = random_density(2**n, rng)
     afters = np.array([random_density(2**n, rng) for _ in range(5)])
-    changes = conservation._charge_change(charges, before, afters, dims, range(n), stack=True)
+    changes = conservation._charge_change(charges, before, afters, dims, range(n))
     assert changes.shape == (5, 2, n)
     for after, change in zip(afters, changes):
         works = implicit_work(before, after, charges)
@@ -185,16 +189,16 @@ def test_stacked_charge_change_equals_each_member(n):
     broken = afters.copy()
     broken[3, 0, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        conservation._charge_change(charges, before, broken, dims, range(n), stack=True)
+        conservation._charge_change(charges, before, broken, dims, range(n))
     with pytest.raises(ValueError, match=r"dimension mismatch: \(\d+, \d+\) vs \(5, \d+, \d+\)"):
-        conservation._charge_change(charges, before, afters[None], dims, range(n), stack=True)
+        conservation._charge_change(charges, before, afters[None], dims, range(n))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        conservation._charge_change(charges, before, afters[:, :1], dims, range(n), stack=True)
+        conservation._charge_change(charges, before, afters[:, :1], dims, range(n))
 
 
 def test_extensive_expectation_rejects_misfit_slot():
     with pytest.raises(ValueError):
-        extensive_expectation((Z,), np.eye(6) / 6, [2, 3], [1])
+        conservation._slot_values((Z,), np.eye(6) / 6, [2, 3], [1])
 
 
 def test_extensive_expectation_rejects_bad_input():
@@ -202,13 +206,13 @@ def test_extensive_expectation_rejects_bad_input():
         op = np.eye(4, dtype=complex)
         op[3, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            extensive_expectation((Z,), op, [2, 2], [0, 1])
+            conservation._slot_values((Z,), op, [2, 2], [0, 1])
     with pytest.raises(ValueError, match="does not fit slot 2"):
-        extensive_expectation((Z,), np.eye(4), [2, 2], [2])
+        conservation._slot_values((Z,), np.eye(4), [2, 2], [2])
     with pytest.raises(ValueError, match="do not match"):
-        extensive_expectation((Z,), np.eye(4), [2, 2, 2], [0])
+        conservation._slot_values((Z,), np.eye(4), [2, 2, 2], [0])
     with pytest.raises(ValueError, match="at least one charge"):
-        extensive_expectation((), np.eye(4), [2, 2], [])
+        conservation._slot_values((), np.eye(4), [2, 2], [])
 
 
 def test_extensive_expectation_reads_dims_and_slots_as_integers():
@@ -216,16 +220,16 @@ def test_extensive_expectation_reads_dims_and_slots_as_integers():
     op = np.eye(4, dtype=complex) / 4
     for dims, slots in (([2, 2], [1.5]), ([2, 2], [True]), ([2.9, 2], [0]), ([2, 2], [-1])):
         with pytest.raises(ValueError, match="and an integer"):
-            extensive_expectation((Z,), op, dims, slots)
-    np.testing.assert_allclose(extensive_expectation((Z,), op, np.array([2, 2]), [np.int64(1)]),
-                               [0.0], rtol=0, atol=1e-15)
+            conservation._slot_values((Z,), op, dims, slots)
+    values = conservation._slot_values((Z,), op, np.array([2, 2]), [np.int64(1)])
+    np.testing.assert_allclose(values.sum(axis=-1), [0.0], rtol=0, atol=1e-15)
 
 
 # no slot has to fit the charges when there are none: dims [3] and [3, 3] hold no qubit
 @pytest.mark.parametrize("dims", [[2], [2, 2, 2], [3], [3, 3]])
 def test_extensive_expectation_of_no_slots_is_zero_per_charge(dims):
     op = random_density(math.prod(dims), rng_from_seed(46))
-    values = extensive_expectation((Z, X, I2), op, dims, [])
+    values = conservation._slot_values((Z, X, I2), op, dims, []).sum(axis=-1)
     assert values.shape == (3,)
     assert not values.any()
 
@@ -250,7 +254,7 @@ def test_extensive_expectation_is_the_sum_of_slot_marginals(data):
     rng = rng_from_seed(data.draw(st.integers(0, 2**16)))
     op = gaussian_matrix(math.prod(dims), rng)
     charges = [random_hermitian(d, rng) for _ in range(data.draw(st.integers(1, 3)))]
-    values = extensive_expectation(charges, op, dims, slots)
+    values = conservation._slot_values(charges, op, dims, slots).sum(axis=-1)
     expected = [sum((np.trace(a @ partial_trace(op, dims, s)) for s in slots), 0j) for a in charges]
     assert values.shape == (len(charges),)
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
