@@ -32,24 +32,14 @@ def _gell_mann_generators(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    gens = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[j, k] = g[k, j] = 1.0
-            gens.append(g)
-    for j in range(d):
-        for k in range(j + 1, d):
-            g = np.zeros((d, d), dtype=complex)
-            g[j, k] = -1j
-            g[k, j] = 1j
-            gens.append(g)
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l] = 1.0
-        diag[l] = -l
-        gens.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag).astype(complex))
-    return np.array(gens)
+    j, k = np.triu_indices(d, 1)
+    m, pair = len(j), np.arange(len(j))
+    gens = np.zeros((d * d - 1, d, d), dtype=complex)
+    gens[pair, j, k] = gens[pair, k, j] = 1.0
+    gens[pair + m, j, k], gens[pair + m, k, j] = -1j, 1j
+    l, i = np.arange(1, d)[:, None], np.arange(d)  # diagonal l: (1, ..., 1, -l, 0, ...) scaled
+    gens[2 * m:, i, i] = np.sqrt(2.0 / (l * (l + 1))) * np.where(i < l, 1.0, -l * (i == l))
+    return gens
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,9 +104,7 @@ def fit_loglog_slope(n_values, errors):
     pts = [(n, e) for n, e in zip(n_values, errors) if e > FIT_FLOOR]
     if len({n for n, _ in pts}) < 2:
         return float("nan"), float("nan")
-    x = np.log([p[0] for p in pts])
-    y = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = np.polyfit(*np.log(np.array(pts, dtype=float).T), 1)
     return float(slope), float(intercept)
 
 
@@ -122,7 +120,5 @@ def convergence_sweep(spec, n_list) -> ConvergenceTable:
 
     rows = tuple(SweepRow(n, r.total_error, r.total_bound, r.bound_valid)
                  for n, r in zip(n_list, _protocol_runs(spec, n_list)))
-    slope, intercept = fit_loglog_slope(
-        [r.n_rounds for r in rows], [r.measured_error for r in rows]
-    )
+    slope, intercept = fit_loglog_slope(n_list, [r.measured_error for r in rows])
     return ConvergenceTable(rows=rows, slope=slope, intercept=intercept)

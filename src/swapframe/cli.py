@@ -280,18 +280,46 @@ MODES = {
 }
 
 
+_PARSER = argparse.ArgumentParser(prog="swapframe", description="Run partial-swap "
+                                  "reference-frame experiments from a JSON config.")
+_PARSER.add_argument("--config", required=True, help="path to the JSON experiment config")
+_PARSER.add_argument("--out", default=None,
+                     help="directory for CSV/JSON outputs (default: config 'out' field or '.')")
+_PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
+_PARSER.add_argument("--mode", default=None, choices=sorted(MODES), help="override the config mode")
+_PARSER.add_argument("--verbose", action="store_true")
+
+
+def _json_text(doc, nl: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte; ``nl`` is the break and indent.
+
+    A list of flat records (dicts of one set of str keys, with scalar values) is written column by
+    column: one C-encoder call per key, split at its "\n" item separator, which no encoded scalar
+    holds, then every row from one %-template. Other lists and dicts recurse; the rest is
+    ``json.dumps``'s own text."""
+    inner = nl + "  "
+    if isinstance(doc, dict) and doc:
+        body = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"  # a key as the stdlib's
+                for k, v in sorted(doc.items())]
+    elif not isinstance(doc, (list, tuple)) or not doc:
+        return json.dumps(doc)
+    elif (type(doc[0]) is dict and {type(k) for k in doc[0]} == {str}
+          and all(type(r) is dict and r.keys() == doc[0].keys() for r in doc)
+          and {type(v) for r in doc for v in r.values()} <= {str, int, float, bool, type(None)}):
+        keys = sorted(doc[0])
+        row = f"{{{inner}  " + f",{inner}  ".join(json.dumps(k).replace("%", "%%") + ": %s"
+                                                  for k in keys) + f"{inner}}}"
+        cols = [json.dumps([r[k] for r in doc], separators=("\n", ": "))[1:-1].split("\n")
+                for k in keys]
+        body = [row % values for values in zip(*cols)]
+    else:
+        body = [_json_text(v, inner) for v in doc]
+    ends = "{}" if isinstance(doc, dict) else "[]"
+    return ends[0] + inner + f",{inner}".join(body) + nl + ends[1]
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="swapframe",
-        description="Run partial-swap reference-frame experiments from a JSON config.",
-    )
-    parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--out", default=None,
-                        help="directory for CSV/JSON outputs (default: config 'out' field or '.')")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--mode", default=None, choices=sorted(MODES), help="override the config mode")
-    parser.add_argument("--verbose", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         config = json.loads(Path(args.config).read_text())
@@ -315,7 +343,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from None
         doc, summary, ok = MODES[mode](config, out, rng_from_seed(seed), args.verbose)
         doc.update(schema=SCHEMA_VERSION, mode=mode)
-        (out / f"{mode}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        (out / f"{mode}.json").write_text(_json_text(doc) + "\n")
         print(f"{mode}: {summary}")
         return 0 if ok else 1
     except (ConfigError, ValueError) as exc:

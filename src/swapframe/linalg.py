@@ -13,6 +13,7 @@ at entry, and re-checks nothing built here; ``hermitize`` checks nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,10 +99,7 @@ def check_density(rho) -> np.ndarray:
 
 def tensor(a, b, *rest) -> np.ndarray:
     """Kronecker product with the first factor's index slowest."""
-    out = np.kron(_as_matrix(a), _as_matrix(b))
-    for m in rest:
-        out = np.kron(out, _as_matrix(m))
-    return out
+    return functools.reduce(np.kron, map(_as_matrix, (a, b, *rest)))
 
 
 def _reduce(op, dims, keep) -> np.ndarray:

@@ -16,6 +16,7 @@ them; sweeps and the CLI take every final error from one stacked norm.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,11 @@ class BatteryLedger:
         return float(np.max(np.abs(self.system + self.frame), initial=0.0))
 
     def to_json_dict(self) -> dict:
-        system, frame = self.system.tolist(), self.frame.tolist()
-        entries = [
-            {"round": t + 1, "slot": k, "charge": self.charges[j],
-             "system_delta": system[t][k][j], "frame_delta": frame[t][k][j]}
-            for t, k, j in np.ndindex(self.frame.shape)
-        ]
+        n, size, _ = self.frame.shape
+        rows = zip(itertools.product(range(1, n + 1), range(size), self.charges),
+                   self.system.ravel().tolist(), self.frame.ravel().tolist())
+        entries = [{"round": t, "slot": k, "charge": c, "system_delta": s, "frame_delta": f}
+                   for (t, k, c), s, f in rows]
         return {"cumulative": self.cumulative(),
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
@@ -184,8 +184,9 @@ class ProtocolResult:
 
 def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list:
     """``run_protocol`` at each round count in ``n_list``, from one slot sweep, ledgers as real
-    copies. A ``trajectory`` run doubles the ideal states beside the real ones for ``round_errors``;
-    else they are ``()`` and one stacked trace norm gives every total error."""
+    copies (empty, with no product taken, when no charge is audited). A ``trajectory`` run doubles
+    the ideal states beside the real ones for ``round_errors``; else they are ``()`` and one stacked
+    trace norm gives every total error."""
     basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
     h = principal_generator(spec.target)
     dec = decompose_generator(h, basis)
@@ -198,21 +199,21 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     finals, errors, ledgers = np.empty((len(n_list), d, d), dtype=complex), [], []
     for i, (n, round_map) in enumerate(zip(n_list, round_maps)):
         states = np.empty((1 + trajectory, n + 1, d * d), dtype=complex)  # real, then ideal
-        states[:, 0] = spec.rho_s.reshape(-1)
+        states[:, 0], real = spec.rho_s.reshape(-1), states[0]
         steps = [2**j for j in range(int(n).bit_length())]  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
         if trajectory:  # each U^m from the eigenphases: squaring U⊗U* would compound rounding
             u = (v * np.exp(np.outer(steps, w * (-1j / n)))[:, None]) @ dagger(v)
         for j, m in enumerate(steps):
             power = round_map.T if m == 1 else power @ power
-            np.matmul(states[0, :min(m, n + 1 - m)], power, out=states[0, m:2 * m])
+            np.matmul(real[:min(m, n + 1 - m)], power, out=real[m:2 * m])
             if trajectory:  # (U^m⊗U^m*)ᵀ = U^mᵀ⊗U^m†
                 ideal = (u[j].T[:, None, :, None] * dagger(u[j])[:, None]).reshape(d * d, -1)
                 np.matmul(states[1, :min(m, n + 1 - m)], ideal, out=states[1, m:2 * m])
-        ledger = (states[0, :-1] @ functionals[i].reshape(2, d * d, -1)).real.copy()
-        ledgers.append(ledger.reshape(2, n, basis.size, len(labels)))
-        finals[i] = states[0, -1].reshape(d, d)
+        ledgers.append((real[:-1] @ functionals[i].reshape(2, d * d, -1)).real.copy().reshape(
+            2, n, basis.size, -1) if labels else np.empty((2, n, basis.size, 0)))
+        finals[i] = real[-1].reshape(d, d)
         if trajectory:  # row t >= 1: round t against the ideal; row 0: the end against the target
-            states[:, 0] = states[0, -1], final_ideal.reshape(-1)
+            states[:, 0] = real[-1], final_ideal.reshape(-1)
             errors.append(trace_norm((states[0] - states[1]).reshape(n + 1, d, d)))
     if not trajectory:
         errors = trace_norm(finals - final_ideal)[:, None]

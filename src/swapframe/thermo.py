@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conservation import _charge_change, _charge_set, _slot_values, uniform_dims
-from .linalg import _entropy, _integer, _reduce, _singular_values, hermitize, von_neumann_entropy
+from .linalg import (_as_square, _entropy, _integer, _reduce, _singular_values, hermitize,
+                     von_neumann_entropy)
 from .protocol import ProtocolResult
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
@@ -155,7 +156,7 @@ def implicit_work(before, after, charges) -> dict:
     if not charges:
         raise ValueError("need at least one charge")
     charges = _charge_set(charges, charges[0].dim)
-    dims = uniform_dims(len(before), charges[0].dim)
+    dims = uniform_dims(len(_as_square(before)), charges[0].dim)  # a non-matrix raises here
     deltas = _charge_change(charges, before, np.asarray(after)[None], dims, range(len(dims)))[0]
     return {c.label: -float(delta) for c, delta in zip(charges, deltas.sum(axis=1))}
 

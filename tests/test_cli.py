@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import functools
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapframe import cli, rand
@@ -571,6 +572,70 @@ def test_converge_output_is_strict_json_at_the_fp_floor(tmp_path):
     assert len(doc["rows"]) == 3
 
 
+# Keys and strings that the column writer must carry through its separators and its %-template.
+JSON_STRINGS = st.sampled_from(["", ", ", "\n", "%", "%s", "%%d", '"', "\\", "é", "\u2028",
+                                "a, b\nc"])
+JSON_KEYS = JSON_STRINGS | st.sampled_from(["a", "b", "a%b", "N"]) | st.text(max_size=4)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**70, -(2**100)])
+                | st.floats() | JSON_STRINGS | st.text(max_size=6))
+
+
+@st.composite
+def _record_lists(draw, values):
+    """Records of one key set; when drawn, one record gets a stray key or a nested value."""
+    keys = draw(st.lists(JSON_KEYS, max_size=4, unique=True))
+    records = [{k: draw(JSON_SCALARS) for k in keys} for _ in range(draw(st.integers(0, 4)))]
+    if records and draw(st.booleans()):
+        records[draw(st.integers(0, len(records) - 1))][draw(JSON_KEYS)] = draw(values)
+    return records
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=3) | _record_lists(inner)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400)
+@given(JSON_VALUES)
+@example([{"n": 1, "x": -0.0, "%s": "%"}, {"n": True, "x": float("nan"), "%s": ", "}])
+@example({"rows": [{"a": float("inf"), "b": None}, {"a": -float("inf"), "b": 10**30}]})
+@example([{"a": [1, 2]}])
+@example([{"a": 1}, {"a": 2, "b": 3}])
+@example([{}, {}])
+@example(({"k": ()}, [], {}))
+def test_json_text_is_the_stdlib_indented_text(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_json_text_writes_non_str_keys_as_the_stdlib_does():
+    # int, float, bool and None keys are quoted as the stdlib quotes them, and records keyed so
+    # are written one by one (a record keyed 1.0 is not one keyed 1); a key of another type, or
+    # keys that do not sort, raise the stdlib's TypeError
+    for doc in ({1: "a", 2.5: [], False: {}}, {None: 0}, [{1: 0}, {1.0: 1}], [{True: 0}, {1: 1}],
+                {"a": {-1: 2}}):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    for doc in ({(1,): 0}, {1: 0, "a": 1}, [{"a": 1, 2: 3}]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
+def test_main_builds_no_argument_parser(tmp_path, monkeypatch):
+    # the parser is built once, at import; a call only parses
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    config = write_config(tmp_path / "c.json", {
+        "mode": "conserve", "dimension": 2, "N": 3, "unitary": {"matrix": "H"}, "charges": ["Z"],
+    })
+    assert main(["--config", config, "--out", str(tmp_path / "out")]) == 0
+
+
 # Small valid configs, one per mode, holding every optional field so the fuzz test
 # can overwrite it too.
 FUZZ_BASES = (
@@ -630,4 +695,6 @@ def test_fuzzed_config_keeps_the_exit_contract(data):
             assert len(err) == 1 and err[0].startswith("error: ")
         if code in (0, 1):
             (written,) = out.glob("*.json")
-            assert _records_violation(json.loads(written.read_text())) == (code == 1)
+            text = written.read_text()
+            assert _records_violation(json.loads(text)) == (code == 1)
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

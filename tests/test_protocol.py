@@ -481,6 +481,41 @@ def test_run_protocol_sweeps_collisions_once_per_round_count(monkeypatch):
     assert len(calls) == 1
 
 
+def test_an_uncharged_run_is_the_charged_run_with_an_empty_ledger():
+    # with no charge audited no ledger product is taken; the state and the errors do not move
+    rng = rng_from_seed(69)
+    charged = ProtocolSpec(target=haar_unitary(3, rng), n_rounds=13, basis=build_state_basis(3),
+                           rho_s=random_density(3, rng),
+                           charges=(ExtensiveObservable(random_hermitian(3, rng), "A"),))
+    bare = ProtocolSpec(target=charged.target, n_rounds=13, basis=charged.basis,
+                        rho_s=charged.rho_s)
+    runs = [protocol._protocol_runs(spec, [5, 13]) for spec in (charged, bare)]
+    pairs = [(run_protocol(charged), run_protocol(bare)), *zip(*runs)]
+    for (with_ledger, without), n in zip(pairs, [13, 5, 13]):
+        np.testing.assert_array_equal(without.final_state, with_ledger.final_state)
+        assert without.total_error == with_ledger.total_error
+        assert without.round_errors == with_ledger.round_errors
+        for field in (without.ledger.system, without.ledger.frame):
+            assert field.shape == (n, 8, 0) and field.dtype == float
+        assert without.ledger.to_json_dict()["entries"] == []
+
+
+def test_ledger_json_entries_follow_the_ledger_arrays():
+    # the entries in (round, slot, charge) order, each read by its own index
+    rng = rng_from_seed(70)
+    charges = tuple(ExtensiveObservable(random_hermitian(2, rng), f"A{i}") for i in range(2))
+    spec = ProtocolSpec(target=haar_unitary(2, rng), n_rounds=4, basis=QUBIT_BASIS,
+                        rho_s=random_density(2, rng), charges=charges)
+    ledger = run_protocol(spec).ledger
+    expected = [{"round": t + 1, "slot": k, "charge": ledger.charges[j],
+                 "system_delta": float(ledger.system[t, k, j]),
+                 "frame_delta": float(ledger.frame[t, k, j])}
+                for t, k, j in np.ndindex(ledger.frame.shape)]
+    entries = ledger.to_json_dict()["entries"]
+    assert entries == expected and len(entries) == 4 * 3 * 2
+    assert all(type(e["system_delta"]) is float and type(e["round"]) is int for e in entries)
+
+
 def _record_trace_norm_shapes(monkeypatch):
     shapes = []
 

@@ -267,6 +267,15 @@ def test_implicit_work_rejects_a_misshaped_after(after):
         implicit_work(np.diag([1.0, 0.0]), after, (CHARGE_Z,))
 
 
+@pytest.mark.parametrize("before", [1.0, [0.5, 0.5], [[1.0, 0.0]]], ids=["scalar", "vector", "1x2"])
+def test_implicit_work_rejects_a_non_square_before(before):
+    # refused as free_entropy refuses the same input: a ValueError, before any dimension is read
+    with pytest.raises(ValueError, match="matrix"):
+        implicit_work(before, before, (CHARGE_Z,))
+    with pytest.raises(ValueError, match="matrix"):
+        free_entropy(before, ZX_SPEC)
+
+
 def test_implicit_work_rejects_an_invalid_charge_set():
     with pytest.raises(ValueError, match="at least one charge"):
         implicit_work(I2 / 2, I2 / 2, ())
