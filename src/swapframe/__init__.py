@@ -9,7 +9,6 @@ trace-norm error bounds, and use the frame as a battery for any number of
 from .linalg import (
     tensor,
     partial_trace,
-    hermitian_eig,
     exp_neg_i,
     principal_generator,
     trace_norm,

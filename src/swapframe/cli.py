@@ -62,7 +62,7 @@ def parse_matrix(value, d: int | None = None) -> np.ndarray:
     else:
         try:
             m = _matrix_from_pairs(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot parse matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"matrix is not square: shape {m.shape}")
@@ -157,7 +157,7 @@ def load_basis(config: dict, d: int) -> OperatorBasis:
         basis = OperatorBasis.from_json(text)
     except KeyError as exc:
         raise ConfigError(f"basis file {name!r} lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"basis file {name!r} is malformed: {exc}") from None
     if basis.dim != d:
         raise ConfigError(f"basis file has dimension {basis.dim}, config says {d}")
@@ -322,19 +322,15 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or an int past the digit limit
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(config, dict):
-        print(f"error: config must be a JSON object, got a {type(config).__name__}", file=sys.stderr)
-        return 2
-
-    mode = args.mode or config.get("mode")
-    if type(mode) is not str or mode not in MODES:
-        print(f"error: unknown mode {mode!r}; expected one of {sorted(MODES)}", file=sys.stderr)
-        return 2
-    try:
+        try:  # bad JSON or UTF-8, an int past the digit limit, or nesting past the recursion limit
+            config = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"config must be a JSON object, got a {type(config).__name__}")
+        mode = args.mode or config.get("mode")
+        if type(mode) is not str or mode not in MODES:
+            raise ConfigError(f"unknown mode {mode!r}; expected one of {sorted(MODES)}")
         seed = _check(config.get("seed", 0) if args.seed is None else args.seed, "seed", int, 0)
         out = Path(args.out if args.out is not None else _get(config, "out", str, "."))
         try:

@@ -132,25 +132,16 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     return _reduce(op, dims, keep)
 
 
-def hermitian_eig(h):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary ``v``
-    such that ``h = v @ diag(w) @ v†``.
-    """
-    h = _as_square(h)
-    if _hermitian_defect(h) > HERMITIAN_ATOL:
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigh(hermitize(h))
-
-
 def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
     """Unitary exp(-i * scale * H) for Hermitian H (checked at any scale), via eigh."""
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
-    w, v = hermitian_eig(h)
+    h = _as_square(h)
+    if _hermitian_defect(h) > HERMITIAN_ATOL:
+        raise ValueError("matrix is not Hermitian")
     if scale == 0:
-        return np.eye(len(w), dtype=complex)
+        return np.eye(len(h), dtype=complex)
+    w, v = np.linalg.eigh(hermitize(h))
     return (v * np.exp(-1j * scale * w)) @ dagger(v)
 
 

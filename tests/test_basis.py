@@ -105,6 +105,16 @@ def test_decompose_rejects_a_generator_of_the_wrong_dimension():
         decompose_generator(np.eye(3), build_state_basis(2))
 
 
+def test_decompose_rejects_a_non_hermitian_generator():
+    with pytest.raises(ValueError, match="generator must be Hermitian"):
+        decompose_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), build_state_basis(2))
+
+
+def test_build_state_basis_refuses_dimension_1():
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        build_state_basis(1)
+
+
 def test_decompose_basis_state_multiple():
     basis = build_state_basis(2)
     dec = decompose_generator(np.pi * (I2 + X) / 2, basis)

@@ -339,6 +339,24 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: cannot read config: ")
 
 
+def test_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "c.json"
+    bad.write_text("[" * 200000)
+    assert main(["--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config: ")
+
+
+def test_memory_error_while_reading_the_config_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(path):
+        raise MemoryError("cannot hold the config")
+
+    monkeypatch.setattr(Path, "read_text", fail)
+    assert main(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "internal error: MemoryError: cannot hold the config"]
+
+
 def test_unknown_mode_exits_2(tmp_path, capsys):
     config = write_config(tmp_path / "c.json", {"mode": "frobnicate", "dimension": 2})
     assert main(["--config", config]) == 2
@@ -427,6 +445,18 @@ def test_module_entry_point(tmp_path):
       "charges": ["Z"]}, "scale"),
     ({"mode": "converge", "dimension": 2, "N_list": [10, 20],
       "unitary": {"exp": "Z", "scale": float("-inf")}}, "scale"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "state": {"matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]}}, "not square"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "state": {"basis": 2}}, "out of range"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "state": {}}, "state spec"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "basis": "{tmp}/basis3.json"}, "config says 2"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "state": {"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}}, "cannot parse matrix"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"},
+      "charges": [[[[10**400, 0], [0, 0]], [[0, 0], [-1, 0]]]]}, "cannot parse matrix"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
@@ -434,10 +464,14 @@ def test_module_entry_point(tmp_path):
         "basis_file_without_states", "bath_over_dimension_cap", "round_map_over_dimension_cap",
         "nan_beta", "overflowing_beta", "fractional_N", "string_N", "bool_draws",
         "negative_seed", "bool_scale", "string_scale", "bool_beta", "list_mode", "string_random",
-        "string_plus", "huge_int_scale", "nan_scale", "infinite_scale"])
+        "string_plus", "huge_int_scale", "nan_scale", "infinite_scale", "non_square_state",
+        "basis_state_out_of_range", "empty_state_spec", "basis_file_of_another_dimension",
+        "huge_int_state_matrix", "huge_int_charge_matrix"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
-    # "{tmp}" stands for the test's directory, which holds the config file itself
+    # "{tmp}" stands for the test's directory, which holds the config file itself and a
+    # valid basis file of dimension 3
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
+    (tmp_path / "basis3.json").write_text(build_state_basis(3).to_json())
     config = write_config(tmp_path / "c.json", doc)
     # a config that sets its own output directory is run without --out, which would override it
     out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "out")]
@@ -483,6 +517,7 @@ def test_negative_seed_option_exits_2(tmp_path, capsys):
     ({"dimension": 2.9, "states": []}, "basis dimension"),
     ({"dimension": "2", "states": []}, "basis dimension"),
     ({**json.loads(build_state_basis(2).to_json()), "schema": 7}, "schema"),
+    ({"dimension": 2, "states": [[[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]] * 3}, "malformed"),
 ])
 def test_malformed_basis_file_error_names_file_and_field(tmp_path, capsys, basis_doc, field):
     basis = write_config(tmp_path / "basis.json", basis_doc)
@@ -647,10 +682,15 @@ FUZZ_BASES = (
      "draws": 3},
     {"mode": "battery", "dimension": 2, "N_list": [4, 8], "unitary": {"matrix": "H"},
      "state": {"random": True}, "charges": ["X", {"matrix": "Y"}]},
+    {"mode": "conserve", "dimension": 2, "N": 3,
+     "unitary": {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+     "state": {"matrix": [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]},
+     "charges": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "label": "Z"}]},
 )
 FUZZ_POOL = (None, True, False, -1, 0, 1, 2, 3, 2.5, float("nan"), "Z", "converge", [], [1], {})
 # A huge value goes only where it is refused before any work is done: 10**5 to a capped
-# integer field, by its cap, and 10**400 to a number field, as out of float range.
+# integer field, by its cap, and 10**400 to a number field (a scale, a beta or an entry of
+# an [re, im] pair, the last of three list indices in a row), as out of float range.
 CAPPED_FIELDS = {"dimension", "bath_subsystems"}
 
 
@@ -681,7 +721,8 @@ def test_fuzzed_config_keeps_the_exit_contract(data):
     for _ in range(data.draw(st.integers(1, 2))):
         *parents, key = data.draw(st.sampled_from(list(_fuzz_paths(config))))
         pool = FUZZ_POOL + ((10**5,) if key in CAPPED_FIELDS else ())
-        number = key == "scale" or parents[-1:] == ["betas"]
+        pair_entry = len(parents) >= 2 and all(type(k) is int for k in (*parents[-2:], key))
+        number = key == "scale" or parents[-1:] == ["betas"] or pair_entry
         huge = number and data.draw(st.booleans())
         value = 10**400 if huge else copy.deepcopy(data.draw(st.sampled_from(pool)))
         functools.reduce(operator.getitem, parents, config)[key] = value

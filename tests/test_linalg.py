@@ -14,7 +14,6 @@ from swapframe.linalg import (
     check_unitary,
     dagger,
     exp_neg_i,
-    hermitian_eig,
     is_hermitian,
     operator_norm,
     partial_trace,
@@ -172,24 +171,25 @@ def test_swap_conjugation_and_involution():
         np.testing.assert_allclose(s @ tensor(a, b) @ s, tensor(b, a), atol=1e-12)
 
 
-def test_hermitian_eig_basic():
-    w, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
-    w, _ = hermitian_eig(X)
-    np.testing.assert_allclose(w, [-1.0, 1.0])
+def test_exp_neg_i_basic():
+    # eigh sorts the eigenvalues; the phases must still land on their own eigenvectors
+    u = exp_neg_i(np.diag([3.0, 1.0, 2.0]), 0.5)
+    np.testing.assert_allclose(u, np.diag(np.exp(-0.5j * np.array([3.0, 1.0, 2.0]))), atol=1e-12)
+    np.testing.assert_allclose(exp_neg_i(X, np.pi), -I2, atol=1e-12)
 
 
-def test_hermitian_eig_roundtrip():
+def test_exp_neg_i_roundtrip():
     rng = rng_from_seed(5)
     h = random_hermitian(4, rng)
-    w, v = hermitian_eig(h)
-    np.testing.assert_allclose((v * w) @ dagger(v), h, atol=1e-10)
-    np.testing.assert_allclose(v @ dagger(v), np.eye(4), atol=1e-12)
+    u = exp_neg_i(h, 0.5)
+    np.testing.assert_allclose(u @ dagger(u), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(u @ u, exp_neg_i(h, 1.0), atol=1e-12)
+    np.testing.assert_allclose(u @ exp_neg_i(h, -0.5), np.eye(4), atol=1e-12)
 
 
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_exp_neg_i_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        exp_neg_i(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_exp_neg_i_zero_scale_exact_identity():
@@ -384,7 +384,7 @@ def test_tolerance_constants(defect, passes):
     rho = np.array([[0.5, 0.25 + defect], [0.25, 0.5]])
     u = np.diag([np.sqrt(1.0 + defect), 1.0])
     assert is_hermitian(rho) == passes
-    for check, arg in ((check_density, rho), (hermitian_eig, rho), (check_unitary, u)):
+    for check, arg in ((check_density, rho), (exp_neg_i, rho), (check_unitary, u)):
         if passes:
             check(arg)
         else:
@@ -403,7 +403,6 @@ _JOINT = tensor(_RHO, _RHO)
     lambda: is_hermitian(_H),
     lambda: check_unitary(_U),
     lambda: check_density(_RHO),
-    lambda: hermitian_eig(_H),
     lambda: exp_neg_i(_H, 0.0),
     lambda: exp_neg_i(_H, 0.3),
     lambda: principal_generator(_U),
@@ -411,7 +410,7 @@ _JOINT = tensor(_RHO, _RHO)
     lambda: operator_norm(_H),
     lambda: von_neumann_entropy(_RHO),
     lambda: partial_trace(_JOINT, [2, 2], 0),
-], ids=["is_hermitian", "check_unitary", "check_density", "hermitian_eig", "exp_neg_i_0",
+], ids=["is_hermitian", "check_unitary", "check_density", "exp_neg_i_0",
         "exp_neg_i_0.3", "principal_generator", "trace_norm", "operator_norm",
         "von_neumann_entropy", "partial_trace"])
 def test_public_function_checks_its_matrix_once(monkeypatch, call):

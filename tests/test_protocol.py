@@ -12,7 +12,7 @@ from dense_oracle import commutator_norm, lift, partial_swap, swap
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, convergence_sweep, single_step_bound, total_bound
 from swapframe.conservation import ExtensiveObservable
-from swapframe import cli, linalg, protocol
+from swapframe import cli, protocol
 from swapframe.linalg import (
     check_density,
     dagger,
@@ -595,21 +595,21 @@ def test_run_protocol_deterministic():
     assert np.array_equal(a.ledger.frame, b.ledger.frame)
 
 
-def test_run_protocol_makes_no_hermitian_eig_call(monkeypatch):
-    # the principal generator is exactly Hermitian, so the run diagonalizes it unchecked
+def test_run_protocol_makes_no_exp_neg_i_call(monkeypatch):
+    # the principal generator is exactly Hermitian, so the run diagonalizes it unchecked,
+    # not through exp_neg_i's checked eigendecomposition
     spec = ProtocolSpec(target=haar_unitary(3, rng_from_seed(61)), n_rounds=20,
                         basis=build_state_basis(3), rho_s=random_density(3, rng_from_seed(62)),
                         charges=(ExtensiveObservable(random_hermitian(3, rng_from_seed(63))),))
     calls = []
-    hermitian_eig = linalg.hermitian_eig
 
-    def counting(h):
+    def counting(h, scale=1.0):
         calls.append(h)
-        return hermitian_eig(h)
+        return exp_neg_i(h, scale)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("swapframe") and getattr(module, "hermitian_eig", None) is hermitian_eig:
-            monkeypatch.setattr(module, "hermitian_eig", counting)
+        if name.startswith("swapframe") and getattr(module, "exp_neg_i", None) is exp_neg_i:
+            monkeypatch.setattr(module, "exp_neg_i", counting)
     run_protocol(spec)
     assert calls == []
 

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "ProtocolSpec", "SweepRow", "ThermalSpec", "WorkRecord", "basis", "battery_deviation_check",
     "block_bound", "bounds", "build_state_basis", "check_density", "check_unitary", "conservation",
     "convergence_sweep", "dagger", "decompose_generator", "exp_neg_i", "fit_loglog_slope",
-    "free_entropy", "hermitian_eig", "implicit_work", "linalg", "operator_norm", "partial_trace",
+    "free_entropy", "implicit_work", "linalg", "operator_norm", "partial_trace",
     "principal_generator", "protocol", "run_protocol", "single_step_bound", "step_channel",
     "tensor", "thermal_state", "thermo", "total_bound", "trace_norm", "von_neumann_entropy",
     "work_accounting",
@@ -30,7 +30,7 @@ def test_public_names_are_pinned():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
 
 
 def test_package_source_stays_under_its_line_cap():

@@ -326,6 +326,13 @@ def test_battery_deviation_requires_ledger():
         battery_deviation_check(result, {"Z": 0.0}, 0.0, (CHARGE_Z,))
 
 
+def test_battery_deviation_check_names_a_charge_the_ledger_lacks():
+    result, works = _battery_run(10)  # its ledger books Z only
+    with pytest.raises(ValueError, match="ledger has no entries for charge 'X'"):
+        battery_deviation_check(result, {**works, "X": 0.0}, result.total_error,
+                                (CHARGE_Z, CHARGE_X))
+
+
 @pytest.mark.parametrize("n", [1])
 def test_battery_bound_matches_dense_lift(n):
     rng = rng_from_seed(75)
