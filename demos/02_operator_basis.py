@@ -9,8 +9,8 @@ decomposes with coefficients no larger than sqrt(D)·pi·max ||dual||_HS.
 
 import numpy as np
 
-from swapframe import OperatorBasis, build_state_basis, decompose_generator
-from swapframe.rand import random_bounded_generator, rng_from_seed
+from swapframe import OperatorBasis, build_state_basis, decompose_generator, principal_generator
+from swapframe.rand import haar_unitary, rng_from_seed
 
 print("=== Qubit basis ===")
 basis = build_state_basis(2)
@@ -32,7 +32,7 @@ print("=== Coefficient bound over random generators ===")
 rng = rng_from_seed(2)
 worst = 0.0
 for _ in range(500):
-    dec = decompose_generator(random_bounded_generator(2, rng), basis)
+    dec = decompose_generator(principal_generator(haar_unitary(2, rng)), basis)
     worst = max(worst, dec.max_alpha)
 print(f"500 random generators: max |alpha_k| = {worst:.4f} <= {basis.alpha_max:.4f}")
 

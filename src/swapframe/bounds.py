@@ -8,8 +8,6 @@ are known to be loose.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +84,10 @@ class ConvergenceTable:
         return [r for r in self.rows if r.valid and r.measured_error > r.analytic_bound]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["N", "measured_error", "analytic_bound", "valid", "slope"])
-        for r in self.rows:
-            writer.writerow([r.n_rounds, repr(r.measured_error), repr(r.analytic_bound),
-                             r.valid, repr(self.slope)])
-        return buf.getvalue()
+        """Header and one line per row; no field can hold a comma, a quote or a newline."""
+        return "".join(["N,measured_error,analytic_bound,valid,slope\n", *(
+            f"{r.n_rounds},{r.measured_error!r},{r.analytic_bound!r},{r.valid},{self.slope!r}\n"
+            for r in self.rows)])
 
 
 def fit_loglog_slope(n_values, errors):

@@ -14,7 +14,6 @@ with one ``internal error: <Type>: <message>`` line.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import asdict
@@ -25,7 +24,7 @@ import numpy as np
 from .basis import OperatorBasis, _matrix_from_pairs, build_state_basis
 from .bounds import convergence_sweep
 from .conservation import ExtensiveObservable
-from .linalg import dagger, exp_neg_i
+from .linalg import dagger, exp_neg_i, tensor
 from .protocol import ProtocolSpec, _protocol_runs
 from .rand import _haar_unitaries, haar_unitary, random_density, rng_from_seed
 from .thermo import (
@@ -229,7 +228,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
     draws = _get(config, "draws", int, 200)
 
     tau, ln_z = thermal_state(spec)
-    bath0 = functools.reduce(np.kron, [tau] * bath_subsystems)
+    bath0 = tensor(*[tau] * bath_subsystems)
     dims, size = [d] * bath_subsystems, d**bath_subsystems
 
     records, worst = [], np.inf  # records: the ones written, the first 10 or all with --verbose

@@ -33,9 +33,13 @@ class ExtensiveObservable:
         return self.matrix.shape[0]
 
 
-def _charge_set(charges, d: int) -> tuple:
-    """``charges`` as a tuple, checked to act on dimension ``d`` and to carry distinct labels."""
+def _charge_set(charges, d: int | None = None) -> tuple:
+    """``charges`` as a tuple, checked to carry distinct labels and to act on dimension ``d``,
+    by default the first charge's, when there must be one."""
     charges = tuple(charges)
+    if d is None and not charges:
+        raise ValueError("need at least one charge")
+    d = charges[0].dim if d is None else d
     for charge in charges:
         if charge.dim != d:
             raise ValueError(f"charge {charge.label!r} has dimension {charge.dim}, expected {d}")

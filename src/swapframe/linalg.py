@@ -97,9 +97,9 @@ def check_density(rho) -> np.ndarray:
     return _density_spectrum(rho)[0]
 
 
-def tensor(a, b, *rest) -> np.ndarray:
-    """Kronecker product with the first factor's index slowest."""
-    return functools.reduce(np.kron, map(_as_matrix, (a, b, *rest)))
+def tensor(a, *rest) -> np.ndarray:
+    """Kronecker product of one or more factors, the first one's index slowest (one: a copy)."""
+    return functools.reduce(np.kron, map(_as_matrix, rest), _as_matrix(a).copy())
 
 
 def _reduce(op, dims, keep) -> np.ndarray:
@@ -165,21 +165,18 @@ def principal_generator(u) -> np.ndarray:
 
 
 def _singular_values(op) -> np.ndarray:
-    """Per matrix of a stack: |eigenvalues| if Hermitian, else singular values."""
-    herm = _hermitian_defect(op) <= HERMITIAN_ATOL
-    if herm.all():
+    """Singular values of each matrix of a stack: |eigenvalues| when every one is Hermitian,
+    else ``svd`` of every one."""
+    if (_hermitian_defect(op) <= HERMITIAN_ATOL).all():
         return np.abs(np.linalg.eigvalsh(hermitize(op)))
-    values = np.empty(op.shape[:-1])
-    values[herm] = np.abs(np.linalg.eigvalsh(hermitize(op[herm])))
-    values[~herm] = np.linalg.svd(op[~herm], compute_uv=False)
-    return values
+    return np.linalg.svd(op, compute_uv=False)
 
 
 def trace_norm(op):
     """Sum of singular values; sum of |eigenvalues| for Hermitian input.
 
-    A stack of shape (..., d, d) gives an array of one norm per matrix; each
-    member takes the Hermitian or the singular-value branch on its own.
+    A stack of shape (..., d, d) gives an array of one norm per matrix: |eigenvalues| when
+    every member is Hermitian, and singular values for every member otherwise.
     """
     op = _as_square(op, stack=True)
     norms = _singular_values(op).sum(axis=-1)

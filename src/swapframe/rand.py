@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, hermitize, principal_generator
+from .linalg import dagger, hermitize
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -41,8 +41,3 @@ def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
     g = gaussian_matrix(d, rng)
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
-
-
-def random_bounded_generator(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian with eigenvalues in (-pi, pi], drawn via a Haar unitary."""
-    return principal_generator(haar_unitary(d, rng))

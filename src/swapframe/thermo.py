@@ -17,7 +17,6 @@ import numpy as np
 from .conservation import _charge_change, _charge_set, _slot_values, uniform_dims
 from .linalg import (_as_square, _entropy, _integer, _reduce, _singular_values, hermitize,
                      von_neumann_entropy)
-from .protocol import ProtocolResult
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
 SECOND_LAW_SLACK = 1e-9
@@ -41,9 +40,7 @@ class ThermalSpec:
         betas = tuple(float(b) for b in self.betas)
         if len(charges) != len(betas):
             raise ValueError("need one inverse temperature per charge")
-        if not charges:
-            raise ValueError("need at least one charge")
-        charges = _charge_set(charges, charges[0].dim)
+        charges = _charge_set(charges)
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflowing beta
             exponent = hermitize(sum(b * c.matrix for b, c in zip(betas, charges)))
         if not np.isfinite(exponent).all():
@@ -152,10 +149,7 @@ def implicit_work(before, after, charges) -> dict:
     the specs' charge-set check. A charge's conservation audit is
     ``-implicit_work(before, after, (c,))[c.label]``.
     """
-    charges = tuple(charges)
-    if not charges:
-        raise ValueError("need at least one charge")
-    charges = _charge_set(charges, charges[0].dim)
+    charges = _charge_set(charges)
     dims = uniform_dims(len(_as_square(before)), charges[0].dim)  # a non-matrix raises here
     deltas = _charge_change(charges, before, np.asarray(after)[None], dims, range(len(dims)))[0]
     return {c.label: -float(delta) for c, delta in zip(charges, deltas.sum(axis=1))}
@@ -170,12 +164,12 @@ class BatteryCheck:
     passed: bool
 
 
-def battery_deviation_check(result: ProtocolResult, works: dict, epsilon: float, charges) -> dict:
+def battery_deviation_check(result, works: dict, epsilon: float, charges) -> dict:
     """Check that frame charge gains track the implicit work to within precision.
 
     For each charge: |ledger cumulative - W| must not exceed epsilon times the
     operator norm of the charge, with epsilon the measured trace error of the
-    same run.
+    same run, ``result`` (a ``protocol.ProtocolResult``).
     """
     if result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")

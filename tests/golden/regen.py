@@ -1,0 +1,123 @@
+"""Rewrite the golden corpus from the library in this checkout.
+
+    python tests/golden/regen.py
+
+The corpus pins output bytes across changes. For each config in ``configs/``, it runs
+``swapframe.cli.main`` in process at every seed of ``SEEDS``, with and without ``--verbose``,
+and keeps the files each run writes under ``out/<config>/seed-<s>[-verbose]/``. ``library.json``
+holds seeded values the CLI does not write: ``run_protocol``'s final state, round errors and
+ledger at d = 2..4, and a ``work_accounting`` record with a system slot. ``manifest.json`` holds
+each run's exit status and the numpy version and BLAS build that wrote the corpus.
+
+``tests/test_golden.py`` reruns everything and compares bytes. A change that moves outputs on
+purpose reruns this script and lists the files it changed (``git status tests/golden``).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).resolve().parent
+if __name__ == "__main__":  # as a script, import the library of this checkout
+    sys.path.insert(0, str(GOLDEN.parent.parent / "src"))
+
+from swapframe import cli  # noqa: E402
+from swapframe.basis import build_state_basis  # noqa: E402
+from swapframe.conservation import ExtensiveObservable  # noqa: E402
+from swapframe.linalg import dagger, tensor  # noqa: E402
+from swapframe.protocol import ProtocolSpec, run_protocol  # noqa: E402
+from swapframe.rand import haar_unitary, random_density, random_hermitian, rng_from_seed  # noqa: E402
+from swapframe.thermo import ThermalSpec, thermal_state, work_accounting  # noqa: E402
+
+SEEDS = (1, 11)
+CONFIGS = sorted(path.stem for path in (GOLDEN / "configs").glob("*.json"))
+
+
+def run_name(config: str, seed: int, verbose: bool) -> str:
+    return f"{config}/seed-{seed}{'-verbose' if verbose else ''}"
+
+
+RUNS = [(config, seed, verbose) for config in CONFIGS for seed in SEEDS for verbose in (False, True)]
+
+
+def run_cli(config: str, seed: int, verbose: bool, out: Path) -> int:
+    """One corpus run into ``out``; returns the exit status. The working directory is this
+    folder meanwhile, so a config names its basis file relative to it."""
+    argv = ["--config", str(GOLDEN / "configs" / f"{config}.json"), "--out", str(out),
+            "--seed", str(seed), *(["--verbose"] if verbose else [])]
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+    finally:
+        os.chdir(cwd)
+
+
+def _pairs(m) -> list:
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def library_text() -> str:
+    """Seeded ``run_protocol`` results at d = 2..4, each auditing one random charge, and one
+    ``work_accounting`` record of a system qubit beside a two-qubit thermal bath, as JSON."""
+    rng = rng_from_seed(5)
+    values = {}
+    for d, n in ((2, 6), (3, 5), (4, 4)):
+        spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=n, basis=build_state_basis(d),
+                            rho_s=random_density(d, rng),
+                            charges=(ExtensiveObservable(random_hermitian(d, rng), "A"),))
+        r = run_protocol(spec)
+        values[f"run_protocol_d{d}"] = {
+            "final_state": _pairs(r.final_state), "round_errors": list(r.round_errors),
+            "total_error": r.total_error, "total_bound": r.total_bound,
+            "bound_valid": r.bound_valid, "n_min": r.n_min,
+            "ledger_system": r.ledger.system.ravel().tolist(),
+            "ledger_frame": r.ledger.frame.ravel().tolist(),
+        }
+    spec = ThermalSpec(tuple(ExtensiveObservable(cli.PAULI[k], k) for k in "ZX"), (1.0, 0.5))
+    tau = thermal_state(spec)[0]
+    before = tensor(random_density(2, rng), tau, tau)
+    u = haar_unitary(8, rng)
+    record = work_accounting(before, u @ before @ dagger(u), [2, 2, 2], bath=(1, 2), spec=spec,
+                             system=(0,))
+    values["work_accounting_system"] = asdict(record)
+    return json.dumps(values, indent=2, sort_keys=True) + "\n"
+
+
+def fingerprint() -> dict:
+    """numpy's version and the BLAS it was built with, as ``numpy.show_config`` reports them;
+    OpenBLAS's configuration string also names the CPU kernel it picked at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its configuration
+        blas = {}
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+
+
+def main() -> None:
+    out = GOLDEN / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    exits = {}
+    for config, seed, verbose in RUNS:
+        name = run_name(config, seed, verbose)
+        (out / name).mkdir(parents=True)
+        exits[name] = run_cli(config, seed, verbose, out / name)
+    (GOLDEN / "library.json").write_text(library_text())
+    manifest = {"fingerprint": fingerprint(), "exits": exits}
+    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(f"{len(exits)} runs, {sum(1 for p in out.rglob('*') if p.is_file())} files under {out}")
+
+
+if __name__ == "__main__":
+    main()

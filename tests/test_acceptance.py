@@ -18,13 +18,13 @@ from swapframe.linalg import (
     dagger,
     exp_neg_i,
     partial_trace,
+    principal_generator,
     tensor,
     trace_norm,
 )
 from swapframe.protocol import ProtocolSpec, run_protocol, step_channel
 from swapframe.rand import (
     haar_unitary,
-    random_bounded_generator,
     random_density,
     random_hermitian,
     rng_from_seed,
@@ -123,7 +123,7 @@ def test_criterion_4_block_bound():
         bound, valid = block_bound(QUBIT_BASIS.size, QUBIT_BASIS.alpha_max, n)
         assert valid
         for _ in range(20):
-            h = random_bounded_generator(2, rng)
+            h = principal_generator(haar_unitary(2, rng))
             rho = random_density(2, rng)
             err = run_protocol(ProtocolSpec(target=exp_neg_i(h, 1.0), n_rounds=n,
                                             basis=QUBIT_BASIS, rho_s=rho)).round_errors[0]
@@ -168,7 +168,7 @@ def test_criterion_6_duals_and_alpha_bound():
     rng = rng_from_seed(600)
     worst = 0.0
     for _ in range(1000):
-        dec = decompose_generator(random_bounded_generator(2, rng), QUBIT_BASIS)
+        dec = decompose_generator(principal_generator(haar_unitary(2, rng)), QUBIT_BASIS)
         worst = max(worst, dec.max_alpha)
         assert dec.max_alpha <= QUBIT_BASIS.alpha_max
     _report(6, f"duals match hand values, alpha_max = pi*sqrt(6); "

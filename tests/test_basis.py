@@ -12,8 +12,8 @@ from swapframe.basis import (
     _gell_mann_generators,
     decompose_generator,
 )
-from swapframe.linalg import check_density, operator_norm
-from swapframe.rand import random_bounded_generator, rng_from_seed
+from swapframe.linalg import check_density, operator_norm, principal_generator
+from swapframe.rand import haar_unitary, rng_from_seed
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -128,7 +128,7 @@ def test_reconstruction_of_random_generators(d):
     rng = rng_from_seed(20 + d)
     eye = np.eye(d)
     for _ in range(100):
-        h = random_bounded_generator(d, rng)
+        h = principal_generator(haar_unitary(d, rng))
         dec = decompose_generator(h, basis)
         recon = dec.identity_coefficient * eye + sum(
             a * s for a, s in zip(dec.alphas, basis.states)
@@ -155,7 +155,7 @@ def test_alpha_bound_holds_for_random_generators(d):
     basis = build_state_basis(d)
     rng = rng_from_seed(30 + d)
     for _ in range(200):
-        dec = decompose_generator(random_bounded_generator(d, rng), basis)
+        dec = decompose_generator(principal_generator(haar_unitary(d, rng)), basis)
         assert dec.max_alpha <= basis.alpha_max + 1e-12
 
 

@@ -130,7 +130,7 @@ def test_audit_dimension_mismatch():
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_extensive_expectation_matches_dense_lift(d, n):
+def test_slot_values_matches_dense_lift(d, n):
     rng = rng_from_seed(45 + 10 * d + n)
     a = random_hermitian(d, rng)
     dims = [d] * n
@@ -196,12 +196,12 @@ def test_stacked_charge_change_equals_each_member(n):
         conservation._charge_change(charges, before, afters[:, :1], dims, range(n))
 
 
-def test_extensive_expectation_rejects_misfit_slot():
+def test_slot_values_rejects_misfit_slot():
     with pytest.raises(ValueError):
         conservation._slot_values((Z,), np.eye(6) / 6, [2, 3], [1])
 
 
-def test_extensive_expectation_rejects_bad_input():
+def test_slot_values_rejects_bad_input():
     for bad in (np.nan, np.inf):
         op = np.eye(4, dtype=complex)
         op[3, 0] = bad
@@ -215,7 +215,7 @@ def test_extensive_expectation_rejects_bad_input():
         conservation._slot_values((), np.eye(4), [2, 2], [])
 
 
-def test_extensive_expectation_reads_dims_and_slots_as_integers():
+def test_slot_values_reads_dims_and_slots_as_integers():
     # a float slot raised a TypeError, and a bool slot was read as slot 0 or 1
     op = np.eye(4, dtype=complex) / 4
     for dims, slots in (([2, 2], [1.5]), ([2, 2], [True]), ([2.9, 2], [0]), ([2, 2], [-1])):
@@ -227,7 +227,7 @@ def test_extensive_expectation_reads_dims_and_slots_as_integers():
 
 # no slot has to fit the charges when there are none: dims [3] and [3, 3] hold no qubit
 @pytest.mark.parametrize("dims", [[2], [2, 2, 2], [3], [3, 3]])
-def test_extensive_expectation_of_no_slots_is_zero_per_charge(dims):
+def test_slot_values_of_no_slots_is_zero_per_charge(dims):
     op = random_density(math.prod(dims), rng_from_seed(46))
     values = conservation._slot_values((Z, X, I2), op, dims, []).sum(axis=-1)
     assert values.shape == (3,)
@@ -245,7 +245,7 @@ def _fit_in_64(dims):
 
 
 @given(st.data())
-def test_extensive_expectation_is_the_sum_of_slot_marginals(data):
+def test_slot_values_is_the_sum_of_slot_marginals(data):
     dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6).map(_fit_in_64))
     d = data.draw(st.sampled_from(dims))
     # any slot list: a subset, in any order, with repeats, or empty

@@ -35,6 +35,13 @@ def test_tensor_identities():
     np.testing.assert_array_equal(
         tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), np.diag([0.0, 1.0, 0.0, 0.0])
     )
+    # one factor: a complex copy, whether or not the factor was complex already
+    for a in (np.diag([1.0, -2.0]), np.array([[0.5, 1j], [-1j, 0.5]])):
+        single = tensor(a)
+        assert single.dtype == complex and not np.shares_memory(single, a)
+        np.testing.assert_array_equal(single, a)
+    with pytest.raises(ValueError, match="non-finite"):
+        tensor(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 def test_tensor_index_formula():
@@ -325,7 +332,7 @@ def test_trace_norm_of_a_stack_matches_per_matrix_calls():
     assert norms.shape == (6,)
     for op, norm in zip(stack, norms):
         assert norm == pytest.approx(trace_norm(op), abs=1e-14)
-    # the non-Hermitian member must take the singular-value branch
+    # one non-Hermitian member sends every member to the singular-value branch
     assert norms[-1] == pytest.approx(np.linalg.svd(shift, compute_uv=False).sum(), abs=1e-12)
     assert norms[-1] > 3.4  # sum of |eigenvalues| would give 3
     np.testing.assert_allclose(trace_norm(stack.reshape(2, 3, 3, 3)), norms.reshape(2, 3),

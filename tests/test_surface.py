@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,22 @@ PUBLIC_NAMES = [
     "work_accounting",
 ]
 
+# Each module's `from .x import` targets at module level, found by an AST walk. Adding one
+# must change this table in the same commit. The one import made inside a function is
+# DEFERRED_IMPORT: `protocol` imports `bounds`, so `bounds` reaches back only at call time.
+MODULE_IMPORTS = {
+    "__init__": ["basis", "bounds", "conservation", "linalg", "protocol", "thermo"],
+    "basis": ["linalg"],
+    "bounds": ["linalg"],
+    "cli": ["basis", "bounds", "conservation", "linalg", "protocol", "rand", "thermo"],
+    "conservation": ["linalg"],
+    "linalg": [],
+    "protocol": ["basis", "bounds", "conservation", "linalg"],
+    "rand": ["linalg"],
+    "thermo": ["conservation", "linalg"],
+}
+DEFERRED_IMPORT = ("bounds", "convergence_sweep", "protocol")
+
 
 def test_public_names_are_pinned():
     # a fresh interpreter: importing swapframe.cli or swapframe.rand elsewhere in the
@@ -38,6 +55,37 @@ def test_package_source_stays_under_its_line_cap():
     lines = sum(len(path.read_text().splitlines())
                 for path in Path(sf.__file__).parent.glob("*.py"))
     assert lines < 1500
+
+
+def _relative_imports(tree) -> list:
+    """(enclosing function or None, module) of each `from .x import` in ``tree``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                found.append((scope, child.module))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_internal_import_graph_is_pinned():
+    graph, deferred = {}, []
+    for path in sorted(Path(sf.__file__).parent.glob("*.py")):
+        imports = _relative_imports(ast.parse(path.read_text()))
+        graph[path.stem] = sorted({module for scope, module in imports if scope is None})
+        deferred += [(path.stem, scope, module) for scope, module in imports if scope]
+    assert graph == MODULE_IMPORTS
+    assert deferred == [DEFERRED_IMPORT]
+    # module level, the package imports in layers: no cycle
+    done = set()
+    while len(done) < len(graph):
+        ready = {m for m, targets in graph.items() if m not in done and set(targets) <= done}
+        assert ready, f"import cycle among {sorted(set(graph) - done)}"
+        done |= ready
 
 
 def test_dense_oracle_imports_no_swapframe_module():

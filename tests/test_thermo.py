@@ -32,11 +32,14 @@ ZX_SPEC = ThermalSpec(charges=(CHARGE_Z, CHARGE_X), betas=(1.0, 0.5))
 
 
 def test_thermal_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need one inverse temperature per charge"):
         ThermalSpec(charges=(CHARGE_Z,), betas=(1.0, 2.0))
-    with pytest.raises(ValueError):
+    # the count comes first: no charges and one beta is a count mismatch, not an empty set
+    with pytest.raises(ValueError, match="need one inverse temperature per charge"):
+        ThermalSpec(charges=(), betas=(1.0,))
+    with pytest.raises(ValueError, match="need at least one charge"):
         ThermalSpec(charges=(), betas=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="charge 'I3' has dimension 3, expected 2"):
         ThermalSpec(charges=(CHARGE_Z, ExtensiveObservable(np.eye(3), "I3")), betas=(1.0, 1.0))
 
 
