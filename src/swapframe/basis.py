@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _integer, hermitize, is_hermitian, operator_norm, check_density
+from .linalg import _density_spectrum, _integer, hermitize, is_hermitian, operator_norm
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -56,7 +56,7 @@ class OperatorBasis:
     duals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = np.array([check_density(s) for s in self.states])
+        states = _density_spectrum(np.array(self.states, dtype=complex), stack=True)[0]
         d = states.shape[-1]
         if states.shape != (d * d - 1, d, d):
             raise ValueError(

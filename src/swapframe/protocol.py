@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import OperatorBasis, decompose_generator
+from .basis import decompose_generator
 from .bounds import _n_min, total_bound
 from .conservation import _charge_set
 from .linalg import (
@@ -78,7 +78,9 @@ class BatteryLedger:
         return dict(zip(self.charges, self.frame.sum(axis=(0, 1)).tolist()))
 
     def max_closure_residual(self) -> float:
-        """Worst per-collision violation of system+particle charge conservation."""
+        """Worst per-collision |system + particle| charge delta: rounding only, as
+        F_k - |sigma_k⟩⟨1| = -(S_k - 1) whenever c² + s² = 1, whatever K_k and sigma_k. The tests
+        check the physics against ``step_channel`` per slot, and it against the dense oracle."""
         return float(np.max(np.abs(self.system + self.frame), initial=0.0))
 
     def to_json_dict(self) -> dict:
@@ -91,18 +93,19 @@ class BatteryLedger:
                 "max_closure_residual": self.max_closure_residual(), "entries": entries}
 
 
-def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
+def _slot_sweep(states, alphas, n_list, charges):
     """M on vec(rho) per round count, (r, d², d²), and its complex ledger functionals[N, side,
-    column, slot, charge] (side 0 the system, 1 the particle), chaining the slots from the
-    identity. With c, s = cos, sin of alpha_k/N and K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in
-    row-major vec, ``step_channel`` is S_k = c²·1 + s²·|sigma_k⟩⟨1| - K_k and, on the particle,
-    F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, built (not called) once per chunk of slots for a group of
-    round counts: a group holds at most 2^16 // d⁴ of them (4096 at d = 2, 16 at d = 8, one from
-    d = 16) and a chunk's maps at most 2^16 entries or one (slot, N) pair. One stacked product per
+    column, slot, charge] (side 0 the system, 1 the particle), chaining the frame's ``states``
+    (D, d, d) at coefficients ``alphas`` from the identity. With c, s = cos, sin of alpha_k/N and
+    K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in row-major vec, ``step_channel`` is S_k = c²·1 +
+    s²·|sigma_k⟩⟨1| - K_k and, on the particle, F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, built (not
+    called) once per chunk of slots for a group of round counts: a group holds at most 2^16 // d⁴
+    of them (4096 at d = 2, 16 at d = 8, one from d = 16), so up to d = 16 its arrays stay near
+    1 MB, and a chunk's maps at most 2^16 entries or one (slot, N) pair. One stacked product per
     slot chains a group; one product per side, broadcast over (slot, N), takes S_k - 1 and
     F_k - |sigma_k⟩⟨1|, so no ledger entry depends on how the slots are chunked."""
-    d, d2, size, r = basis.dim, basis.dim ** 2, basis.size, len(n_list)
-    eye, units = np.eye(d), np.eye(d2)
+    (size, d, _), r = states.shape, len(n_list)
+    d2, eye, units = d * d, np.eye(d), np.eye(d * d)
     angles = np.asarray(alphas, dtype=float) / np.array(n_list, dtype=float)[:, None]
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
     round_maps = np.empty((r, d2, d2), dtype=complex)
@@ -114,7 +117,7 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
         ins = np.empty((min(chunk, size) + 1, g, d2, d2), dtype=complex)  # ins[t + 1] = S_t·ins[t]
         ins[0] = units
         for lo in range(0, size, chunk):
-            sigmas, theta = basis.states[lo:lo + chunk], angles[g0:g0 + g, lo:lo + chunk].T
+            sigmas, theta = states[lo:lo + chunk], angles[g0:g0 + g, lo:lo + chunk].T
             m, c, s = len(sigmas), np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
             # K_k of comm[k, i, j, a, b] = sigma[i, a]·δ[j, b] - δ[i, a]·sigma[b, j]
             k = (1j * c * s) * (sigmas[:, :, None, :, None] * eye[:, None, :] - eye[:, None, :, None]
@@ -141,11 +144,11 @@ def _slot_sweep(basis: OperatorBasis, alphas, n_list, charges=()):
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
-    """Target unitary, round count, basis, initial state, and audited charges."""
+    """Target unitary, round count, ``OperatorBasis``, initial state, and audited charges."""
 
     target: np.ndarray
     n_rounds: int
-    basis: OperatorBasis
+    basis: object
     rho_s: np.ndarray
     charges: tuple = ()
 
@@ -195,7 +198,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     if trajectory:  # h is exactly Hermitian, so no check or hermitize is needed
         w, v = np.linalg.eigh(h)
     bounds = [total_bound(basis.size, basis.alpha_max, n) for n in n_list]  # raises for n < 1
-    round_maps, functionals = _slot_sweep(basis, dec.alphas, n_list, spec.charges)
+    round_maps, functionals = _slot_sweep(basis.states, dec.alphas, n_list, spec.charges)
     finals, errors, ledgers = np.empty((len(n_list), d, d), dtype=complex), [], []
     for i, (n, round_map) in enumerate(zip(n_list, round_maps)):
         states = np.empty((1 + trajectory, n + 1, d * d), dtype=complex)  # real, then ideal

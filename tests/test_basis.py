@@ -178,11 +178,27 @@ def test_basis_is_one_read_only_stack():
         basis.states[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         basis.duals[0, 0, 0] = 5.0
-    states = np.array([(I2 + X) / 2, (I2 + Y) / 2, (I2 + Z) / 2])
+    # a complex (D, d, d) stack, which np.asarray would not copy
+    states = np.array([(I2 + X) / 2, (I2 + Y) / 2, (I2 + Z) / 2], dtype=complex)
     rebuilt = OperatorBasis(states)
     assert rebuilt.dim == states.shape[-1] and rebuilt.size == 3
+    assert states.flags.writeable and not np.shares_memory(states, rebuilt.states)
     states[0] = I2 / 2  # the basis holds its own copy
     np.testing.assert_array_equal(rebuilt.states[0], (I2 + X) / 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_build_state_basis_checks_its_states_in_one_stacked_call(d, monkeypatch):
+    # one eigvalsh finds the scale r, one checks all D states (per state, 1 + D calls)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    build_state_basis(d)
+    assert calls == [(d * d - 1, d, d)] * 2
 
 
 def test_operator_basis_validates_its_states():

@@ -65,7 +65,7 @@ def _mismatches(stored, fresh, exact: bool) -> list:
 
 def test_corpus_holds_every_run_and_no_other():
     names = [regen.run_name(*run) for run in regen.RUNS]
-    assert len(regen.CONFIGS) == 9 and len(names) == 36
+    assert len(regen.CONFIGS) == 9 and len(names) == 54
     assert sorted(MANIFEST["exits"]) == sorted(names)
     stored = sorted(f"{p.parent.name}/{p.name}" for p in (regen.GOLDEN / "out").glob("*/*"))
     assert stored == sorted(names)

@@ -214,7 +214,7 @@ def _collision_round(rho, basis, alphas, n_rounds, charges=()):
     """One round of ``rho`` (d×d or a stack) the way ``_protocol_runs`` takes it: the round map
     on vec(rho), and the complex ledger vec(rho)·functionals, rho.shape[:-2] + (D, K) per side.
     The sweep takes a list of round counts; this one passes ``(n_rounds,)`` and reads member 0."""
-    (round_map,), (functionals,) = protocol._slot_sweep(basis, alphas, (n_rounds,), charges)
+    (round_map,), (functionals,) = protocol._slot_sweep(basis.states, alphas, (n_rounds,), charges)
     vec = rho.reshape(*rho.shape[:-2], -1)
     deltas = np.moveaxis(np.tensordot(vec, functionals, axes=([-1], [1])), -3, 0)
     return (vec @ round_map.T).reshape(rho.shape), protocol.BatteryLedger(
@@ -292,7 +292,7 @@ def test_collision_round_bounds_each_kernel_call():
     rho = np.stack([random_density(10, rng) for _ in range(3)])
     tracemalloc.start()
     try:
-        sweep = protocol._slot_sweep(basis, alphas, (4,), charges)
+        sweep = protocol._slot_sweep(basis.states, alphas, (4,), charges)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,7 +408,8 @@ def test_round_errors_do_not_drift_at_large_n():
     spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=n, basis=build_state_basis(d),
                         rho_s=random_density(d, rng))
     h = principal_generator(spec.target)
-    (m,), _ = protocol._slot_sweep(spec.basis, decompose_generator(h, spec.basis).alphas, [n])
+    (m,), _ = protocol._slot_sweep(spec.basis.states, decompose_generator(h, spec.basis).alphas,
+                                   [n], ())
     x, real = spec.rho_s.reshape(-1), []
     for _ in range(n):
         x = m @ x
