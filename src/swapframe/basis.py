@@ -141,7 +141,8 @@ class GeneratorDecomposition:
     """Coefficients of a Hermitian generator over an OperatorBasis.
 
     ``identity_coefficient`` is the (discarded) global-phase component;
-    ``residual`` is the operator-norm reconstruction error.
+    ``residual`` is the operator-norm reconstruction error, which only the public
+    ``decompose_generator`` computes: a protocol run reads the coefficients alone.
     """
 
     alphas: tuple
@@ -153,6 +154,11 @@ class GeneratorDecomposition:
         return float(np.max(np.abs(self.alphas), initial=0.0))
 
 
+def _coefficients(h: np.ndarray, basis: OperatorBasis) -> np.ndarray:
+    """Unchecked (c0, alpha_1, ..., alpha_D) of a Hermitian (d, d) complex ndarray over ``basis``."""
+    return np.einsum("ij,kji->k", h, basis.duals).real
+
+
 def decompose_generator(h, basis: OperatorBasis) -> GeneratorDecomposition:
     """Write H = c0·1 + sum_k alpha_k sigma_k by tracing against the duals."""
     h = np.asarray(h, dtype=complex)
@@ -160,8 +166,7 @@ def decompose_generator(h, basis: OperatorBasis) -> GeneratorDecomposition:
         raise ValueError("generator must be Hermitian")
     if h.shape != (basis.dim, basis.dim):
         raise ValueError(f"generator has dimension {h.shape[0]}, basis has dimension {basis.dim}")
-    c0, *alphas = np.einsum("ij,kji->k", h, basis.duals).real.tolist()
+    c0, *alphas = _coefficients(h, basis).tolist()
     recon = c0 * np.eye(basis.dim) + np.tensordot(alphas, basis.states, 1)
     residual = operator_norm(h - recon)
     return GeneratorDecomposition(alphas=tuple(alphas), identity_coefficient=c0, residual=residual)
-

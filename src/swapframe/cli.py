@@ -294,7 +294,7 @@ def _json_text(doc, nl: str = "\n") -> str:
 
     A list of flat records (dicts of one set of str keys, with scalar values) is written column by
     column: one C-encoder call per key, split at its "\n" item separator, which no encoded scalar
-    holds, then every row from one %-template. Other lists and dicts recurse; the rest is
+    holds, then every row from one %-template. Dicts recurse; other lists and the rest are
     ``json.dumps``'s own text."""
     inner = nl + "  "
     if isinstance(doc, dict) and doc:
@@ -311,8 +311,8 @@ def _json_text(doc, nl: str = "\n") -> str:
         cols = [json.dumps([r[k] for r in doc], separators=("\n", ": "))[1:-1].split("\n")
                 for k in keys]
         body = [row % values for values in zip(*cols)]
-    else:
-        body = [_json_text(v, inner) for v in doc]
+    else:  # no encoded string holds a raw newline, so re-indenting the stdlib's text is exact
+        return json.dumps(doc, indent=2, sort_keys=True).replace("\n", nl)
     ends = "{}" if isinstance(doc, dict) else "[]"
     return ends[0] + inner + f",{inner}".join(body) + nl + ends[1]
 

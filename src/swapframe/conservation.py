@@ -17,15 +17,17 @@ from .linalg import _as_square, _integer, is_hermitian
 
 @dataclass(frozen=True, eq=False)
 class ExtensiveObservable:
-    """A single-subsystem Hermitian charge with a label for reports."""
+    """A single-subsystem Hermitian charge with a label for reports; ``matrix`` is a read-only
+    copy of the caller's, checked once here."""
 
     matrix: np.ndarray
     label: str = "A"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if not is_hermitian(m):  # which also refuses a non-square or non-finite matrix
             raise ValueError(f"charge {self.label!r} is not Hermitian")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property

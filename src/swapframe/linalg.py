@@ -145,23 +145,24 @@ def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
     return (v * np.exp(-1j * scale * w)) @ dagger(v)
 
 
-def principal_generator(u) -> np.ndarray:
-    """Hermitian H with U = exp(-iH) and eigenvalues in (-pi, pi].
-
-    Eigenphases numerically at the branch cut (within 1e-12 of -pi) are mapped
-    to +pi, so the interval is half-open at -pi. ``eig`` returns unit vectors V
-    that may be oblique within a (nearly) degenerate eigenspace. U is normal,
-    so vectors of distinct eigenphases are orthogonal, and the QR factor Q of V
-    mixes each column only with columns of the same eigenphase up to rounding:
-    Q is an orthonormal eigenbasis. Q† rather than V⁻¹, because a cluster that
-    the branch rule splits by 2·pi would have that jump amplified by cond(V).
-    """
-    u = check_unitary(u)
+def _principal_generator(u: np.ndarray) -> np.ndarray:
+    """Unchecked ``principal_generator`` of a unitary complex ndarray. ``eig`` returns unit vectors
+    V that may be oblique within a (nearly) degenerate eigenspace. U is normal, so vectors of
+    distinct eigenphases are orthogonal, and the QR factor Q of V mixes each column only with
+    columns of the same eigenphase up to rounding: Q is an orthonormal eigenbasis. Q† rather than
+    V⁻¹, because a cluster that the branch rule splits by 2·pi would have that jump amplified by
+    cond(V)."""
     w, v = np.linalg.eig(u)
     theta = -np.angle(w)
     theta[theta <= -np.pi + 1e-12] += 2 * np.pi
     q = np.linalg.qr(v)[0]
     return hermitize((q * theta) @ dagger(q))
+
+
+def principal_generator(u) -> np.ndarray:
+    """Hermitian H with U = exp(-iH) and eigenvalues in (-pi, pi]. Eigenphases numerically at
+    the branch cut (within 1e-12 of -pi) are mapped to +pi, so the interval is half-open at -pi."""
+    return _principal_generator(check_unitary(u))
 
 
 def _singular_values(op) -> np.ndarray:

@@ -11,7 +11,8 @@ is a fixed d²×d² map on vec(rho). One ``_slot_sweep`` writes the D slot maps 
 down in that closed form and chains them into M and the ledger functionals, one stacked product per
 slot; per N, ``_protocol_runs`` takes the N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉
 products, and contracts them for the ledger. ``run_protocol`` doubles its ideal trajectory beside
-them; sweeps and the CLI take every final error from one stacked norm.
+them; sweeps and the CLI take every final error from one stacked norm. A ``ProtocolSpec`` is
+checked once and read-only, so a run re-checks neither its target nor the generator it decomposes.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import decompose_generator
+from .basis import _coefficients
 from .bounds import _n_min, total_bound
 from .conservation import _charge_set
 from .linalg import (
     _as_square,
     _integer,
+    _principal_generator,
     check_density,
     check_unitary,
     dagger,
-    principal_generator,
     trace_norm,
 )
 
@@ -144,7 +145,11 @@ def _slot_sweep(states, alphas, n_list, charges):
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSpec:
-    """Target unitary, round count, ``OperatorBasis``, initial state, and audited charges."""
+    """Target unitary, round count, ``OperatorBasis``, initial state, and audited charges.
+
+    ``target`` and ``rho_s`` are read-only copies of the caller's arrays, checked once here, so a
+    run trusts them: changing the caller's arrays later changes no run.
+    """
 
     target: np.ndarray
     n_rounds: int
@@ -153,8 +158,8 @@ class ProtocolSpec:
     charges: tuple = ()
 
     def __post_init__(self):
-        target = check_unitary(self.target)
-        rho = check_density(self.rho_s)
+        target = check_unitary(np.array(self.target, dtype=complex))
+        rho = check_density(np.array(self.rho_s, dtype=complex))
         object.__setattr__(self, "n_rounds", _integer(self.n_rounds, "round count", 1))
         d = self.basis.dim
         if target.shape != (d, d) or rho.shape != (d, d):
@@ -162,6 +167,7 @@ class ProtocolSpec:
                 f"dimension mismatch: basis dim {d}, target {target.shape}, state {rho.shape}"
             )
         object.__setattr__(self, "charges", _charge_set(self.charges, d))
+        target.flags.writeable = rho.flags.writeable = False
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rho_s", rho)
 
@@ -191,14 +197,14 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     the ideal states beside the real ones for ``round_errors``; else they are ``()`` and one stacked
     trace norm gives every total error."""
     basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
-    h = principal_generator(spec.target)
-    dec = decompose_generator(h, basis)
+    h = _principal_generator(spec.target)  # the spec checked its read-only target once
+    alphas = _coefficients(h, basis)[1:]
     final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
     n_min = _n_min(basis.size, basis.alpha_max)
     if trajectory:  # h is exactly Hermitian, so no check or hermitize is needed
         w, v = np.linalg.eigh(h)
     bounds = [total_bound(basis.size, basis.alpha_max, n) for n in n_list]  # raises for n < 1
-    round_maps, functionals = _slot_sweep(basis.states, dec.alphas, n_list, spec.charges)
+    round_maps, functionals = _slot_sweep(basis.states, alphas, n_list, spec.charges)
     finals, errors, ledgers = np.empty((len(n_list), d, d), dtype=complex), [], []
     for i, (n, round_map) in enumerate(zip(n_list, round_maps)):
         states = np.empty((1 + trajectory, n + 1, d * d), dtype=complex)  # real, then ideal

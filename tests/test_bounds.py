@@ -198,7 +198,7 @@ def test_convergence_sweep_takes_numpy_integer_round_counts():
 
 
 def test_convergence_sweep_prepares_the_target_once(monkeypatch):
-    calls = {"principal_generator": 0, "decompose_generator": 0}
+    calls = {"_principal_generator": 0, "_coefficients": 0}
 
     def counted(name):
         inner = getattr(swapframe.protocol, name)
@@ -212,7 +212,7 @@ def test_convergence_sweep_prepares_the_target_once(monkeypatch):
         monkeypatch.setattr(swapframe.protocol, name, counted(name))
     table = convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), SWEEP_N)
     assert len(table.rows) == 5
-    assert calls == {"principal_generator": 1, "decompose_generator": 1}
+    assert calls == {"_principal_generator": 1, "_coefficients": 1}
 
 
 def test_csv_format():

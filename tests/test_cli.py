@@ -267,6 +267,20 @@ def test_battery_mode(tmp_path):
         assert check["deviation"] <= check["bound"]
 
 
+def test_battery_json_with_an_escaped_label_is_the_stdlib_text(tmp_path):
+    # the runs, records whose checks nest, go to the stdlib whole, "A%\n" label and all
+    config = write_config(tmp_path / "c.json", {
+        "mode": "battery", "dimension": 2, "N_list": [4, 8], "unitary": {"exp": "X"},
+        "charges": [{"matrix": "Z", "label": "A%\n"}],
+    })
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    text = (out / "battery.json").read_text()
+    doc = json.loads(text)
+    assert [list(run["checks"]) for run in doc["runs"]] == [["A%\n"], ["A%\n"]]
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_battery_duplicate_charge_labels_exit_2(tmp_path):
     config = write_config(tmp_path / "c.json", {
         "mode": "battery",

@@ -27,6 +27,16 @@ def test_extensive_observable_validates():
         ExtensiveObservable(np.diag([1.0, np.nan]), "nan")
 
 
+def test_extensive_observable_keeps_a_read_only_copy():
+    # a charge checked at construction cannot be made non-Hermitian through the caller's array
+    source = Z.copy()
+    obs = ExtensiveObservable(source, "Z")
+    source[0, 1] = 5.0
+    assert np.array_equal(obs.matrix, Z) and not obs.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        obs.matrix[0, 1] = 5.0
+
+
 def test_lift_single_slot_is_identity_map():
     np.testing.assert_array_equal(lift(Z, 1), Z)
 

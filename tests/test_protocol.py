@@ -560,6 +560,59 @@ def test_cli_protocol_modes_take_one_matrix_norms(monkeypatch, tmp_path):
     assert shapes == [(3, 2, 2), (1, 2, 2), (2, 2, 2)]  # one stack of final states per run
 
 
+def _record_checks(monkeypatch):
+    """(check, caller) of every call to a check through the module that makes it."""
+    calls = []
+
+    def recording(inner):
+        def wrapper(*args, **kwargs):
+            calls.append((inner.__name__, sys._getframe(1).f_code.co_name))
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for path in ("swapframe.protocol.check_unitary", "swapframe.linalg.check_unitary",
+                 "swapframe.basis.is_hermitian", "swapframe.basis.operator_norm"):
+        module, name = path.rsplit(".", 1)
+        monkeypatch.setattr(path, recording(getattr(sys.modules[module], name)))
+    return calls
+
+
+def test_a_built_spec_is_not_checked_again(monkeypatch, tmp_path):
+    # no run re-checks the target or the generator, or takes the decomposition residual; the
+    # CLI's one check is the construction of its spec
+    rng = rng_from_seed(90)
+    spec = ProtocolSpec(target=haar_unitary(2, rng), n_rounds=20, basis=QUBIT_BASIS,
+                        rho_s=random_density(2, rng), charges=(ExtensiveObservable(Z, "Z"),))
+    calls = _record_checks(monkeypatch)
+    convergence_sweep(spec, [10, 20, 40])
+    run_protocol(spec)
+    assert calls == []
+    path = tmp_path / "conserve.json"
+    path.write_text(json.dumps({"mode": "conserve", "dimension": 2, "N": 25,
+                                "unitary": {"random": True}, "charges": ["X", "Z"]}))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [("check_unitary", "__post_init__")]
+
+
+def test_a_spec_keeps_read_only_copies_of_its_arrays():
+    # writing to the caller's target and state after construction changes no run
+    rng = rng_from_seed(91)
+    basis, target, rho = build_state_basis(3), haar_unitary(3, rng), random_density(3, rng)
+    charges = (ExtensiveObservable(random_hermitian(3, rng), "A"),)
+    specs = [ProtocolSpec(target=u, n_rounds=12, basis=basis, rho_s=r, charges=charges)
+             for u, r in ((target, rho), (target.copy(), rho.copy()))]
+    target[0, 0] = rho[0, 0] = 7.0
+    kept, fresh = map(run_protocol, specs)
+    assert np.array_equal(kept.final_state, fresh.final_state)
+    assert kept.round_errors == fresh.round_errors and kept.total_error == fresh.total_error
+    assert np.array_equal(kept.ledger.system, fresh.ledger.system)
+    assert np.array_equal(kept.ledger.frame, fresh.ledger.frame)
+    for array in (specs[0].target, specs[0].rho_s):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+
+
 def test_run_protocol_below_threshold_flagged():
     spec = ProtocolSpec(target=exp_neg_i(Z, np.pi / 4), n_rounds=10,
                         basis=QUBIT_BASIS, rho_s=PLUS)
