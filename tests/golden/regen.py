@@ -7,8 +7,10 @@ The corpus pins output bytes across changes. For each config in ``configs/``, it
 and keeps the files each run writes under ``out/<config>/seed-<s>[-verbose]/``. ``library.json``
 holds seeded values the CLI does not write: ``run_protocol``'s final state, round errors and
 ledger at d = 2..5 and 8, a ``work_accounting`` record with a system slot, a ``convergence_sweep``
-at d = 2 over the bench's round counts, and a charged ``_protocol_runs`` at d = 8 over N = 1..17
-(each N's total error and ledger cumulative, and the final state at N = 17). ``manifest.json``
+at d = 2 over the bench's round counts, a charged ``_protocol_runs`` at d = 8 over N = 1..17
+(each N's total error and ledger cumulative, and the final state at N = 17), and
+``work_accounting_spectator``: a ``work_accounting`` record on dims (2, 3, 2, 2) with the system
+on slots (0, 2), which are not a prefix, a spectator qutrit on slot 1 and the bath on slot 3. ``manifest.json``
 holds each run's exit status and the numpy version and BLAS build that wrote the corpus.
 
 ``tests/test_golden.py`` reruns everything and compares bytes. A change that moves outputs on
@@ -91,7 +93,9 @@ def library_text() -> str:
     """Seeded library results, as JSON: ``run_protocol`` at d = 2..5 and 8, each auditing one
     random charge; one ``work_accounting`` record of a system qubit beside a two-qubit thermal
     bath; a charged ``_protocol_runs`` at d = 8 whose 17 round counts the slot sweep takes in
-    two groups (16 + 1); and an uncharged ``convergence_sweep`` at d = 2."""
+    two groups (16 + 1); an uncharged ``convergence_sweep`` at d = 2; and one ``work_accounting``
+    record whose two system qubits (slots 0 and 2) straddle a spectator qutrit (slot 1) beside
+    a one-qubit thermal bath (slot 3)."""
     rng = rng_from_seed(5)
     values = {}
     for d, n in ((2, 6), (3, 5), (4, 4)):
@@ -112,6 +116,13 @@ def library_text() -> str:
     spec = ProtocolSpec(target=haar_unitary(2, rng), n_rounds=10, basis=build_state_basis(2),
                         rho_s=random_density(2, rng))
     values["convergence_sweep_d2"] = asdict(convergence_sweep(spec, [10, 20, 40, 80, 160]))
+    spec = ThermalSpec(tuple(ExtensiveObservable(cli.PAULI[k], k) for k in "ZX"), (1.0, 0.5))
+    before = tensor(random_density(2, rng), random_density(3, rng), random_density(2, rng),
+                    thermal_state(spec)[0])
+    u = haar_unitary(24, rng)
+    record = work_accounting(before, u @ before @ dagger(u), [2, 3, 2, 2], bath=(3,), spec=spec,
+                             system=(0, 2))
+    values["work_accounting_spectator"] = asdict(record)
     return json.dumps(values, indent=2, sort_keys=True) + "\n"
 
 
