@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _density_spectrum, _integer, hermitize, is_hermitian, operator_norm
+from .linalg import (_as_square, _density_spectrum, _integer, hermitize, is_hermitian,
+                     operator_norm)
 
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -56,7 +57,8 @@ class OperatorBasis:
     duals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        states = _density_spectrum(np.array(self.states, dtype=complex), stack=True)[0]
+        states = _as_square(np.array(self.states, dtype=complex), stack=True)
+        _density_spectrum(states)
         d = states.shape[-1]
         if states.shape != (d * d - 1, d, d):
             raise ValueError(

@@ -57,6 +57,8 @@ def _slot_values(charges, op, dims, slots) -> np.ndarray:
 
     One gather of ``op``, indexed by ``dims`` and ``slots`` alone, gives every marginal, so the
     numpy call count grows with neither; a slot that is the whole space takes ``op`` itself.
+    Every check of the charge-change path is made here, once: ``op`` square and finite, each
+    dim and slot an integer, ``dims`` against ``op``, and each slot's dimension.
     """
     mats = np.array([getattr(c, "matrix", c) for c in charges], dtype=complex)
     if not len(mats):
@@ -101,7 +103,7 @@ def uniform_dims(total: int, d: int) -> list[int]:
 
     Raises ValueError when ``total`` is not a power of ``d``.
     """
-    n = max(1, round(math.log(total) / math.log(d))) if d > 1 else 1
+    n = max(1, round(math.log(total) / math.log(d))) if d > 1 and total > 0 else 1
     if d**n != total:
         raise ValueError(f"joint dimension {total} is not {d}^{n}")
     return [d] * n

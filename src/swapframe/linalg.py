@@ -26,7 +26,7 @@ UNITARY_ATOL = 1e-10
 
 def _integer(n, what: str, low: int) -> int:
     """``n`` as an int, checked to be a Python or numpy integer (no bool) of at least ``low``."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, (int, np.integer))) or n < low:
         raise ValueError(f"{what} must be >= {low} and an integer, got {n!r}")
     return int(n)
 
@@ -52,13 +52,9 @@ def dagger(a) -> np.ndarray:
     return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def _hermitian_defect(a: np.ndarray):
-    """max |A - A†| of a square matrix, or an array of one per matrix of a stack."""
-    return np.abs(a - dagger(a)).max(axis=(-2, -1))
-
-
 def is_hermitian(a) -> bool:
-    return bool(_hermitian_defect(_as_square(a)) <= HERMITIAN_ATOL)
+    a = _as_square(a)
+    return bool(np.abs(a - dagger(a)).max() <= HERMITIAN_ATOL)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -75,26 +71,28 @@ def check_unitary(u) -> np.ndarray:
     return u
 
 
-def _density_spectrum(rho, stack: bool = False):
-    """``(rho, ascending eigenvalues)`` after the checks of ``check_density``, made on each
-    matrix of a stack (..., d, d) when ``stack``; an error quotes the worst member."""
-    rho = _as_square(rho, stack)
-    flat = rho.reshape(-1, *rho.shape[-2:])  # a single matrix is a stack of one
-    if max(_hermitian_defect(flat).tolist()) > HERMITIAN_ATOL:
+def _density_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a finite square matrix, or of each matrix of such a stack
+    (..., d, d), after the checks of ``check_density`` on every member; an error quotes the
+    worst member. The caller converts and checks ``rho`` as ``_as_square`` does."""
+    adjoint = dagger(rho)
+    if np.abs(rho - adjoint).max() > HERMITIAN_ATOL:
         raise ValueError("density operator is not Hermitian")
-    trace = max(flat.trace(0, 1, 2).tolist(), key=lambda t: abs(t - 1.0))  # furthest from 1
-    if abs(trace - 1.0) > HERMITIAN_ATOL:
-        raise ValueError(f"density operator has trace {trace:.12g}, expected 1")
-    w = np.linalg.eigvalsh(hermitize(flat))
-    low = min(w[:, 0].tolist())
-    if low < -HERMITIAN_ATOL:
-        raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
-    return rho, w.reshape(rho.shape[:-1])
+    traces = rho.trace(0, -2, -1)
+    off = np.abs(traces - 1.0)
+    if off.max() > HERMITIAN_ATOL:
+        raise ValueError(f"density operator has trace {traces.ravel()[off.argmax()]:.12g}, expected 1")
+    w = np.linalg.eigvalsh((rho + adjoint) / 2)
+    if w[..., 0].min() < -HERMITIAN_ATOL:
+        raise ValueError(f"density operator has negative eigenvalue {w[..., 0].min():.3e}")
+    return w
 
 
 def check_density(rho) -> np.ndarray:
     """Validate a density operator: Hermitian, unit trace, eigenvalues >= -HERMITIAN_ATOL."""
-    return _density_spectrum(rho)[0]
+    rho = _as_square(rho)
+    _density_spectrum(rho)
+    return rho
 
 
 def tensor(a, *rest) -> np.ndarray:
@@ -137,11 +135,12 @@ def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
     h = _as_square(h)
-    if _hermitian_defect(h) > HERMITIAN_ATOL:
+    adjoint = dagger(h)
+    if np.abs(h - adjoint).max() > HERMITIAN_ATOL:
         raise ValueError("matrix is not Hermitian")
     if scale == 0:
         return np.eye(len(h), dtype=complex)
-    w, v = np.linalg.eigh(hermitize(h))
+    w, v = np.linalg.eigh((h + adjoint) / 2)
     return (v * np.exp(-1j * scale * w)) @ dagger(v)
 
 
@@ -168,8 +167,9 @@ def principal_generator(u) -> np.ndarray:
 def _singular_values(op) -> np.ndarray:
     """Singular values of each matrix of a stack: |eigenvalues| when every one is Hermitian,
     else ``svd`` of every one."""
-    if (_hermitian_defect(op) <= HERMITIAN_ATOL).all():
-        return np.abs(np.linalg.eigvalsh(hermitize(op)))
+    adjoint = dagger(op)
+    if (np.abs(op - adjoint).max(axis=(-2, -1)) <= HERMITIAN_ATOL).all():
+        return np.abs(np.linalg.eigvalsh((op + adjoint) / 2))
     return np.linalg.svd(op, compute_uv=False)
 
 
@@ -189,14 +189,14 @@ def operator_norm(op) -> float:
     return float(np.max(_singular_values(_as_square(op))))
 
 
-def _entropy(rho, stack: bool = False):
-    """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0 and no warning, of a
-    density operator or, when ``stack``, of each matrix of a stack."""
-    w = _density_spectrum(rho, stack)[1]
+def _entropy(rho: np.ndarray):
+    """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0 and no warning, of each
+    matrix of a finite square stack (..., d, d), checked by ``_density_spectrum``."""
+    w = _density_spectrum(rho)
     w = np.where(w > 0, w, 1.0)  # 1·ln 1 = 0 stands in for each eigenvalue <= 0
     return -(w * np.log(w)).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho ln rho) in natural-log units, with 0·ln 0 := 0."""
-    return float(_entropy(rho))
+    return float(_entropy(_as_square(rho)))

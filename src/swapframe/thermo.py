@@ -6,17 +6,21 @@ eigendecomposition, so no operator-splitting error enters the inequality
 tests. Work of type A_i is the negative change of that charge in the bath
 (and system, when one is present); the weighted works are bounded by the drop
 in the system's free entropy.
+
+A ``work_accounting`` call checks each input once: ``conservation._slot_values`` the dims, the
+slots and a finite after - before (so finite states and marginals), this module the partition,
+and ``linalg._density_spectrum`` the system marginals as density operators, from one adjoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
 from .conservation import _charge_change, _charge_set, _slot_values, uniform_dims
-from .linalg import (_as_square, _entropy, _integer, _reduce, _singular_values, hermitize,
-                     von_neumann_entropy)
+from .linalg import _as_square, _entropy, _reduce, _singular_values, hermitize
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
 SECOND_LAW_SLACK = 1e-9
@@ -36,8 +40,10 @@ class ThermalSpec:
     exponent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        charges = tuple(self.charges)
-        betas = tuple(float(b) for b in self.betas)
+        charges, betas = tuple(self.charges), tuple(self.betas)
+        if any(isinstance(b, (bool, np.bool_)) for b in betas):
+            raise ValueError(f"betas {list(betas)} hold a bool, not an inverse temperature")
+        betas = tuple(map(float, betas))
         if len(charges) != len(betas):
             raise ValueError("need one inverse temperature per charge")
         charges = _charge_set(charges)
@@ -77,8 +83,9 @@ def free_entropy(rho, spec: ThermalSpec) -> float:
     inferred from the state dimension, which must be a power of the charge
     dimension. For n = 1 the thermal state minimizes F at -ln Z.
     """
-    entropy = von_neumann_entropy(rho)
+    rho = _as_square(rho)  # a non-matrix raises here, and a 0 x 0 one in uniform_dims
     dims = uniform_dims(len(rho), spec.dim)
+    entropy = float(_entropy(rho))
     return float(_slot_values((spec.exponent,), rho, dims, range(len(dims))).sum().real) - entropy
 
 
@@ -107,34 +114,33 @@ def work_accounting(before, after, dims, bath, spec: ThermalSpec, system=()) -> 
     of that change, weighted by beta_i, minus the entropy change of the reduced
     system state. It is the record of a stack of one ``after`` (one gather, one spectrum).
 
-    Slots and dims must be integers. ``conservation``'s charge-change helper
-    checks the states and slots (same shape, square, finite, ``dims``, slot
-    range and dimension); a repeated or shared slot and an empty bath are
-    checked here.
+    Slots and dims must be integers. Each input is checked once: ``conservation``'s charge-change
+    helper checks the states, dims and slots (same shape, square, finite, integers, slot range
+    and dimension); a repeated or shared slot and an empty bath are checked here, and the system
+    marginals as density operators by the entropy step, which finite states make finite.
     """
     return _work_records(before, np.asarray(after, dtype=complex)[None], dims, bath, spec, system)[0]
 
 
 def _work_records(before, afters, dims, bath, spec: ThermalSpec, system=()) -> list:
     """``work_accounting`` from ``before`` to each state of the stack ``afters``, in order."""
-    dims = list(dims)
-    bath = tuple(_integer(s, "slot", 0) for s in bath)
-    system = tuple(_integer(s, "slot", 0) for s in system)
+    before, dims, bath, system = np.asarray(before, dtype=complex), [*dims], (*bath,), (*system,)
+    # the helper checks every dim and slot (an integer that fits), and after - before, finite only
+    # when both states are: the partition is checked on integers, and the marginals are finite
+    changes = _charge_change(spec.charges, before, afters, dims, (*system, *bath))
     if len({*bath, *system}) != len(bath) + len(system):
-        raise ValueError(f"bath {bath} and system {system} slots overlap or repeat a slot")
+        raise ValueError(f"bath {tuple(map(int, bath))} and system {tuple(map(int, system))} "
+                         "slots overlap or repeat a slot")
     if not bath:
         raise ValueError("need at least one bath slot")
-
-    # the helper checks after - before, which is finite only when both states are
-    changes = _charge_change(spec.charges, before, afters, dims, (*system, *bath))
     if system:  # entropies of the system before, then after each state
-        states = np.concatenate((np.asarray(before, dtype=complex)[None], afters))
-        entropies = _entropy(_reduce(states, dims, sorted(system)), stack=True).tolist()
-    records = []
+        states = np.concatenate((before[None], afters))
+        entropies = _entropy(_reduce(states, dims, sorted(system))).tolist()
+    records, k = [], len(system)
     for i, deltas in enumerate(changes.tolist()):
         works = {c.label: -sum(row) for c, row in zip(spec.charges, deltas)}
-        weighted = sum(b * works[c.label] for b, c in zip(spec.betas, spec.charges))
-        delta_f = (sum(b * sum(row[:len(system)]) for b, row in zip(spec.betas, deltas))
+        weighted = sum(map(mul, spec.betas, works.values()))
+        delta_f = (sum(map(mul, spec.betas, [sum(row[:k]) for row in deltas]))
                    - (entropies[i + 1] - entropies[0])) if system else 0.0
         records.append(WorkRecord(works=works, delta_free_entropy=delta_f,
                                   margin_bath_only=-weighted, margin_with_system=-delta_f - weighted))
@@ -177,6 +183,8 @@ def battery_deviation_check(result, works: dict, epsilon: float, charges) -> dic
     for charge in charges:
         if charge.label not in cumulative:
             raise ValueError(f"ledger has no entries for charge {charge.label!r}")
+        if charge.label not in works:
+            raise ValueError(f"works has no entry for charge {charge.label!r}")
     # every operator norm from one stacked spectrum; LAPACK still takes each charge on its own
     norms = (np.max(_singular_values(np.stack([c.matrix for c in charges])), axis=-1).tolist()
              if charges else [])

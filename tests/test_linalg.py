@@ -447,7 +447,7 @@ def test_stacked_entropy_matches_each_member_without_a_warning():
     # a zero eigenvalue would warn in 0·ln 0, and pytest turns that warning into an error
     pure = np.diag([1.0, 0.0]).astype(complex)
     stack = np.array([pure, I2 / 2, random_density(2, rng_from_seed(15))])
-    entropies = linalg._entropy(stack, stack=True)
+    entropies = linalg._entropy(stack)
     assert entropies.shape == (3,)
     for rho, entropy in zip(stack, entropies):
         assert abs(entropy - von_neumann_entropy(rho)) <= 1e-15
@@ -463,6 +463,6 @@ def test_stacked_entropy_matches_each_member_without_a_warning():
 ], ids=["non-hermitian", "trace", "negative"])
 def test_stacked_density_checks_reach_every_member(bad, message):
     stack = np.array([I2 / 2, bad.astype(complex)])
-    for check in (lambda: linalg._entropy(stack, stack=True), lambda: check_density(bad)):
+    for check in (lambda: linalg._entropy(stack), lambda: check_density(bad)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check()

@@ -53,6 +53,14 @@ def test_thermal_spec_rejects_non_finite_betas(beta):
                         spec=ThermalSpec((CHARGE_Z,), [beta]))
 
 
+@pytest.mark.parametrize("beta", [True, False, np.True_])
+def test_thermal_spec_refuses_a_bool_beta(beta):
+    # float(True) is 1.0: a bool was once read as an inverse temperature
+    with pytest.raises(ValueError, match="hold a bool"):
+        ThermalSpec(charges=(CHARGE_Z, CHARGE_X), betas=(beta, 0.5))
+    assert ThermalSpec(charges=(CHARGE_Z, CHARGE_X), betas=(1, np.float32(0.5))).betas == (1.0, 0.5)
+
+
 def test_thermal_spec_rejects_overflowing_exponent():
     # finite betas whose weighted charge sum overflows are refused at construction
     with pytest.raises(ValueError, match="betas"):
@@ -279,6 +287,15 @@ def test_implicit_work_rejects_a_non_square_before(before):
         free_entropy(before, ZX_SPEC)
 
 
+def test_an_empty_state_is_refused_by_its_joint_dimension():
+    # math.log(0) once raised "math domain error"
+    empty = np.zeros((0, 0), dtype=complex)
+    with pytest.raises(ValueError, match=r"^joint dimension 0 is not 2\^1$"):
+        implicit_work(empty, empty, (CHARGE_Z,))
+    with pytest.raises(ValueError, match=r"^joint dimension 0 is not 2\^1$"):
+        free_entropy(empty, ZX_SPEC)
+
+
 def test_implicit_work_rejects_an_invalid_charge_set():
     with pytest.raises(ValueError, match="at least one charge"):
         implicit_work(I2 / 2, I2 / 2, ())
@@ -334,6 +351,13 @@ def test_battery_deviation_check_names_a_charge_the_ledger_lacks():
     with pytest.raises(ValueError, match="ledger has no entries for charge 'X'"):
         battery_deviation_check(result, {**works, "X": 0.0}, result.total_error,
                                 (CHARGE_Z, CHARGE_X))
+
+
+def test_battery_deviation_check_names_a_charge_the_works_lack():
+    result, works = _battery_run(10)
+    with pytest.raises(ValueError, match="^works has no entry for charge 'Z'$"):
+        battery_deviation_check(result, {}, result.total_error, (CHARGE_Z,))
+    assert battery_deviation_check(result, works, result.total_error, (CHARGE_Z,))["Z"].passed
 
 
 @pytest.mark.parametrize("n", [1])
@@ -410,22 +434,36 @@ def test_work_accounting_checks_the_after_system_marginal(bad, message):
 
 
 def test_work_accounting_reduces_once_with_a_system_and_never_without(monkeypatch):
-    # both system marginals come from one partial trace; charge changes need none
-    calls = []
-    reduce = linalg._reduce
+    # both system marginals come from one partial trace and one spectrum; charge changes need
+    # neither
+    calls, spectra = [], []
+    reduce, eigvalsh = linalg._reduce, np.linalg.eigvalsh
 
     def counting(*args):
         calls.append(1)
         return reduce(*args)
 
+    def counting_eigvalsh(a, *args, **kwargs):
+        spectra.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
     for module in (linalg, conservation, thermo):  # every module that could hold the name
         monkeypatch.setattr(module, "_reduce", counting, raising=False)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     tau, _ = thermal_state(ZX_SPEC)
     before = tensor(random_density(2, rng_from_seed(77)), tau, tau)
     u = np.kron(I2, haar_unitary(4, rng_from_seed(78)))
     after = u @ before @ dagger(u)
     work_accounting(before, after, [2, 2, 2], bath=[1, 2], spec=ZX_SPEC, system=[0])
     assert len(calls) == 1
+    assert spectra == [(2, 2, 2)]  # before and after, in one call
     calls.clear()
+    spectra.clear()
+    thermo._work_records(before, np.array([after, before, after]), [2, 2, 2], [1, 2], ZX_SPEC, [0])
+    assert len(calls) == 1
+    assert spectra == [(4, 2, 2)]
+    calls.clear()
+    spectra.clear()
     work_accounting(before, after, [2, 2, 2], bath=[0, 1, 2], spec=ZX_SPEC)
     assert calls == []
+    assert spectra == []
