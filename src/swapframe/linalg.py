@@ -42,8 +42,8 @@ def _as_matrix(a, stack: bool = False) -> np.ndarray:
 
 def _as_square(a, stack: bool = False) -> np.ndarray:
     a = _as_matrix(a, stack)
-    if a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     return a
 
 

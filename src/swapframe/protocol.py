@@ -8,11 +8,11 @@ materialized; as a battery, it books every collision's charge flow in a ledger.
 
 A collision's reduced action (``step_channel``, arXiv:1307.0401) is linear in rho, so each slot
 is a fixed d²×d² map on vec(rho). One ``_slot_sweep`` writes the D slot maps of every round count
-down in that closed form and chains them into M and the ledger functionals, one stacked product per
-slot; per N, ``_protocol_runs`` takes the N + 1 round-start states by doubling, in ⌈log₂(N + 1)⌉
-products, and contracts them for the ledger. ``run_protocol`` doubles its ideal trajectory beside
-them; sweeps and the CLI take every final error from one stacked norm. A ``ProtocolSpec`` is
-checked once and read-only, so a run re-checks neither its target nor the generator it decomposes.
+in that closed form, each term on its nonzeros alone, and chains them into M and the ledger
+functionals; per N, ``_protocol_runs`` doubles the N + 1 round-start states in ⌈log₂(N + 1)⌉
+products, and ``run_protocol`` its ideal trajectory beside them. A ``ProtocolSpec`` is checked
+once and read-only, so a run re-checks neither its target, the generator it decomposes, nor the
+states it builds and takes one stacked norm of.
 """
 
 from __future__ import annotations
@@ -25,15 +25,8 @@ import numpy as np
 from .basis import _coefficients
 from .bounds import _n_min, total_bound
 from .conservation import _charge_set
-from .linalg import (
-    _as_square,
-    _integer,
-    _principal_generator,
-    check_density,
-    check_unitary,
-    dagger,
-    trace_norm,
-)
+from .linalg import (_as_square, _integer, _principal_generator, _singular_values, check_density,
+                     check_unitary, dagger)
 
 
 def step_channel(rho, sigma, alpha, n_rounds: int):
@@ -99,14 +92,15 @@ def _slot_sweep(states, alphas, n_list, charges):
     column, slot, charge] (side 0 the system, 1 the particle), chaining the frame's ``states``
     (D, d, d) at coefficients ``alphas`` from the identity. With c, s = cos, sin of alpha_k/N and
     K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in row-major vec, ``step_channel`` is S_k = c²·1 +
-    s²·|sigma_k⟩⟨1| - K_k and, on the particle, F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, built (not
-    called) once per chunk of slots for a group of round counts: a group holds at most 2^16 // d⁴
-    of them (4096 at d = 2, 16 at d = 8, one from d = 16), so up to d = 16 its arrays stay near
-    1 MB, and a chunk's maps at most 2^16 entries or one (slot, N) pair. One stacked product per
-    slot chains a group; one product per side, broadcast over (slot, N), takes S_k - 1 and
-    F_k - |sigma_k⟩⟨1|, so no ledger entry depends on how the slots are chunked."""
+    s²·|sigma_k⟩⟨1| - K_k and, on the particle, F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, each term
+    written on its nonzeros alone: 1 on the diagonal, |sigma_k⟩⟨1| as vec(sigma_k) on the columns
+    (a, a), K_k on two strided diagonals. A group of round counts holds at most 2^16 // d⁴ (4096 at
+    d = 2, one from d = 16) and a chunk of slots' maps at most 2^16 entries or one (slot, N) pair,
+    so up to d = 16 the arrays stay near 1 MB. One stacked product per slot chains a group; one
+    product per side, broadcast over (slot, N), takes S_k - 1 and F_k - |sigma_k⟩⟨1|, so no ledger
+    entry depends on how the slots are chunked."""
     (size, d, _), r = states.shape, len(n_list)
-    d2, eye, units = d * d, np.eye(d), np.eye(d * d)
+    d2 = d * d
     angles = np.asarray(alphas, dtype=float) / np.array(n_list, dtype=float)[:, None]
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
     round_maps = np.empty((r, d2, d2), dtype=complex)
@@ -116,25 +110,27 @@ def _slot_sweep(states, alphas, n_list, charges):
         g = min(group, r - g0)
         chunk = max(1, 2**16 // (g * d2 ** 2))
         ins = np.empty((min(chunk, size) + 1, g, d2, d2), dtype=complex)  # ins[t + 1] = S_t·ins[t]
-        ins[0] = units
+        ins[0] = np.eye(d2)
         for lo in range(0, size, chunk):
             sigmas, theta = states[lo:lo + chunk], angles[g0:g0 + g, lo:lo + chunk].T
             m, c, s = len(sigmas), np.cos(theta)[..., None, None], np.sin(theta)[..., None, None]
-            # K_k of comm[k, i, j, a, b] = sigma[i, a]·δ[j, b] - δ[i, a]·sigma[b, j]
-            k = (1j * c * s) * (sigmas[:, :, None, :, None] * eye[:, None, :] - eye[:, None, :, None]
-                                * sigmas.swapaxes(1, 2)[:, None, :, None, :]).reshape(m, 1, d2, d2)
-            proj = sigmas.reshape(m, 1, d2, 1) * eye.reshape(-1)  # |sigma_k⟩⟨1|: tr(rho)·sigma_k
-            maps = s * s * proj  # S_k, then F_k - |sigma_k⟩⟨1|, summed in place in one buffer
-            maps += c * c * units
+            comm = np.zeros((m, d, d, d, d), dtype=complex)  # sigma_k⊗1 - 1⊗sigma_kᵀ
+            np.einsum("kijaj->kija", comm)[...] = sigmas[:, :, None]  # sigma[i, a] at (i, j, a, j)
+            np.einsum("kijib->kijb", comm)[...] -= sigmas.swapaxes(1, 2)[:, None]  # sigma[b, j]
+            k, sigmas = (1j * c * s) * comm.reshape(m, 1, d2, d2), sigmas.reshape(m, 1, d2, 1)
+            maps = np.zeros((m, g, d2, d2), dtype=complex)  # S_k, then F_k - |sigma_k⟩⟨1|, in place
+            diagonal, columns = maps.reshape(m, g, 1, -1)[..., ::d2 + 1], maps[..., ::d + 1]
+            diagonal += c * c
+            columns += s * s * sigmas
             maps -= k
             for t in range(m):
                 np.matmul(maps[t], ins[t], out=ins[t + 1])
             if charges:
-                np.multiply(c * c, proj, out=maps)
-                maps += s * s * units
+                maps.fill(0)
+                diagonal += s * s
+                columns += c * c * sigmas
                 maps += k
-                maps -= proj
-                del k, proj
+                columns -= sigmas
                 out = functionals[g0:g0 + g, :, :, lo:lo + m].transpose(1, 3, 0, 4, 2)
                 out[0] = rows @ (ins[1:m + 1] - ins[:m])  # out[side, slot, N, charge, column]
                 out[1] = rows @ maps @ ins[:m]
@@ -195,7 +191,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     """``run_protocol`` at each round count in ``n_list``, from one slot sweep, ledgers as real
     copies (empty, with no product taken, when no charge is audited). A ``trajectory`` run doubles
     the ideal states beside the real ones for ``round_errors``; else they are ``()`` and one stacked
-    trace norm gives every total error."""
+    norm gives every total error, its stacks unchecked: they are built here, so finite."""
     basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
     h = _principal_generator(spec.target)  # the spec checked its read-only target once
     alphas = _coefficients(h, basis)[1:]
@@ -212,20 +208,21 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
         steps = [2**j for j in range(int(n).bit_length())]  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
         if trajectory:  # each U^m from the eigenphases: squaring U⊗U* would compound rounding
             u = (v * np.exp(np.outer(steps, w * (-1j / n)))[:, None]) @ dagger(v)
+            ideals = (u.swapaxes(1, 2)[:, :, None, :, None] * dagger(u)[:, None, :, None]).reshape(
+                len(steps), d * d, d * d)  # (U^m⊗U^m*)ᵀ = U^mᵀ⊗U^m†, every step in one broadcast
         for j, m in enumerate(steps):
             power = round_map.T if m == 1 else power @ power
             np.matmul(real[:min(m, n + 1 - m)], power, out=real[m:2 * m])
-            if trajectory:  # (U^m⊗U^m*)ᵀ = U^mᵀ⊗U^m†
-                ideal = (u[j].T[:, None, :, None] * dagger(u[j])[:, None]).reshape(d * d, -1)
-                np.matmul(states[1, :min(m, n + 1 - m)], ideal, out=states[1, m:2 * m])
+            if trajectory:
+                np.matmul(states[1, :min(m, n + 1 - m)], ideals[j], out=states[1, m:2 * m])
         ledgers.append((real[:-1] @ functionals[i].reshape(2, d * d, -1)).real.copy().reshape(
             2, n, basis.size, -1) if labels else np.empty((2, n, basis.size, 0)))
         finals[i] = real[-1].reshape(d, d)
         if trajectory:  # row t >= 1: round t against the ideal; row 0: the end against the target
             states[:, 0] = real[-1], final_ideal.reshape(-1)
-            errors.append(trace_norm((states[0] - states[1]).reshape(n + 1, d, d)))
+            errors.append(_singular_values((states[0] - states[1]).reshape(n + 1, d, d)).sum(-1))
     if not trajectory:
-        errors = trace_norm(finals - final_ideal)[:, None]
+        errors = _singular_values(finals - final_ideal).sum(-1)[:, None]
     return [ProtocolResult(final_state=final, round_errors=tuple(e[1:].tolist()),
                            total_error=float(e[0]), total_bound=bound, bound_valid=valid,
                            n_min=n_min, ledger=BatteryLedger(labels, *ledger))
@@ -238,7 +235,7 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     Every round is the same linear map M on vec(rho), built with its ledger functionals by
     ``_slot_sweep``; doubling gives the round-start states, and one contraction with them the
     ledger. The ideal states exp(-iHt/N)·rho·exp(+iHt/N) take the same doubling, each step's
-    U^m⊗U^m* built from one eigendecomposition of the generator; one stacked trace norm gives the
+    U^m⊗U^m* built in one broadcast from one eigendecomposition; one stacked trace norm gives the
     N round errors and the total error. Identical specs give identical results.
     """
     return _protocol_runs(spec, (spec.n_rounds,), trajectory=True)[0]

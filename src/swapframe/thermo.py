@@ -83,10 +83,12 @@ def free_entropy(rho, spec: ThermalSpec) -> float:
     inferred from the state dimension, which must be a power of the charge
     dimension. For n = 1 the thermal state minimizes F at -ln Z.
     """
-    rho = _as_square(rho)  # a non-matrix raises here, and a 0 x 0 one in uniform_dims
-    dims = uniform_dims(len(rho), spec.dim)
-    entropy = float(_entropy(rho))
-    return float(_slot_values((spec.exponent,), rho, dims, range(len(dims))).sum().real) - entropy
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or len(rho) != rho.shape[1]:
+        _as_square(rho)  # raises: a non-square matrix or a non-matrix, before any dimension is read
+    dims = uniform_dims(len(rho), spec.dim)  # a 0 x 0 one raises here
+    value = _slot_values((spec.exponent,), rho, dims, range(len(dims)))  # the one finiteness check
+    return float(value.sum().real) - float(_entropy(rho))
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,9 @@ def implicit_work(before, after, charges) -> dict:
     ``-implicit_work(before, after, (c,))[c.label]``.
     """
     charges = _charge_set(charges)
-    dims = uniform_dims(len(_as_square(before)), charges[0].dim)  # a non-matrix raises here
+    if np.ndim(before) != 2 or np.shape(before)[0] != np.shape(before)[1]:
+        _as_square(before)  # raises, as in ``free_entropy``
+    dims = uniform_dims(len(before), charges[0].dim)  # a 0 x 0 one raises here
     deltas = _charge_change(charges, before, np.asarray(after)[None], dims, range(len(dims)))[0]
     return {c.label: -float(delta) for c, delta in zip(charges, deltas.sum(axis=1))}
 

@@ -433,6 +433,31 @@ def test_public_function_checks_its_matrix_once(monkeypatch, call):
     assert len(checked) == 1
 
 
+EMPTY = np.zeros((0, 0), dtype=complex)
+
+
+# numpy's own "zero-size array to reduction operation maximum" error once reached the caller
+def test_check_density_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        check_density(EMPTY)
+
+
+def test_von_neumann_entropy_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        von_neumann_entropy(EMPTY)
+
+
+def test_trace_norm_refuses_an_empty_matrix_but_takes_an_empty_stack():
+    with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        trace_norm(EMPTY)
+    assert trace_norm(np.zeros((0, 2, 2), dtype=complex)).shape == (0,)
+
+
+def test_operator_norm_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+        operator_norm(EMPTY)
+
+
 def test_partial_trace_reads_dims_and_keep_as_integers():
     # a float or bool index or dimension was once truncated to a valid one and used silently
     joint = np.eye(4, dtype=complex) / 4

@@ -302,6 +302,21 @@ def test_collision_round_bounds_each_kernel_call():
     _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, 4, charges)
 
 
+@pytest.mark.parametrize("d, per_chunk", [(6, 35), (8, 16)])
+def test_collision_round_matches_per_slot_collisions_in_multi_slot_chunks(d, per_chunk):
+    # the strided writes of the commutator and |sigma_k⟩⟨1| fill several slots' maps at once: all
+    # 35 of d = 6 in one chunk, and the 63 of d = 8 in chunks of 16 (16, 16, 16, 15)
+    assert min(2**16 // d**4, d * d - 1) == per_chunk
+    rng = rng_from_seed(79 + d)
+    basis = build_state_basis(d)
+    alphas = rng.uniform(-3.0, 3.0, basis.size)
+    alphas[1] = 0.0
+    charges = tuple(ExtensiveObservable(random_hermitian(d, rng), f"A{j}") for j in range(2))
+    rho = np.stack([random_density(d, rng) for _ in range(2)])
+    out, ledger = _collision_round(rho, basis, alphas, 3, charges)
+    _assert_matches_per_slot_collisions(out, ledger, rho, basis, alphas, 3, charges)
+
+
 def test_convergence_sweep_bounds_its_grouped_slot_maps():
     # at d = 10 the eight round counts go in groups of six and two, one slot per chunk: the
     # sweep's peak stays within the bound of the single-N sweep above
@@ -517,14 +532,15 @@ def test_ledger_json_entries_follow_the_ledger_arrays():
     assert all(type(e["system_delta"]) is float and type(e["round"]) is int for e in entries)
 
 
-def _record_trace_norm_shapes(monkeypatch):
-    shapes = []
+def _record_norm_shapes(monkeypatch):
+    """Shape of each stack whose norms a run takes, unchecked, from its singular values."""
+    shapes, inner = [], protocol._singular_values
 
     def recording(op):
         shapes.append(np.shape(op))
-        return trace_norm(op)
+        return inner(op)
 
-    monkeypatch.setattr(protocol, "trace_norm", recording)
+    monkeypatch.setattr(protocol, "_singular_values", recording)
     return shapes
 
 
@@ -534,7 +550,7 @@ def test_only_run_protocol_takes_the_per_round_errors(monkeypatch, d):
     rng = rng_from_seed(65 + d)
     spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=30, basis=build_state_basis(d),
                         rho_s=random_density(d, rng))
-    shapes = _record_trace_norm_shapes(monkeypatch)
+    shapes = _record_norm_shapes(monkeypatch)
     n_list = [5, 12, 30, 31]
     table = convergence_sweep(spec, n_list)
     assert shapes == [(len(n_list), d, d)]
@@ -552,7 +568,7 @@ def test_cli_protocol_modes_take_one_matrix_norms(monkeypatch, tmp_path):
         "conserve": {"N": 25, "charges": ["X", "Z"]},
         "battery": {"N_list": [8, 16], "charges": ["Z"]},
     }
-    shapes = _record_trace_norm_shapes(monkeypatch)
+    shapes = _record_norm_shapes(monkeypatch)
     for mode, fields in configs.items():
         path = tmp_path / f"{mode}.json"
         path.write_text(json.dumps({"mode": mode, **drawn, **fields}))
@@ -592,6 +608,31 @@ def test_a_built_spec_is_not_checked_again(monkeypatch, tmp_path):
                                 "unitary": {"random": True}, "charges": ["X", "Z"]}))
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert calls == [("check_unitary", "__post_init__")]
+
+
+def test_runs_call_no_checked_public_function(monkeypatch):
+    # a run checks its spec at construction only, and takes its norms of stacks it built itself
+    rng = rng_from_seed(92)
+    spec = ProtocolSpec(target=haar_unitary(3, rng), n_rounds=12, basis=build_state_basis(3),
+                        rho_s=random_density(3, rng),
+                        charges=(ExtensiveObservable(random_hermitian(3, rng), "A"),))
+    calls = []
+
+    def recording(inner):
+        def wrapper(*args, **kwargs):
+            calls.append(inner.__name__)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("swapframe")]:
+        for name in ("trace_norm", "check_density", "check_unitary"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    run_protocol(spec)
+    convergence_sweep(spec, [3, 6, 12])
+    protocol._protocol_runs(spec, (4, 9))
+    protocol._protocol_runs(spec, (5,), trajectory=True)
+    assert calls == []
 
 
 def test_a_spec_keeps_read_only_copies_of_its_arrays():

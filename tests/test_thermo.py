@@ -296,6 +296,30 @@ def test_an_empty_state_is_refused_by_its_joint_dimension():
         free_entropy(empty, ZX_SPEC)
 
 
+def test_free_entropy_checks_its_state_once(monkeypatch):
+    # the state was converted and checked by free_entropy, then again by the charge step
+    checked, as_matrix = [], linalg._as_matrix
+
+    def counting(a, stack=False):
+        checked.append(np.shape(a))
+        return as_matrix(a, stack)
+
+    monkeypatch.setattr(linalg, "_as_matrix", counting)
+    rho = random_density(4, rng_from_seed(75))
+    w = np.linalg.eigvalsh(rho)
+    expected = np.trace(rho @ lift(ZX_SPEC.exponent, 2)).real + (w * np.log(w)).sum()
+    assert free_entropy(rho, ZX_SPEC) == pytest.approx(expected, abs=1e-12)
+    assert checked == [(4, 4)]
+    for bad in (np.nan, np.inf):
+        broken = np.array(rho)
+        broken[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            free_entropy(broken, ZX_SPEC)
+    for shape in ((4, 2), (2, 4), (1, 4, 4)):
+        with pytest.raises(ValueError, match="matrix"):
+            free_entropy(np.ones(shape) / 4, ZX_SPEC)
+
+
 def test_implicit_work_rejects_an_invalid_charge_set():
     with pytest.raises(ValueError, match="at least one charge"):
         implicit_work(I2 / 2, I2 / 2, ())
