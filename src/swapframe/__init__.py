@@ -20,7 +20,6 @@ from .linalg import (
 )
 from .basis import (
     OperatorBasis,
-    GeneratorDecomposition,
     DegenerateBasisError,
     build_state_basis,
     decompose_generator,
@@ -28,14 +27,10 @@ from .basis import (
 from .conservation import ExtensiveObservable
 from .protocol import (
     ProtocolSpec,
-    ProtocolResult,
-    BatteryLedger,
     step_channel,
     run_protocol,
 )
 from .bounds import (
-    ConvergenceTable,
-    SweepRow,
     single_step_bound,
     block_bound,
     total_bound,
@@ -44,8 +39,6 @@ from .bounds import (
 )
 from .thermo import (
     ThermalSpec,
-    WorkRecord,
-    BatteryCheck,
     thermal_state,
     free_entropy,
     work_accounting,

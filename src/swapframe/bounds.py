@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _integer
+from .linalg import _finite_real, _integer
 
 E_MINUS_2 = float(np.e - 2.0)
 
@@ -23,10 +23,9 @@ FIT_FLOOR = 1e-14
 def single_step_bound(alpha: float, n_rounds: int):
     """Trace-distance error of one collision vs the small rotation it implements.
 
-    Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``; ``alpha`` must be finite.
+    Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``; ``alpha`` must be a finite real, not a bool.
     """
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = _finite_real(alpha, "alpha")
     value = 8.0 * E_MINUS_2 * (alpha / _integer(n_rounds, "round count", 1)) ** 2
     return value, n_rounds >= 2.0 * abs(alpha)
 
@@ -43,7 +42,7 @@ def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
     """
     d_gen = _integer(n_generators, "generator count", 0)
     n_rounds = _integer(n_rounds, "round count", 1)
-    if not 0.0 <= alpha_max < np.inf:  # also false for a NaN
+    if isinstance(alpha_max, (bool, np.bool_)) or not 0.0 <= alpha_max < np.inf:  # NaN fails too
         raise ValueError(f"alpha_max must be finite and >= 0, got {alpha_max}")
     value = (8.0 * d_gen**2 * alpha_max**2
              + 4.0 * np.pi**2 * E_MINUS_2 * (d_gen + 1)) / n_rounds**2

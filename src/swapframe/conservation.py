@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _integer, is_hermitian
+from .linalg import _as_square, _integer, _subsystem_dims, is_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,13 +61,8 @@ def _slot_values(charges, op, dims, slots) -> np.ndarray:
     dim and slot an integer, ``dims`` against ``op``, and each slot's dimension.
     """
     mats = np.array([getattr(c, "matrix", c) for c in charges], dtype=complex)
-    if not len(mats):
-        raise ValueError("need at least one charge")
-    op = _as_square(op, stack=True)
-    dims = [_integer(d, "subsystem dim", 1) for d in dims]
+    op, dims = _subsystem_dims(op, dims)
     total, d, lead = op.shape[-1], mats.shape[-1], op.shape[:-2]
-    if total != math.prod(dims):
-        raise ValueError(f"subsystem dims {tuple(dims)} do not match matrix dimension {total}")
     slots = [_integer(s, "slot", 0) for s in slots]
     for slot in slots:
         if slot >= len(dims) or dims[slot] != d:
@@ -98,11 +93,11 @@ def _charge_change(charges, before, afters, dims, slots) -> np.ndarray:
     return _slot_values(charges, op, dims, slots).real
 
 
-def uniform_dims(total: int, d: int) -> list[int]:
-    """Subsystem dims ``[d] * n`` of a joint space of dimension ``total == d**n``.
-
-    Raises ValueError when ``total`` is not a power of ``d``.
-    """
+def _uniform_dims(state, d: int) -> list[int]:
+    """Dims ``[d] * n`` of a square matrix ``state`` of side d**n; any other shape raises first."""
+    if np.ndim(state) != 2 or np.shape(state)[0] != np.shape(state)[1]:
+        _as_square(state)  # raises
+    total = len(state)
     n = max(1, round(math.log(total) / math.log(d))) if d > 1 and total > 0 else 1
     if d**n != total:
         raise ValueError(f"joint dimension {total} is not {d}^{n}")

@@ -31,6 +31,14 @@ def _integer(n, what: str, low: int) -> int:
     return int(n)
 
 
+def _finite_real(x, what: str):
+    """``x`` as a float, or a float array for an array, checked real, finite and free of bools."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite and real, not a bool, got {x!r}")
+    return float(a) if a.ndim == 0 else a.astype(float)
+
+
 def _as_matrix(a, stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 and not (stack and a.ndim > 2):
@@ -111,6 +119,15 @@ def _reduce(op, dims, keep) -> np.ndarray:
     return out.reshape(*lead, d_keep, d_keep)
 
 
+def _subsystem_dims(op, dims) -> tuple:
+    """``op`` as a square matrix or stack, and ``dims`` as integers >= 1 of product its side."""
+    op = _as_square(op, stack=True)
+    dims = [_integer(d, "subsystem dim", 1) for d in dims]
+    if (side := op.shape[-1]) != math.prod(dims):
+        raise ValueError(f"subsystem dims {tuple(dims)} do not match matrix dimension {side}")
+    return op, dims
+
+
 def partial_trace(op, dims, keep) -> np.ndarray:
     """Trace out all subsystems except ``keep`` (an index or iterable of indices).
 
@@ -118,13 +135,9 @@ def partial_trace(op, dims, keep) -> np.ndarray:
     their original relative order. Preserves the total trace. A stack of
     shape (..., D, D) is reduced matrix by matrix into (..., d_keep, d_keep).
     """
-    op = _as_square(op, stack=True)
-    dims = [_integer(d, "subsystem dim", 1) for d in dims]
-    if op.shape[-1] != math.prod(dims):
-        raise ValueError(
-            f"subsystem dims {tuple(dims)} do not match matrix dimension {op.shape[-1]}"
-        )
-    keep = sorted({_integer(k, "keep index", 0) for k in ([keep] if np.isscalar(keep) else keep)})
+    op, dims = _subsystem_dims(op, dims)
+    keep = sorted({_integer(k, "keep index", 0)
+                   for k in (keep if np.iterable(keep) else [np.asarray(keep).item()])})
     if keep and keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
     return _reduce(op, dims, keep)
@@ -132,8 +145,7 @@ def partial_trace(op, dims, keep) -> np.ndarray:
 
 def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
     """Unitary exp(-i * scale * H) for Hermitian H (checked at any scale), via eigh."""
-    if not math.isfinite(scale):
-        raise ValueError(f"scale must be finite, got {scale}")
+    scale = _finite_real(scale, "scale")
     h = _as_square(h)
     adjoint = dagger(h)
     if np.abs(h - adjoint).max() > HERMITIAN_ATOL:

@@ -25,8 +25,8 @@ import numpy as np
 from .basis import _coefficients
 from .bounds import _n_min, total_bound
 from .conservation import _charge_set
-from .linalg import (_as_square, _integer, _principal_generator, _singular_values, check_density,
-                     check_unitary, dagger)
+from .linalg import (_as_square, _finite_real, _integer, _principal_generator, _singular_values,
+                     check_density, check_unitary, dagger)
 
 
 def step_channel(rho, sigma, alpha, n_rounds: int):
@@ -42,9 +42,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
     the composite halves, so a two-part system colliding with a two-part particle
     is this collision with sigma = sigma_A ⊗ sigma_B.
     """
-    a = np.asarray(alpha, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    a = np.asarray(_finite_real(alpha, "alpha"))
     rho, sigma = _as_square(rho, stack=True), _as_square(sigma, stack=True)
     if sigma.shape[-1] != rho.shape[-1]:
         raise ValueError(f"dimension mismatch: system {rho.shape} vs frame particle {sigma.shape}")

@@ -7,9 +7,9 @@ tests. Work of type A_i is the negative change of that charge in the bath
 (and system, when one is present); the weighted works are bounded by the drop
 in the system's free entropy.
 
-A ``work_accounting`` call checks each input once: ``conservation._slot_values`` the dims, the
-slots and a finite after - before (so finite states and marginals), this module the partition,
-and ``linalg._density_spectrum`` the system marginals as density operators, from one adjoint.
+Each input is checked once: ``conservation._uniform_dims`` the shape and side of a single state,
+``conservation._slot_values`` the dims, the slots and a finite after - before (so finite states
+and marginals), this module the partition, and ``linalg._density_spectrum`` the system marginals.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from operator import mul
 
 import numpy as np
 
-from .conservation import _charge_change, _charge_set, _slot_values, uniform_dims
-from .linalg import _as_square, _entropy, _reduce, _singular_values, hermitize
+from .conservation import _charge_change, _charge_set, _slot_values, _uniform_dims
+from .linalg import _entropy, _reduce, _singular_values, hermitize
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
 SECOND_LAW_SLACK = 1e-9
@@ -84,9 +84,7 @@ def free_entropy(rho, spec: ThermalSpec) -> float:
     dimension. For n = 1 the thermal state minimizes F at -ln Z.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or len(rho) != rho.shape[1]:
-        _as_square(rho)  # raises: a non-square matrix or a non-matrix, before any dimension is read
-    dims = uniform_dims(len(rho), spec.dim)  # a 0 x 0 one raises here
+    dims = _uniform_dims(rho, spec.dim)
     value = _slot_values((spec.exponent,), rho, dims, range(len(dims)))  # the one finiteness check
     return float(value.sum().real) - float(_entropy(rho))
 
@@ -158,9 +156,7 @@ def implicit_work(before, after, charges) -> dict:
     ``-implicit_work(before, after, (c,))[c.label]``.
     """
     charges = _charge_set(charges)
-    if np.ndim(before) != 2 or np.shape(before)[0] != np.shape(before)[1]:
-        _as_square(before)  # raises, as in ``free_entropy``
-    dims = uniform_dims(len(before), charges[0].dim)  # a 0 x 0 one raises here
+    dims = _uniform_dims(before, charges[0].dim)
     deltas = _charge_change(charges, before, np.asarray(after)[None], dims, range(len(dims)))[0]
     return {c.label: -float(delta) for c, delta in zip(charges, deltas.sum(axis=1))}
 

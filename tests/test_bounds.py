@@ -54,8 +54,14 @@ def test_block_bound_generator_term_only():
     (lambda: block_bound(True, 1.0, 10), "generator count must be >= 0 and an integer"),
     (lambda: single_step_bound(np.nan, 10), "alpha must be finite"),
     (lambda: single_step_bound(-np.inf, 10), "alpha must be finite"),
+    (lambda: single_step_bound(True, 10), "alpha must be finite"),
+    (lambda: single_step_bound(np.True_, 10), "alpha must be finite"),
+    (lambda: block_bound(3, True, 100), "alpha_max must be finite and >= 0"),
+    (lambda: total_bound(3, True, 100), "alpha_max must be finite and >= 0"),
+    (lambda: total_bound(3, np.True_, 100), "alpha_max must be finite and >= 0"),
 ], ids=["negative-amax", "nan-amax", "inf-amax", "negative-count", "float-count", "bool-count",
-        "nan-alpha", "inf-alpha"])
+        "nan-alpha", "inf-alpha", "bool-alpha", "numpy-bool-alpha", "bool-amax", "bool-amax-total",
+        "numpy-bool-amax"])
 def test_bounds_reject_invalid_input(call, match):
     # each was once accepted; a negative amax or generator count certified valid=True at any N
     with pytest.raises(ValueError, match=match):

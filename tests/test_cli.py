@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +588,71 @@ def test_conserve_matches_a_protocol_run(tmp_path):
     assert doc["bound_valid"] == result.bound_valid
     assert doc["max_closure_residual"] == result.ledger.max_closure_residual()
     assert doc["ledger"] == result.ledger.to_json_dict()
+
+
+# Each exit-1 rule, driven by an injected fault at 10x and at 0.1x its threshold. The thresholds
+# are written here as literals, not imported, so a loosened constant in the package fails them.
+def _run_mode(tmp_path, doc):
+    out = tmp_path / "out"
+    status = main(["--config", write_config(tmp_path / "c.json", doc), "--out", str(out)])
+    return status, json.loads((out / f"{doc['mode']}.json").read_text())
+
+
+@pytest.mark.parametrize("residual, status", [(1e-9, 1), (1e-11, 0)], ids=["10x", "0.1x"])
+def test_conserve_exits_1_past_a_closure_residual_of_1e_10(tmp_path, monkeypatch, residual, status):
+    runs = cli._protocol_runs
+
+    def faulty(spec, n_list):  # one particle's charge gain moved off the system's loss
+        results = runs(spec, n_list)
+        for result in results:
+            result.ledger.frame[0, 0, 0] += residual
+        return results
+
+    monkeypatch.setattr(cli, "_protocol_runs", faulty)
+    got, doc = _run_mode(tmp_path, {
+        "mode": "conserve", "dimension": 2, "N": 50, "unitary": {"exp": "X", "scale": 0.6},
+        "state": {"basis": 0}, "charges": ["X", "Z"]})
+    assert got == status
+    assert doc["max_closure_residual"] == pytest.approx(residual, rel=1e-3)
+
+
+@pytest.mark.parametrize("margin, status", [(-1e-8, 1), (-1e-10, 0)], ids=["10x", "0.1x"])
+def test_thermo_exits_1_past_a_second_law_margin_of_minus_1e_9(tmp_path, monkeypatch, margin,
+                                                                 status):
+    book = cli._work_records
+
+    def faulty(*args):  # the first draw's record books a second-law violation of -margin
+        first, *rest = book(*args)
+        return [replace(first, margin_bath_only=margin), *rest]
+
+    monkeypatch.setattr(cli, "_work_records", faulty)
+    got, doc = _run_mode(tmp_path, {**THERMO_CONFIG, "draws": 20})
+    assert got == status
+    assert doc["worst_margin"] == margin
+
+
+@pytest.mark.parametrize("excess, status", [(1e-11, 1), (1e-13, 0)], ids=["10x", "0.1x"])
+def test_battery_fails_a_deviation_1e_12_past_its_bound(tmp_path, monkeypatch, excess, status):
+    runs = cli._protocol_runs
+
+    def faulty(spec, n_list):  # the ledger moved to its bound, total_error·||Z||, plus ``excess``
+        works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target),
+                              spec.charges)
+        results = runs(spec, n_list)
+        for result in results:
+            cumulative = result.ledger.cumulative()["Z"]
+            result.ledger.frame[0, 0, 0] += works["Z"] + result.total_error - cumulative + excess
+        return results
+
+    monkeypatch.setattr(cli, "_protocol_runs", faulty)
+    got, doc = _run_mode(tmp_path, {
+        "mode": "battery", "dimension": 2, "N": 100, "unitary": {"exp": "X", "scale": np.pi / 4},
+        "state": {"matrix": GENERIC_STATE}, "charges": ["Z"]})
+    assert got == status
+    check = doc["runs"][0]["checks"]["Z"]
+    assert check["bound"] > 1e-4  # a real bound, not a zero one
+    assert check["deviation"] - check["bound"] == pytest.approx(excess, rel=1e-2)
+    assert check["passed"] is (status == 0)
 
 
 def _reject_constant(name):

@@ -221,8 +221,6 @@ def test_slot_values_rejects_bad_input():
         conservation._slot_values((Z,), np.eye(4), [2, 2], [2])
     with pytest.raises(ValueError, match="do not match"):
         conservation._slot_values((Z,), np.eye(4), [2, 2, 2], [0])
-    with pytest.raises(ValueError, match="at least one charge"):
-        conservation._slot_values((), np.eye(4), [2, 2], [])
 
 
 def test_slot_values_reads_dims_and_slots_as_integers():

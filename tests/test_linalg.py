@@ -206,7 +206,9 @@ def test_exp_neg_i_zero_scale_exact_identity():
         exp_neg_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+# float(True) is 1.0: a bool was once read as the scale 1
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, True, np.True_],
+                         ids=["nan", "inf", "-inf", "bool", "numpy_bool"])
 def test_exp_neg_i_rejects_a_non_finite_scale(scale):
     with pytest.raises(ValueError, match="scale must be finite"):
         exp_neg_i(Z, scale)
@@ -461,11 +463,14 @@ def test_operator_norm_refuses_an_empty_matrix():
 def test_partial_trace_reads_dims_and_keep_as_integers():
     # a float or bool index or dimension was once truncated to a valid one and used silently
     joint = np.eye(4, dtype=complex) / 4
-    for dims, keep in (([2, 2], 1.5), ([2, 2], [0.0]), ([2, 2], True), ([2.9, 2], 0), ([2, 2.0], 0)):
+    for dims, keep in (([2, 2], 1.5), ([2, 2], [0.0]), ([2, 2], True), ([2.9, 2], 0), ([2, 2.0], 0),
+                       ([2, 2], np.array(True)), ([2, 2], np.array(1.0))):
         with pytest.raises(ValueError, match="and an integer"):
             partial_trace(joint, dims, keep)
-    reduced = partial_trace(joint, np.array([2, 2]), np.int64(1))
-    np.testing.assert_allclose(reduced, I2 / 2, rtol=0, atol=1e-15)
+    # a 0-d array is one index: np.array(1) raised a TypeError (iteration over a 0-d array)
+    for keep in (np.int64(1), np.array(1)):
+        reduced = partial_trace(joint, np.array([2, 2]), keep)
+        np.testing.assert_allclose(reduced, I2 / 2, rtol=0, atol=1e-15)
 
 
 def test_stacked_entropy_matches_each_member_without_a_warning():

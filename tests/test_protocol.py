@@ -105,8 +105,11 @@ def test_step_channel_dimension_mismatch():
         step_channel(np.eye(2) / 2, np.eye(3) / 3, 1.0, 5)
 
 
-@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, [1.0, np.nan]],
-                         ids=["nan", "inf", "-inf", "nan_in_a_stack"])
+# float(True) is 1.0: a bool was once read as the angle alpha = 1
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, [1.0, np.nan], True, np.True_,
+                                   np.array([True, False])],
+                         ids=["nan", "inf", "-inf", "nan_in_a_stack", "bool", "numpy_bool",
+                              "bool_stack"])
 def test_step_channel_rejects_a_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be finite"):
         step_channel(np.array([PLUS, PLUS]), KET0, alpha, 5)
