@@ -208,7 +208,8 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
         "total_error": result.total_error,
         "total_bound": result.total_bound,
         "bound_valid": result.bound_valid,
-        "ledger": result.ledger.to_json_dict(),
+        "ledger": {"cumulative": result.ledger.cumulative(), "max_closure_residual": residual,
+                   "entries": _Records(result.ledger._entry_columns())},  # no dict per entry
     }
     summary = (f"{result.ledger.frame.size} collision entries, "
                f"max closure residual {residual:.3e}")
@@ -289,32 +290,31 @@ _PARSER.add_argument("--mode", default=None, choices=sorted(MODES), help="overri
 _PARSER.add_argument("--verbose", action="store_true")
 
 
+class _Records(tuple):
+    """Flat records as (sorted str keys, one equal-length list of JSON scalars per key)."""
+
+
 def _json_text(doc, nl: str = "\n") -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte; ``nl`` is the break and indent.
 
-    A list of flat records (dicts of one set of str keys, with scalar values) is written column by
-    column: one C-encoder call per key, split at its "\n" item separator, which no encoded scalar
-    holds, then every row from one %-template. Dicts recurse; other lists and the rest are
-    ``json.dumps``'s own text."""
+    ``_Records`` are written column by column: one C-encoder call per key, with "\n" as the item
+    separator, split into lines, as no encoded scalar holds a line break, then every row from one
+    %-template. Dicts recurse; any other list, and the rest, is ``json.dumps``'s own text."""
     inner = nl + "  "
-    if isinstance(doc, dict) and doc:
+    if isinstance(doc, dict):
         body = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"  # a key as the stdlib's
                 for k, v in sorted(doc.items())]
+    elif type(doc) is _Records:
+        row = f"{{{inner}  " + f",{inner}  ".join(json.dumps(k).replace("%", "%%") + ": %s"
+                                                  for k in doc[0]) + f"{inner}}}"
+        body = [row % values for values in zip(*(json.dumps(c, separators=("\n", ": "))[1:-1]
+                                                 .splitlines() for c in doc[1]))]
     elif not isinstance(doc, (list, tuple)) or not doc:
         return json.dumps(doc)
-    elif (type(doc[0]) is dict and {type(k) for k in doc[0]} == {str}
-          and all(type(r) is dict and r.keys() == doc[0].keys() for r in doc)
-          and {type(v) for r in doc for v in r.values()} <= {str, int, float, bool, type(None)}):
-        keys = sorted(doc[0])
-        row = f"{{{inner}  " + f",{inner}  ".join(json.dumps(k).replace("%", "%%") + ": %s"
-                                                  for k in keys) + f"{inner}}}"
-        cols = [json.dumps([r[k] for r in doc], separators=("\n", ": "))[1:-1].split("\n")
-                for k in keys]
-        body = [row % values for values in zip(*cols)]
     else:  # no encoded string holds a raw newline, so re-indenting the stdlib's text is exact
         return json.dumps(doc, indent=2, sort_keys=True).replace("\n", nl)
     ends = "{}" if isinstance(doc, dict) else "[]"
-    return ends[0] + inner + f",{inner}".join(body) + nl + ends[1]
+    return ends[0] + inner + f",{inner}".join(body) + nl + ends[1] if body else ends
 
 
 def main(argv=None) -> int:

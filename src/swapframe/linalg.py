@@ -32,9 +32,10 @@ def _integer(n, what: str, low: int) -> int:
 
 
 def _finite_real(x, what: str):
-    """``x`` as a float, or a float array for an array, checked real, finite and free of bools."""
-    a = np.asarray(x)
-    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+    """``x`` as a float, or a float array for an array, checked real, finite and bool-free."""
+    a = np.asarray(x)  # numpy reads [True, 0.5] as floats, so a list or tuple is read item by item
+    if (a.dtype.kind not in "iuf" or not np.isfinite(a).all() or isinstance(x, (list, tuple))
+            and any(np.asarray(v).dtype == bool for v in np.asarray(x, dtype=object).flat)):
         raise ValueError(f"{what} must be finite and real, not a bool, got {x!r}")
     return float(a) if a.ndim == 0 else a.astype(float)
 

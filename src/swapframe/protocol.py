@@ -17,7 +17,6 @@ states it builds and takes one stacked norm of.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +57,8 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
 class BatteryLedger:
     """Charge deltas of every collision, on the system and on its particle.
 
-    ``system[t, k, j]`` and ``frame[t, k, j]``: charge j, slot k, round t + 1.
+    ``system[t, k, j]`` and ``frame[t, k, j]``: charge j, slot k, round t + 1. ``_entry_columns``
+    alone lays out its JSON entries, which the CLI writes as columns and ``to_json_dict`` as dicts.
     """
 
     charges: tuple
@@ -75,14 +75,19 @@ class BatteryLedger:
         check the physics against ``step_channel`` per slot, and it against the dense oracle."""
         return float(np.max(np.abs(self.system + self.frame), initial=0.0))
 
+    def _entry_columns(self) -> tuple:
+        """The entries' sorted keys and one value list per key, in (round, slot, charge) order."""
+        n, size, k = self.frame.shape
+        rounds, slots = (np.indices((n, size, k))[:2].reshape(2, -1) + [[1], [0]]).tolist()
+        return (("charge", "frame_delta", "round", "slot", "system_delta"),
+                (list(self.charges) * (n * size), self.frame.ravel().tolist(), rounds, slots,
+                 self.system.ravel().tolist()))
+
     def to_json_dict(self) -> dict:
-        n, size, _ = self.frame.shape
-        rows = zip(itertools.product(range(1, n + 1), range(size), self.charges),
-                   self.system.ravel().tolist(), self.frame.ravel().tolist())
-        entries = [{"round": t, "slot": k, "charge": c, "system_delta": s, "frame_delta": f}
-                   for (t, k, c), s, f in rows]
+        keys, columns = self._entry_columns()
         return {"cumulative": self.cumulative(),
-                "max_closure_residual": self.max_closure_residual(), "entries": entries}
+                "max_closure_residual": self.max_closure_residual(),
+                "entries": [dict(zip(keys, row)) for row in zip(*columns)]}
 
 
 def _slot_sweep(states, alphas, n_list, charges):

@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 
 from .conservation import _charge_change, _charge_set, _slot_values, _uniform_dims
-from .linalg import _entropy, _reduce, _singular_values, hermitize
+from .linalg import _entropy, _finite_real, _reduce, _singular_values, hermitize
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
 SECOND_LAW_SLACK = 1e-9
@@ -40,14 +40,12 @@ class ThermalSpec:
     exponent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        charges, betas = tuple(self.charges), tuple(self.betas)
-        if any(isinstance(b, (bool, np.bool_)) for b in betas):
-            raise ValueError(f"betas {list(betas)} hold a bool, not an inverse temperature")
-        betas = tuple(map(float, betas))
-        if len(charges) != len(betas):
+        charges = tuple(self.charges)
+        betas = _finite_real(tuple(self.betas), "betas")  # no bool, NaN or inf, at any depth
+        if betas.shape != (len(charges),):
             raise ValueError("need one inverse temperature per charge")
-        charges = _charge_set(charges)
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN, inf or overflowing beta
+        charges, betas = _charge_set(charges), tuple(betas.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):  # finite betas whose sum overflows
             exponent = hermitize(sum(b * c.matrix for b, c in zip(betas, charges)))
         if not np.isfinite(exponent).all():
             raise ValueError(f"betas {list(betas)} give a non-finite sum_i beta_i A_i")

@@ -56,12 +56,14 @@ def test_block_bound_generator_term_only():
     (lambda: single_step_bound(-np.inf, 10), "alpha must be finite"),
     (lambda: single_step_bound(True, 10), "alpha must be finite"),
     (lambda: single_step_bound(np.True_, 10), "alpha must be finite"),
+    (lambda: single_step_bound([True, 0.5], 10), "alpha must be finite and real, not a bool"),
+    (lambda: single_step_bound(([0.5], (np.False_,)), 10), "alpha must be finite and real"),
     (lambda: block_bound(3, True, 100), "alpha_max must be finite and >= 0"),
     (lambda: total_bound(3, True, 100), "alpha_max must be finite and >= 0"),
     (lambda: total_bound(3, np.True_, 100), "alpha_max must be finite and >= 0"),
 ], ids=["negative-amax", "nan-amax", "inf-amax", "negative-count", "float-count", "bool-count",
-        "nan-alpha", "inf-alpha", "bool-alpha", "numpy-bool-alpha", "bool-amax", "bool-amax-total",
-        "numpy-bool-amax"])
+        "nan-alpha", "inf-alpha", "bool-alpha", "numpy-bool-alpha", "bool-in-a-list-alpha",
+        "nested-numpy-bool-alpha", "bool-amax", "bool-amax-total", "numpy-bool-amax"])
 def test_bounds_reject_invalid_input(call, match):
     # each was once accepted; a negative amax or generator count certified valid=True at any N
     with pytest.raises(ValueError, match=match):

@@ -3,6 +3,7 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import json
 import operator
 import os
@@ -24,8 +25,8 @@ from swapframe.basis import build_state_basis
 from swapframe.cli import ConfigError, main, parse_matrix
 from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import dagger, exp_neg_i
-from swapframe.protocol import ProtocolSpec, run_protocol
-from swapframe.rand import haar_unitary, rng_from_seed
+from swapframe.protocol import BatteryLedger, ProtocolSpec, run_protocol
+from swapframe.rand import haar_unitary, random_hermitian, rng_from_seed
 from swapframe.thermo import (
     SECOND_LAW_SLACK,
     ThermalSpec,
@@ -590,6 +591,64 @@ def test_conserve_matches_a_protocol_run(tmp_path):
     assert doc["ledger"] == result.ledger.to_json_dict()
 
 
+def test_conserve_builds_no_dict_per_entry(tmp_path, monkeypatch):
+    # the writer takes the ledger's entries as columns: no entry becomes a dict, and each column
+    # is encoded by one json.dumps call, in key order
+    def refuse(self):
+        raise AssertionError("a conserve run built the ledger's entry dicts")
+
+    encoded, dumps = [], json.dumps
+
+    def recording(obj, *args, **kwargs):
+        if type(obj) is list:
+            encoded.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(BatteryLedger, "to_json_dict", refuse)
+    monkeypatch.setattr(json, "dumps", recording)
+    config = write_config(tmp_path / "c.json", {
+        "mode": "conserve", "dimension": 2, "N": 7, "unitary": {"exp": "X", "scale": 0.7},
+        "state": {"matrix": GENERIC_STATE}, "charges": ["Z", "Y"],
+    })
+    status = main(["--config", config, "--out", str(tmp_path / "out")])
+    monkeypatch.undo()
+    assert status == 0
+    entries = json.loads((tmp_path / "out" / "conserve.json").read_text())["ledger"]["entries"]
+    assert len(entries) == 7 * 3 * 2
+    keys = ["charge", "frame_delta", "round", "slot", "system_delta"]
+    assert all(sorted(e) == keys for e in entries)
+    assert encoded == [[e[k] for e in entries] for k in keys]
+
+
+def _pairs(matrix):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in matrix]
+
+
+def test_conserve_json_with_escaped_labels_is_the_stdlib_text(tmp_path):
+    # labels that the writer's %-template and the encoder must both carry through
+    rng = rng_from_seed(17)
+    labels = ['q"%s', "é\u2028"]
+    doc = {"mode": "conserve", "dimension": 3, "N": 6, "seed": 4, "unitary": {"random": True},
+           "state": {"random": True},
+           "charges": [{"label": label, "matrix": _pairs(random_hermitian(3, rng))}
+                       for label in labels]}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    text = (out / "conserve.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    # the entries of the same run, laid out here by (round, slot, charge) from the arrays
+    ledger = run_protocol(cli._protocol_spec(doc, 6, rng_from_seed(4), charged=True)).ledger
+    n, size, _ = ledger.frame.shape
+    assert ledger.charges == tuple(labels) and (n, size) == (6, 8)
+    expected = [{"round": t + 1, "slot": k, "charge": label,
+                 "system_delta": float(ledger.system[t, k, j]),
+                 "frame_delta": float(ledger.frame[t, k, j])}
+                for t, k, (j, label) in itertools.product(range(n), range(size),
+                                                          enumerate(labels))]
+    assert json.loads(text)["ledger"]["entries"] == expected
+
+
 # Each exit-1 rule, driven by an injected fault at 10x and at 0.1x its threshold. The thresholds
 # are written here as literals, not imported, so a loosened constant in the package fails them.
 def _run_mode(tmp_path, doc):
@@ -696,7 +755,8 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**
 
 @st.composite
 def _record_lists(draw, values):
-    """Records of one key set; when drawn, one record gets a stray key or a nested value."""
+    """Records of one key set; when drawn, one record gets a stray key or a nested value. Only a
+    ``cli._Records`` takes the column path, so these lists take the stdlib's."""
     keys = draw(st.lists(JSON_KEYS, max_size=4, unique=True))
     records = [{k: draw(JSON_SCALARS) for k in keys} for _ in range(draw(st.integers(0, 4)))]
     if records and draw(st.booleans()):
@@ -722,6 +782,34 @@ JSON_VALUES = st.recursive(
 @example(({"k": ()}, [], {}))
 def test_json_text_is_the_stdlib_indented_text(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+RECORD_SCALARS = (JSON_SCALARS | st.sampled_from([2**64, -(2**64) - 1]) | st.sampled_from(
+    [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1]))
+
+
+@st.composite
+def _columns(draw):
+    """Sorted unique keys and one equal-length column of scalars per key, possibly empty."""
+    keys = sorted(draw(st.lists(JSON_KEYS, max_size=5, unique=True)))
+    n = draw(st.integers(0, 5))
+    return keys, [draw(st.lists(RECORD_SCALARS, min_size=n, max_size=n)) for _ in keys]
+
+
+@settings(max_examples=300)
+@given(_columns())
+@example((['"', "%", "%s", "\\", "é", "\u2028"],  # sorted, as the writer requires
+          [["%s"], [float("nan")], [2**70], ["é\u2028"], [None], [-0.0]]))
+@example((["a", "b"], [[], []]))
+@example(([], []))
+@example((["x"], [[5e-324, 1e16, float("inf"), -float("inf"), True, False]]))
+def test_json_text_writes_records_as_the_stdlib_writes_their_dicts(columns):
+    keys, values = columns
+    records = [dict(zip(keys, row)) for row in zip(*values)]
+    assert cli._json_text(cli._Records(columns)) == json.dumps(records, indent=2, sort_keys=True)
+    nested = {"a": [0], "entries": cli._Records(columns)}  # one level in, as in conserve.json
+    assert cli._json_text(nested) == json.dumps({**nested, "entries": records}, indent=2,
+                                                sort_keys=True)
 
 
 def test_json_text_writes_non_str_keys_as_the_stdlib_does():

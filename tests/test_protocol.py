@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import commutator_norm, lift, partial_swap, swap
+from dense_oracle import commutator_norm, lift, partial_swap, rounds_ld, swap
 from swapframe.basis import build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, convergence_sweep, single_step_bound, total_bound
 from swapframe.conservation import ExtensiveObservable
@@ -17,6 +17,7 @@ from swapframe.linalg import (
     check_density,
     dagger,
     exp_neg_i,
+    operator_norm,
     partial_trace,
     principal_generator,
     tensor,
@@ -105,11 +106,14 @@ def test_step_channel_dimension_mismatch():
         step_channel(np.eye(2) / 2, np.eye(3) / 3, 1.0, 5)
 
 
-# float(True) is 1.0: a bool was once read as the angle alpha = 1
+# float(True) is 1.0: a bool was once read as the angle alpha = 1, and numpy still reads a bool
+# inside a list or tuple as 1.0
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, [1.0, np.nan], True, np.True_,
-                                   np.array([True, False])],
+                                   np.array([True, False]), [True, 0.5], (0.5, np.True_),
+                                   [[0.5, np.array(True)]]],
                          ids=["nan", "inf", "-inf", "nan_in_a_stack", "bool", "numpy_bool",
-                              "bool_stack"])
+                              "bool_stack", "bool_in_a_list", "numpy_bool_in_a_tuple",
+                              "bool_array_in_a_nested_list"])
 def test_step_channel_rejects_a_non_finite_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be finite"):
         step_channel(np.array([PLUS, PLUS]), KET0, alpha, 5)
@@ -533,6 +537,31 @@ def test_ledger_json_entries_follow_the_ledger_arrays():
     entries = ledger.to_json_dict()["entries"]
     assert entries == expected and len(entries) == 4 * 3 * 2
     assert all(type(e["system_delta"]) is float and type(e["round"]) is int for e in entries)
+
+
+# Rounding drift against dense_oracle's long-double reference (80-bit on x86-64, eps 1.1e-19),
+# built from the same float64 alphas and basis states and run one round at a time. Fitted once:
+# over seeds 0-12 at these (d, N), with a unit-norm charge, the float64 final state, ledger
+# entries and per-slot ledger totals drifted by at most 0.50·N·d·eps64, so k = 1.
+DRIFT_K = 1.0
+
+
+@pytest.mark.parametrize("d, n", [(2, 10), (2, 1000), (2, 10**4), (3, 1000), (3, 10**4),
+                                  (4, 100), (4, 10**4)])
+def test_rounding_drift_stays_within_k_n_d_eps_of_a_long_double_reference(d, n):
+    rng = rng_from_seed(7)
+    basis, charge = build_state_basis(d), random_hermitian(d, rng)
+    charge /= operator_norm(charge)  # a unit charge, so the ledger's bound needs no norm
+    spec = ProtocolSpec(target=haar_unitary(d, rng), n_rounds=n, basis=basis,
+                        rho_s=random_density(d, rng), charges=(ExtensiveObservable(charge, "A"),))
+    alphas = decompose_generator(principal_generator(spec.target), basis).alphas
+    final, ledger = rounds_ld(basis.states, alphas, n, spec.rho_s, [charge])
+    result = protocol._protocol_runs(spec, (n,))[0]
+    ours = np.array([result.ledger.system, result.ledger.frame])
+    bound = DRIFT_K * n * d * np.finfo(float).eps
+    assert np.abs(result.final_state - final).max() <= bound
+    assert np.abs(ours - ledger).max() <= bound
+    assert np.abs(ours.sum(axis=(1, 2)) - ledger.sum(axis=(1, 2))).max() <= bound
 
 
 def _record_norm_shapes(monkeypatch):

@@ -56,7 +56,7 @@ def test_thermal_spec_rejects_non_finite_betas(beta):
 @pytest.mark.parametrize("beta", [True, False, np.True_])
 def test_thermal_spec_refuses_a_bool_beta(beta):
     # float(True) is 1.0: a bool was once read as an inverse temperature
-    with pytest.raises(ValueError, match="hold a bool"):
+    with pytest.raises(ValueError, match="betas must be finite and real, not a bool"):
         ThermalSpec(charges=(CHARGE_Z, CHARGE_X), betas=(beta, 0.5))
     assert ThermalSpec(charges=(CHARGE_Z, CHARGE_X), betas=(1, np.float32(0.5))).betas == (1.0, 0.5)
 
