@@ -29,5 +29,3 @@ for row in table.rows:
 print()
 print(f"log-log fit: error ~ N^({table.slope:.3f})   (expected exponent -1)")
 print(f"bound violations on valid rows: {len(table.violations())}")
-print()
-print(table.to_csv())

@@ -31,8 +31,7 @@ def _gell_mann_generators(d: int) -> np.ndarray:
     Traceless, Hermitian, mutually orthogonal with tr(g_a g_b) = 2 delta_ab.
     Ordering: symmetric off-diagonal pairs, antisymmetric pairs, then diagonal.
     """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    d = _integer(d, "dimension", 2)
     j, k = np.triu_indices(d, 1)
     m, pair = len(j), np.arange(len(j))
     gens = np.zeros((d * d - 1, d, d), dtype=complex)
@@ -58,12 +57,12 @@ class OperatorBasis:
 
     def __post_init__(self):
         states = _as_square(np.array(self.states, dtype=complex), stack=True)
-        _density_spectrum(states)
         d = states.shape[-1]
-        if states.shape != (d * d - 1, d, d):
+        if d < 2 or states.shape != (d * d - 1, d, d):  # so no empty stack reaches the spectrum
             raise ValueError(
-                f"need d^2 - 1 states of shape (d, d), got a stack of shape {states.shape}"
+                f"need d^2 - 1 states of shape (d, d), d >= 2, got a stack of shape {states.shape}"
             )
+        _density_spectrum(states)
         duals = _dual_basis([np.eye(d), *states])
         states.flags.writeable = duals.flags.writeable = False
         object.__setattr__(self, "states", states)

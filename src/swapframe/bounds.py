@@ -82,19 +82,16 @@ class ConvergenceTable:
         """Rows whose validity-flagged bound is exceeded by the measurement."""
         return [r for r in self.rows if r.valid and r.measured_error > r.analytic_bound]
 
-    def to_csv(self) -> str:
-        """Header and one line per row; no field can hold a comma, a quote or a newline."""
-        return "".join(["N,measured_error,analytic_bound,valid,slope\n", *(
-            f"{r.n_rounds},{r.measured_error!r},{r.analytic_bound!r},{r.valid},{self.slope!r}\n"
-            for r in self.rows)])
-
 
 def fit_loglog_slope(n_values, errors):
     """Unweighted least-squares slope/intercept of ln(error) against ln(N).
 
-    Points with error <= 1e-14 are excluded; returns (nan, nan), without a
-    warning, if the points left span fewer than two distinct N.
+    Takes equal-length finite N >= 1 and errors >= 0. Points with error <= 1e-14 are excluded;
+    returns (nan, nan), without a warning, if the points left span fewer than two distinct N.
     """
+    if len(n_values) != len(errors) or not all(  # NaN fails both comparisons
+            1 <= n < np.inf and 0 <= e < np.inf for n, e in zip(n_values, errors)):
+        raise ValueError(f"need equal-length finite N >= 1, errors >= 0: {n_values}, {errors}")
     pts = [(n, e) for n, e in zip(n_values, errors) if e > FIT_FLOOR]
     if len({n for n, _ in pts}) < 2:
         return float("nan"), float("nan")

@@ -24,7 +24,7 @@ import numpy as np
 from .basis import OperatorBasis, _matrix_from_pairs, build_state_basis
 from .bounds import convergence_sweep
 from .conservation import ExtensiveObservable
-from .linalg import dagger, exp_neg_i, tensor
+from .linalg import BLOCK_ENTRIES, dagger, exp_neg_i, tensor
 from .protocol import ProtocolSpec, _protocol_runs
 from .rand import _haar_unitaries, haar_unitary, random_density, rng_from_seed
 from .thermo import (
@@ -181,17 +181,16 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
     spec = _protocol_spec(config, n_list[0], rng)
 
     table = convergence_sweep(spec, n_list)
-    (out / "converge.csv").write_text(table.to_csv())
+    columns = ("N", "measured_error", "analytic_bound", "valid")  # no CSV field holds , " or \n
+    rows = [(r.n_rounds, r.measured_error, r.analytic_bound, r.valid) for r in table.rows]
+    (out / "converge.csv").write_text("".join([",".join(columns) + ",slope\n", *(
+        f"{n},{e!r},{b!r},{v},{table.slope!r}\n" for n, e, b, v in rows)]))
     violations = table.violations()
     doc = {
         # NaN when no error rose above the fp floor; JSON has no NaN.
         "slope": None if np.isnan(table.slope) else table.slope,
         "intercept": None if np.isnan(table.intercept) else table.intercept,
-        "rows": [
-            {"N": r.n_rounds, "measured_error": r.measured_error,
-             "analytic_bound": r.analytic_bound, "valid": r.valid}
-            for r in table.rows
-        ],
+        "rows": [dict(zip(columns, row)) for row in rows],
         "violations": len(violations),
     }
     summary = (f"{len(table.rows)} round counts, slope {table.slope:+.3f}, "
@@ -202,17 +201,21 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
 def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
     spec = _protocol_spec(config, _get(config, "N", int), rng, charged=True)
     result = _protocol_runs(spec, (spec.n_rounds,))[0]
-    residual = result.ledger.max_closure_residual()
+    ledger, residual = result.ledger, result.ledger.max_closure_residual()
+    n, size, k = ledger.frame.shape  # entries in (round, slot, charge) order, no dict per entry
+    rounds, slots = (np.indices((n, size, k))[:2].reshape(2, -1) + [[1], [0]]).tolist()
+    entries = _Records((("charge", "frame_delta", "round", "slot", "system_delta"), (
+        list(ledger.charges) * (n * size), ledger.frame.ravel().tolist(), rounds, slots,
+        ledger.system.ravel().tolist())))
     doc = {
         "max_closure_residual": residual,
         "total_error": result.total_error,
         "total_bound": result.total_bound,
         "bound_valid": result.bound_valid,
-        "ledger": {"cumulative": result.ledger.cumulative(), "max_closure_residual": residual,
-                   "entries": _Records(result.ledger._entry_columns())},  # no dict per entry
+        "ledger": {"cumulative": ledger.cumulative(), "max_closure_residual": residual,
+                   "entries": entries},
     }
-    summary = (f"{result.ledger.frame.size} collision entries, "
-               f"max closure residual {residual:.3e}")
+    summary = f"{ledger.frame.size} collision entries, max closure residual {residual:.3e}"
     ok = residual <= 1e-10 and not (result.bound_valid and result.total_error > result.total_bound)
     return doc, summary, ok
 
@@ -233,7 +236,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
     dims, size = [d] * bath_subsystems, d**bath_subsystems
 
     records, worst = [], np.inf  # records: the ones written, the first 10 or all with --verbose
-    chunk = max(1, 2**16 // size**2)  # draws per stacked pass, so memory does not grow with draws
+    chunk = max(1, BLOCK_ENTRIES // size**2)  # draws per stacked pass, so memory does not grow
     for lo in range(0, draws, chunk):
         u = _haar_unitaries(size, min(chunk, draws - lo), rng)
         batch = _work_records(bath0, u @ bath0 @ dagger(u), dims, range(bath_subsystems), spec)

@@ -22,6 +22,7 @@ import numpy as np
 # inputs; spectral round-trips are certified one order looser (1e-9).
 HERMITIAN_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
+BLOCK_ENTRIES = 2**16  # most entries per block of a stacked build (slot maps, draws): 1 MB
 
 
 def _integer(n, what: str, low: int) -> int:

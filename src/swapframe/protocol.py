@@ -24,8 +24,8 @@ import numpy as np
 from .basis import _coefficients
 from .bounds import _n_min, total_bound
 from .conservation import _charge_set
-from .linalg import (_as_square, _finite_real, _integer, _principal_generator, _singular_values,
-                     check_density, check_unitary, dagger)
+from .linalg import (BLOCK_ENTRIES, _as_square, _finite_real, _integer, _principal_generator,
+                     _singular_values, check_density, check_unitary, dagger)
 
 
 def step_channel(rho, sigma, alpha, n_rounds: int):
@@ -57,8 +57,7 @@ def step_channel(rho, sigma, alpha, n_rounds: int):
 class BatteryLedger:
     """Charge deltas of every collision, on the system and on its particle.
 
-    ``system[t, k, j]`` and ``frame[t, k, j]``: charge j, slot k, round t + 1. ``_entry_columns``
-    alone lays out its JSON entries, which the CLI writes as columns and ``to_json_dict`` as dicts.
+    ``system[t, k, j]`` and ``frame[t, k, j]``: charge j, slot k, round t + 1.
     """
 
     charges: tuple
@@ -75,20 +74,6 @@ class BatteryLedger:
         check the physics against ``step_channel`` per slot, and it against the dense oracle."""
         return float(np.max(np.abs(self.system + self.frame), initial=0.0))
 
-    def _entry_columns(self) -> tuple:
-        """The entries' sorted keys and one value list per key, in (round, slot, charge) order."""
-        n, size, k = self.frame.shape
-        rounds, slots = (np.indices((n, size, k))[:2].reshape(2, -1) + [[1], [0]]).tolist()
-        return (("charge", "frame_delta", "round", "slot", "system_delta"),
-                (list(self.charges) * (n * size), self.frame.ravel().tolist(), rounds, slots,
-                 self.system.ravel().tolist()))
-
-    def to_json_dict(self) -> dict:
-        keys, columns = self._entry_columns()
-        return {"cumulative": self.cumulative(),
-                "max_closure_residual": self.max_closure_residual(),
-                "entries": [dict(zip(keys, row)) for row in zip(*columns)]}
-
 
 def _slot_sweep(states, alphas, n_list, charges):
     """M on vec(rho) per round count, (r, d², d²), and its complex ledger functionals[N, side,
@@ -97,21 +82,21 @@ def _slot_sweep(states, alphas, n_list, charges):
     K_k = i·c·s·(sigma_k⊗1 - 1⊗sigma_kᵀ) in row-major vec, ``step_channel`` is S_k = c²·1 +
     s²·|sigma_k⟩⟨1| - K_k and, on the particle, F_k = c²·|sigma_k⟩⟨1| + s²·1 + K_k, each term
     written on its nonzeros alone: 1 on the diagonal, |sigma_k⟩⟨1| as vec(sigma_k) on the columns
-    (a, a), K_k on two strided diagonals. A group of round counts holds at most 2^16 // d⁴ (4096 at
-    d = 2, one from d = 16) and a chunk of slots' maps at most 2^16 entries or one (slot, N) pair,
-    so up to d = 16 the arrays stay near 1 MB. One stacked product per slot chains a group; one
-    product per side, broadcast over (slot, N), takes S_k - 1 and F_k - |sigma_k⟩⟨1|, so no ledger
-    entry depends on how the slots are chunked."""
+    (a, a), K_k on two strided diagonals. A group of round counts holds at most BLOCK_ENTRIES // d⁴
+    (4096 at d = 2, one from d = 16) and a chunk of slots' maps at most that many entries or one
+    (slot, N) pair, so up to d = 16 the arrays stay near 1 MB. One stacked product per slot chains
+    a group; one product per side, broadcast over (slot, N), takes S_k - 1 and F_k - |sigma_k⟩⟨1|,
+    so no ledger entry depends on how the slots are chunked."""
     (size, d, _), r = states.shape, len(n_list)
     d2 = d * d
     angles = np.asarray(alphas, dtype=float) / np.array(n_list, dtype=float)[:, None]
     rows = np.array([c.matrix.T.reshape(-1) for c in charges]).reshape(-1, d2)  # vec(A_j^T)
     round_maps = np.empty((r, d2, d2), dtype=complex)
     functionals = np.empty((r, 2, d2, size, len(rows)), dtype=complex)
-    group = max(1, 2**16 // d2 ** 2)
+    group = max(1, BLOCK_ENTRIES // d2 ** 2)
     for g0 in range(0, r, group):
         g = min(group, r - g0)
-        chunk = max(1, 2**16 // (g * d2 ** 2))
+        chunk = max(1, BLOCK_ENTRIES // (g * d2 ** 2))
         ins = np.empty((min(chunk, size) + 1, g, d2, d2), dtype=complex)  # ins[t + 1] = S_t·ins[t]
         ins[0] = np.eye(d2)
         for lo in range(0, size, chunk):

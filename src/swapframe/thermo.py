@@ -173,10 +173,13 @@ def battery_deviation_check(result, works: dict, epsilon: float, charges) -> dic
 
     For each charge: |ledger cumulative - W| must not exceed epsilon times the
     operator norm of the charge, with epsilon the measured trace error of the
-    same run, ``result`` (a ``protocol.ProtocolResult``).
+    same run, ``result`` (a ``protocol.ProtocolResult``): one finite number >= 0, not a bool.
     """
     if result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")
+    epsilon = _finite_real(epsilon, "epsilon")  # no bool, NaN or inf
+    if np.ndim(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be one number >= 0, got {epsilon!r}")
     cumulative, charges = result.ledger.cumulative(), tuple(charges)
     for charge in charges:
         if charge.label not in cumulative:

@@ -115,6 +115,15 @@ def test_build_state_basis_refuses_dimension_1():
         build_state_basis(1)
 
 
+@pytest.mark.parametrize("d", [2.0, True, np.True_, "3"],
+                         ids=["float", "bool", "numpy-bool", "str"])
+def test_build_state_basis_reads_its_dimension_as_an_integer(d):
+    # 2.0 once raised numpy's TypeError, and True read as 1
+    with pytest.raises(ValueError, match="dimension must be >= 2 and an integer"):
+        build_state_basis(d)
+    assert build_state_basis(np.int64(3)).dim == 3
+
+
 def test_decompose_basis_state_multiple():
     basis = build_state_basis(2)
     dec = decompose_generator(np.pi * (I2 + X) / 2, basis)
@@ -212,6 +221,9 @@ def test_operator_basis_validates_its_states():
         OperatorBasis([np.diag([2.0, -1.0])] * 3)  # not density operators
     with pytest.raises(DegenerateBasisError):
         OperatorBasis([(I2 + X) / 2, (I2 + X) / 2, (I2 + Z) / 2])
+    for d in (1, 2, 3, 4):  # empty stacks, refused by shape; at d = 1 the count d^2 - 1 is 0
+        with pytest.raises(ValueError, match=r"need d\^2 - 1 states of shape \(d, d\), d >= 2"):
+            OperatorBasis(np.zeros((0, d, d)))
 
 
 def test_json_dimension_must_match_the_states():

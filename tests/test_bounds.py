@@ -122,6 +122,23 @@ def test_fit_loglog_slope_needs_two_distinct_round_counts(ns, errors):
     assert np.isnan(slope) and np.isnan(intercept)
 
 
+@pytest.mark.parametrize("ns, errors", [
+    ([1, 2, 3], [1, 1]),  # once truncated to two points: (0.0, 0.0)
+    ([10, 20], [0.1, 0.2, 0.3]),
+    ([0, 10, 20], [0.1, 0.2, 0.3]),  # once a RuntimeWarning, LAPACK lines and a LinAlgError
+    ([-10, 10, 20], [0.1, 0.2, 0.3]),
+    ([np.inf, 10, 20], [0.1, 0.2, 0.3]),
+    ([np.nan, 10, 20], [0.1, 0.2, 0.3]),
+    ([10, 20, 30], [-0.1, 0.2, 0.3]),  # once dropped with the fp noise
+    ([10, 20, 30], [np.inf, 0.2, 0.3]),  # once a warning and a NaN slope
+    ([10, 20, 30], [np.nan, 0.2, 0.3]),
+], ids=["short-errors", "short-ns", "zero-n", "negative-n", "inf-n", "nan-n", "negative-error",
+        "inf-error", "nan-error"])
+def test_fit_loglog_slope_refuses_bad_points(ns, errors):
+    with pytest.raises(ValueError, match="need equal-length finite N >= 1, errors >= 0"):
+        fit_loglog_slope(ns, errors)
+
+
 def _sweep_spec(target):
     return ProtocolSpec(target=target, n_rounds=50, basis=QUBIT_BASIS, rho_s=PLUS)
 
@@ -221,15 +238,3 @@ def test_convergence_sweep_prepares_the_target_once(monkeypatch):
     table = convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), SWEEP_N)
     assert len(table.rows) == 5
     assert calls == {"_principal_generator": 1, "_coefficients": 1}
-
-
-def test_csv_format():
-    table = convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), [50, 100, 200])
-    lines = table.to_csv().splitlines()
-    assert lines[0] == "N,measured_error,analytic_bound,valid,slope"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "50"
-    assert float(first[1]) == table.rows[0].measured_error
-    assert first[3] == "False"  # 50 rounds is below the validity threshold
-    assert float(first[4]) == pytest.approx(table.slope)

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 from swapframe import cli, rand
 from swapframe.basis import build_state_basis
+from swapframe.bounds import convergence_sweep
 from swapframe.cli import ConfigError, main, parse_matrix
 from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import dagger, exp_neg_i
-from swapframe.protocol import BatteryLedger, ProtocolSpec, run_protocol
+from swapframe.protocol import ProtocolSpec, run_protocol
 from swapframe.rand import haar_unitary, random_hermitian, rng_from_seed
 from swapframe.thermo import (
     SECOND_LAW_SLACK,
@@ -91,6 +92,33 @@ def test_converge_mode(tmp_path):
     assert doc["schema"] == 1
     assert doc["violations"] == 0
     assert -1.2 <= doc["slope"] <= -0.8
+
+
+def test_converge_csv_format(tmp_path):
+    # one line per row, each field the library's value, and the slope repeated on every line
+    config = write_config(tmp_path / "c.json", {
+        "mode": "converge", "dimension": 2, "N_list": [50, 100, 200],
+        "unitary": {"exp": "Z", "scale": 0.3},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", config, "--out", str(out)]) == 0
+    table = convergence_sweep(ProtocolSpec(target=exp_neg_i(parse_matrix("Z"), 0.3), n_rounds=50,
+                                           basis=build_state_basis(2),
+                                           rho_s=np.full((2, 2), 0.5)), [50, 100, 200])
+    lines = (out / "converge.csv").read_text().splitlines()
+    assert lines[0] == "N,measured_error,analytic_bound,valid,slope"
+    assert len(lines) == 4
+    first = lines[1].split(",")
+    assert first[0] == "50"
+    assert float(first[1]) == table.rows[0].measured_error
+    assert first[3] == "False"  # 50 rounds is below the validity threshold
+    assert float(first[4]) == pytest.approx(table.slope)
+    # the CSV's columns name the JSON rows' keys, with the same values
+    rows = json.loads((out / "converge.json").read_text())["rows"]
+    header = lines[0].split(",")[:4]
+    assert [sorted(row) for row in rows] == [sorted(header)] * 3
+    for row, line in zip(rows, lines[1:]):
+        assert [repr(row[key]) for key in header] == line.split(",")[:4]
 
 
 def test_converge_deterministic_outputs(tmp_path):
@@ -588,15 +616,33 @@ def test_conserve_matches_a_protocol_run(tmp_path):
     assert doc["total_bound"] == result.total_bound
     assert doc["bound_valid"] == result.bound_valid
     assert doc["max_closure_residual"] == result.ledger.max_closure_residual()
-    assert doc["ledger"] == result.ledger.to_json_dict()
+    assert sorted(doc["ledger"]) == ["cumulative", "entries", "max_closure_residual"]
+    assert doc["ledger"]["cumulative"] == result.ledger.cumulative()
+    assert doc["ledger"]["max_closure_residual"] == result.ledger.max_closure_residual()
+    assert len(doc["ledger"]["entries"]) == result.ledger.frame.size == 30 * 3 * 2
+
+
+def test_conserve_json_entries_follow_the_ledger_arrays(tmp_path):
+    # the entries in (round, slot, charge) order, each read by its own index
+    rng = rng_from_seed(70)
+    charges = [{"label": f"A{i}", "matrix": _pairs(random_hermitian(2, rng))} for i in range(2)]
+    doc = {"mode": "conserve", "dimension": 2, "N": 4, "seed": 3, "unitary": {"random": True},
+           "state": {"random": True}, "charges": charges}
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path / "c.json", doc), "--out", str(out)]) == 0
+    ledger = run_protocol(cli._protocol_spec(doc, 4, rng_from_seed(3), charged=True)).ledger
+    expected = [{"round": t + 1, "slot": k, "charge": ledger.charges[j],
+                 "system_delta": float(ledger.system[t, k, j]),
+                 "frame_delta": float(ledger.frame[t, k, j])}
+                for t, k, j in np.ndindex(ledger.frame.shape)]
+    entries = json.loads((out / "conserve.json").read_text())["ledger"]["entries"]
+    assert entries == expected and len(entries) == 4 * 3 * 2
+    assert all(type(e["system_delta"]) is float and type(e["round"]) is int for e in entries)
 
 
 def test_conserve_builds_no_dict_per_entry(tmp_path, monkeypatch):
-    # the writer takes the ledger's entries as columns: no entry becomes a dict, and each column
-    # is encoded by one json.dumps call, in key order
-    def refuse(self):
-        raise AssertionError("a conserve run built the ledger's entry dicts")
-
+    # the writer takes the ledger's entries as columns: each column is encoded by one json.dumps
+    # call, in key order, and no entry is encoded on its own
     encoded, dumps = [], json.dumps
 
     def recording(obj, *args, **kwargs):
@@ -604,7 +650,6 @@ def test_conserve_builds_no_dict_per_entry(tmp_path, monkeypatch):
             encoded.append(obj)
         return dumps(obj, *args, **kwargs)
 
-    monkeypatch.setattr(BatteryLedger, "to_json_dict", refuse)
     monkeypatch.setattr(json, "dumps", recording)
     config = write_config(tmp_path / "c.json", {
         "mode": "conserve", "dimension": 2, "N": 7, "unitary": {"exp": "X", "scale": 0.7},

@@ -520,23 +520,7 @@ def test_an_uncharged_run_is_the_charged_run_with_an_empty_ledger():
         assert without.round_errors == with_ledger.round_errors
         for field in (without.ledger.system, without.ledger.frame):
             assert field.shape == (n, 8, 0) and field.dtype == float
-        assert without.ledger.to_json_dict()["entries"] == []
-
-
-def test_ledger_json_entries_follow_the_ledger_arrays():
-    # the entries in (round, slot, charge) order, each read by its own index
-    rng = rng_from_seed(70)
-    charges = tuple(ExtensiveObservable(random_hermitian(2, rng), f"A{i}") for i in range(2))
-    spec = ProtocolSpec(target=haar_unitary(2, rng), n_rounds=4, basis=QUBIT_BASIS,
-                        rho_s=random_density(2, rng), charges=charges)
-    ledger = run_protocol(spec).ledger
-    expected = [{"round": t + 1, "slot": k, "charge": ledger.charges[j],
-                 "system_delta": float(ledger.system[t, k, j]),
-                 "frame_delta": float(ledger.frame[t, k, j])}
-                for t, k, j in np.ndindex(ledger.frame.shape)]
-    entries = ledger.to_json_dict()["entries"]
-    assert entries == expected and len(entries) == 4 * 3 * 2
-    assert all(type(e["system_delta"]) is float and type(e["round"]) is int for e in entries)
+        assert without.ledger.cumulative() == {} and without.ledger.max_closure_residual() == 0.0
 
 
 # Rounding drift against dense_oracle's long-double reference (80-bit on x86-64, eps 1.1e-19),

@@ -384,6 +384,19 @@ def test_battery_deviation_check_names_a_charge_the_works_lack():
     assert battery_deviation_check(result, works, result.total_error, (CHARGE_Z,))["Z"].passed
 
 
+@pytest.mark.parametrize("epsilon, match", [
+    (np.nan, "epsilon must be finite"), (np.inf, "epsilon must be finite"),
+    (True, "not a bool"), (np.True_, "not a bool"), (-1.0, "epsilon must be one number >= 0"),
+    ([0.1], "epsilon must be one number >= 0"),
+], ids=["nan", "inf", "bool", "numpy-bool", "negative", "list"])
+def test_battery_deviation_check_reads_epsilon_as_one_finite_number_at_least_0(epsilon, match):
+    # a NaN once failed every charge with bound nan, -1 gave a negative bound, True passed as 1.0
+    result, works = _battery_run(10)
+    with pytest.raises(ValueError, match=match):
+        battery_deviation_check(result, works, epsilon, (CHARGE_Z,))
+    assert battery_deviation_check(result, works, np.float64(0.5), (CHARGE_Z,))["Z"].passed
+
+
 @pytest.mark.parametrize("n", [1])
 def test_battery_bound_matches_dense_lift(n):
     rng = rng_from_seed(75)
