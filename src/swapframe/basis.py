@@ -104,7 +104,9 @@ class OperatorBasis:
 
 
 def _matrix_from_pairs(pairs) -> np.ndarray:
-    """Complex matrix from row-major [re, im] pairs; checks no shape, and no string is a number."""
+    """Complex matrix from row-major [re, im] pairs, none a string or bool; checks no shape."""
+    if any(type(x) is bool for row in pairs for pair in row for x in pair):
+        raise TypeError("a matrix entry is true or false, not a number")
     return np.array([[complex(re, im) for re, im in row] for row in pairs])
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -202,11 +201,18 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
     spec = _protocol_spec(config, _get(config, "N", int), rng, charged=True)
     result = _protocol_runs(spec, (spec.n_rounds,))[0]
     ledger, residual = result.ledger, result.ledger.max_closure_residual()
-    n, size, k = ledger.frame.shape  # entries in (round, slot, charge) order, no dict per entry
-    rounds, slots = (np.indices((n, size, k))[:2].reshape(2, -1) + [[1], [0]]).tolist()
-    entries = _Records((("charge", "frame_delta", "round", "slot", "system_delta"), (
-        list(ledger.charges) * (n * size), ledger.frame.ravel().tolist(), rounds, slots,
-        ledger.system.ravel().tolist())))
+    # the entries, one per (round, slot, charge), as one row template at their depth in the file
+    # and one %: labels are pre-encoded arguments, and %r of a finite float is json's own text
+    n, size, k = ledger.frame.shape
+    values = [None] * (5 * ledger.frame.size)  # in the template's sorted-key order
+    values[0::5] = [json.dumps(label) for label in ledger.charges] * (n * size)
+    values[1::5] = ledger.frame.ravel().tolist()
+    values[2::5] = np.arange(1, n + 1).repeat(size * k).tolist()
+    values[3::5] = [slot for slot in range(size) for _ in range(k)] * n
+    values[4::5] = ledger.system.ravel().tolist()
+    row = ('\n      {\n        "charge": %s,\n        "frame_delta": %r,\n'
+           '        "round": %d,\n        "slot": %d,\n        "system_delta": %r\n      }')
+    entries = _Text("[" + ",".join([row] * ledger.frame.size) % tuple(values) + "\n    ]")
     doc = {
         "max_closure_residual": residual,
         "total_error": result.total_error,
@@ -221,7 +227,7 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
 
 
 def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
-    d = _get(config, "dimension", int)
+    d = _get(config, "dimension", int, least=2)  # the bath cap below binds only from d = 2
     charges = parse_charges(_get(config, "charges", list), d)
     spec = ThermalSpec(charges, [_check(b, "betas", float) for b in _get(config, "betas", list)])
     bath_subsystems = _get(config, "bath_subsystems", int, 2)
@@ -247,7 +253,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
         "ln_z": ln_z,
         "draws": draws,
         "worst_margin": worst,
-        "records": [asdict(r) for r in records],
+        "records": [{**vars(r), "works": dict(r.works)} for r in records],
     }
     summary = f"{draws} random bath unitaries, worst second-law margin {worst:.3e}"
     return doc, summary, worst >= -SECOND_LAW_SLACK
@@ -267,7 +273,7 @@ def run_battery(config: dict, out: Path, rng, verbose: bool) -> tuple:
             "total_error": result.total_error,
             "works": works,
             "ledger_cumulative": result.ledger.cumulative(),
-            "checks": {label: asdict(c) for label, c in checks.items()},
+            "checks": {label: dict(vars(c)) for label, c in checks.items()},
         })
 
     worst = max(c["deviation"] for r in runs for c in r["checks"].values())
@@ -293,31 +299,23 @@ _PARSER.add_argument("--mode", default=None, choices=sorted(MODES), help="overri
 _PARSER.add_argument("--verbose", action="store_true")
 
 
-class _Records(tuple):
-    """Flat records as (sorted str keys, one equal-length list of JSON scalars per key)."""
+class _Text(str):
+    """JSON text already laid out at its depth in the file, which ``_json_text`` writes as it is."""
 
 
 def _json_text(doc, nl: str = "\n") -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte; ``nl`` is the break and indent.
 
-    ``_Records`` are written column by column: one C-encoder call per key, with "\n" as the item
-    separator, split into lines, as no encoded scalar holds a line break, then every row from one
-    %-template. Dicts recurse; any other list, and the rest, is ``json.dumps``'s own text."""
-    inner = nl + "  "
-    if isinstance(doc, dict):
-        body = [f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"  # a key as the stdlib's
-                for k, v in sorted(doc.items())]
-    elif type(doc) is _Records:
-        row = f"{{{inner}  " + f",{inner}  ".join(json.dumps(k).replace("%", "%%") + ": %s"
-                                                  for k in doc[0]) + f"{inner}}}"
-        body = [row % values for values in zip(*(json.dumps(c, separators=("\n", ": "))[1:-1]
-                                                 .splitlines() for c in doc[1]))]
-    elif not isinstance(doc, (list, tuple)) or not doc:
+    Dicts recurse, a ``_Text`` is written as it is, the rest is the stdlib's text re-indented."""
+    if type(doc) is _Text:
+        return doc
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
         return json.dumps(doc)
-    else:  # no encoded string holds a raw newline, so re-indenting the stdlib's text is exact
+    if not isinstance(doc, dict):  # no encoded string holds a raw newline, so re-indenting is exact
         return json.dumps(doc, indent=2, sort_keys=True).replace("\n", nl)
-    ends = "{}" if isinstance(doc, dict) else "[]"
-    return ends[0] + inner + f",{inner}".join(body) + nl + ends[1] if body else ends
+    inner = nl + "  "
+    return "{" + inner + f",{inner}".join(f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
+                                          for k, v in sorted(doc.items())) + nl + "}"
 
 
 def main(argv=None) -> int:

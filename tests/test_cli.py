@@ -14,11 +14,14 @@ import tempfile
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from swapframe import cli, rand
 from swapframe.basis import build_state_basis
@@ -26,7 +29,7 @@ from swapframe.bounds import convergence_sweep
 from swapframe.cli import ConfigError, main, parse_matrix
 from swapframe.conservation import ExtensiveObservable
 from swapframe.linalg import dagger, exp_neg_i
-from swapframe.protocol import ProtocolSpec, run_protocol
+from swapframe.protocol import BatteryLedger, ProtocolSpec, run_protocol
 from swapframe.rand import haar_unitary, random_hermitian, rng_from_seed
 from swapframe.thermo import (
     SECOND_LAW_SLACK,
@@ -500,6 +503,16 @@ def test_module_entry_point(tmp_path):
       "state": {"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}}, "cannot parse matrix"),
     ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"},
       "charges": [[[[10**400, 0], [0, 0]], [[0, 0], [-1, 0]]]]}, "cannot parse matrix"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"},
+      "charges": [[[[True, False], [0, 0]], [[0, 0], [False, False]]]]}, "true or false"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40],
+      "unitary": {"matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}}, "true or false"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40],
+      "unitary": {"exp": [[[1, 0], [0, 0]], [[0, 0], [0, False]]]}}, "true or false"),
+    ({"mode": "conserve", "dimension": 2, "N": 20, "unitary": {"exp": "Z"}, "charges": ["Z"],
+      "state": {"matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}}, "true or false"),
+    ({"mode": "thermo", "dimension": 1, "charges": [[[[1, 0]]]], "betas": [1.0],
+      "bath_subsystems": 3}, "'dimension' must be an integer >= 2"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
@@ -509,7 +522,9 @@ def test_module_entry_point(tmp_path):
         "negative_seed", "bool_scale", "string_scale", "bool_beta", "list_mode", "string_random",
         "string_plus", "huge_int_scale", "nan_scale", "infinite_scale", "non_square_state",
         "basis_state_out_of_range", "empty_state_spec", "basis_file_of_another_dimension",
-        "huge_int_state_matrix", "huge_int_charge_matrix"])
+        "huge_int_state_matrix", "huge_int_charge_matrix", "bool_charge_entry",
+        "bool_unitary_matrix_entry", "bool_exp_entry", "bool_state_matrix_entry",
+        "thermo_dimension_1"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
     # "{tmp}" stands for the test's directory, which holds the config file itself and a
     # valid basis file of dimension 3
@@ -561,6 +576,9 @@ def test_negative_seed_option_exits_2(tmp_path, capsys):
     ({"dimension": "2", "states": []}, "basis dimension"),
     ({**json.loads(build_state_basis(2).to_json()), "schema": 7}, "schema"),
     ({"dimension": 2, "states": [[[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]] * 3}, "malformed"),
+    ({"dimension": 2, "states": [[[[True, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                 [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
+                                 [[[0.5, 0], [0, -0.5]], [[0, 0.5], [0.5, 0]]]]}, "true or false"),
 ])
 def test_malformed_basis_file_error_names_file_and_field(tmp_path, capsys, basis_doc, field):
     basis = write_config(tmp_path / "basis.json", basis_doc)
@@ -640,29 +658,27 @@ def test_conserve_json_entries_follow_the_ledger_arrays(tmp_path):
     assert all(type(e["system_delta"]) is float and type(e["round"]) is int for e in entries)
 
 
-def test_conserve_builds_no_dict_per_entry(tmp_path, monkeypatch):
-    # the writer takes the ledger's entries as columns: each column is encoded by one json.dumps
-    # call, in key order, and no entry is encoded on its own
+def test_conserve_encodes_no_list_and_each_label_once(tmp_path, monkeypatch):
+    # the entries are one row template filled by one %: json.dumps sees no list, and a label is
+    # encoded once however many entries carry it
     encoded, dumps = [], json.dumps
 
     def recording(obj, *args, **kwargs):
-        if type(obj) is list:
-            encoded.append(obj)
+        encoded.append(obj)
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", recording)
     config = write_config(tmp_path / "c.json", {
         "mode": "conserve", "dimension": 2, "N": 7, "unitary": {"exp": "X", "scale": 0.7},
-        "state": {"matrix": GENERIC_STATE}, "charges": ["Z", "Y"],
+        "state": {"matrix": GENERIC_STATE}, "charges": ["Z", {"label": "%s", "matrix": "Y"}],
     })
     status = main(["--config", config, "--out", str(tmp_path / "out")])
     monkeypatch.undo()
     assert status == 0
     entries = json.loads((tmp_path / "out" / "conserve.json").read_text())["ledger"]["entries"]
-    assert len(entries) == 7 * 3 * 2
-    keys = ["charge", "frame_delta", "round", "slot", "system_delta"]
-    assert all(sorted(e) == keys for e in entries)
-    assert encoded == [[e[k] for e in entries] for k in keys]
+    assert len(entries) == 7 * 3 * 2 and {e["charge"] for e in entries} == {"Z", "%s"}
+    assert not any(isinstance(obj, (list, tuple)) for obj in encoded)
+    assert [obj for obj in encoded if obj in ("Z", "%s")] == ["Z", "%s"]
 
 
 def _pairs(matrix):
@@ -790,7 +806,7 @@ def test_converge_output_is_strict_json_at_the_fp_floor(tmp_path):
     assert len(doc["rows"]) == 3
 
 
-# Keys and strings that the column writer must carry through its separators and its %-template.
+# Keys and strings that the writer must carry through its key text and the stdlib's encoder.
 JSON_STRINGS = st.sampled_from(["", ", ", "\n", "%", "%s", "%%d", '"', "\\", "é", "\u2028",
                                 "a, b\nc"])
 JSON_KEYS = JSON_STRINGS | st.sampled_from(["a", "b", "a%b", "N"]) | st.text(max_size=4)
@@ -800,8 +816,7 @@ JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**
 
 @st.composite
 def _record_lists(draw, values):
-    """Records of one key set; when drawn, one record gets a stray key or a nested value. Only a
-    ``cli._Records`` takes the column path, so these lists take the stdlib's."""
+    """Records of one key set; when drawn, one record gets a stray key or a nested value."""
     keys = draw(st.lists(JSON_KEYS, max_size=4, unique=True))
     records = [{k: draw(JSON_SCALARS) for k in keys} for _ in range(draw(st.integers(0, 4)))]
     if records and draw(st.booleans()):
@@ -829,32 +844,39 @@ def test_json_text_is_the_stdlib_indented_text(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-RECORD_SCALARS = (JSON_SCALARS | st.sampled_from([2**64, -(2**64) - 1]) | st.sampled_from(
-    [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1]))
+CONSERVE_CONFIG = {"dimension": 2, "N": 1, "unitary": {"exp": "Z"}, "charges": ["Z"]}
+LEDGER_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-5, 1e16, 1e22])
+LEDGER_LABELS = st.sampled_from(["%", "%s", '"', "\\", "é", "\u2028", "%%d"]) | st.text(max_size=3)
 
 
 @st.composite
-def _columns(draw):
-    """Sorted unique keys and one equal-length column of scalars per key, possibly empty."""
-    keys = sorted(draw(st.lists(JSON_KEYS, max_size=5, unique=True)))
-    n = draw(st.integers(0, 5))
-    return keys, [draw(st.lists(RECORD_SCALARS, min_size=n, max_size=n)) for _ in keys]
+def _ledgers(draw):
+    """A (round, slot, charge) ledger of finite float64 deltas under distinct labels."""
+    labels = draw(st.lists(LEDGER_LABELS, min_size=1, max_size=3, unique=True))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), len(labels))
+    system, frame = (draw(hnp.arrays(np.float64, shape, elements=LEDGER_FLOATS)) for _ in range(2))
+    return BatteryLedger(tuple(labels), system, frame)
 
 
-@settings(max_examples=300)
-@given(_columns())
-@example((['"', "%", "%s", "\\", "é", "\u2028"],  # sorted, as the writer requires
-          [["%s"], [float("nan")], [2**70], ["é\u2028"], [None], [-0.0]]))
-@example((["a", "b"], [[], []]))
-@example(([], []))
-@example((["x"], [[5e-324, 1e16, float("inf"), -float("inf"), True, False]]))
-def test_json_text_writes_records_as_the_stdlib_writes_their_dicts(columns):
-    keys, values = columns
-    records = [dict(zip(keys, row)) for row in zip(*values)]
-    assert cli._json_text(cli._Records(columns)) == json.dumps(records, indent=2, sort_keys=True)
-    nested = {"a": [0], "entries": cli._Records(columns)}  # one level in, as in conserve.json
-    assert cli._json_text(nested) == json.dumps({**nested, "entries": records}, indent=2,
-                                                sort_keys=True)
+@settings(max_examples=40, deadline=None)
+@given(_ledgers())
+@example(BatteryLedger(("%", "%s", '"', "\\", "é", "\u2028"), np.full((1, 1, 6), -0.0),
+                       np.array([[[5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1]]])))
+def test_conserve_entries_are_the_stdlib_indented_text(ledger):
+    # conserve's entries, at their depth in conserve.json, as the stdlib indents their dicts;
+    # the protocol run is replaced by one that returns the drawn ledger
+    result = SimpleNamespace(ledger=ledger, total_error=0.0, total_bound=1.0, bound_valid=True)
+    with mock.patch.object(cli, "_protocol_runs", lambda spec, n_list: [result]), \
+            np.errstate(over="ignore", invalid="ignore"):  # the summaries of a huge ledger
+        doc, _, _ = cli.run_conserve(CONSERVE_CONFIG, None, rng_from_seed(0), False)
+    records = [{"round": t + 1, "slot": k, "charge": ledger.charges[j],
+                "system_delta": ledger.system[t, k, j].item(),
+                "frame_delta": ledger.frame[t, k, j].item()}
+               for t, k, j in np.ndindex(ledger.frame.shape)]
+    entries = {"ledger": {"entries": doc["ledger"]["entries"]}}
+    assert cli._json_text(entries) == json.dumps({"ledger": {"entries": records}}, indent=2,
+                                                 sort_keys=True)
 
 
 def test_json_text_writes_non_str_keys_as_the_stdlib_does():
