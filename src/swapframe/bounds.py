@@ -23,11 +23,10 @@ FIT_FLOOR = 1e-14
 def single_step_bound(alpha: float, n_rounds: int):
     """Trace-distance error of one collision vs the small rotation it implements.
 
-    Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``; ``alpha`` must be a finite real, not a bool.
+    Returns ``(8(e-2)(alpha/N)^2, N >= 2|alpha|)``; ``alpha`` must be one finite real, not a bool.
     """
-    alpha = _finite_real(alpha, "alpha")
-    value = 8.0 * E_MINUS_2 * (alpha / _integer(n_rounds, "round count", 1)) ** 2
-    return value, n_rounds >= 2.0 * abs(alpha)
+    alpha, n_rounds = _finite_real(alpha, "alpha", -np.inf), _integer(n_rounds, "round count", 1)
+    return 8.0 * E_MINUS_2 * (alpha / n_rounds) ** 2, n_rounds >= 2.0 * abs(alpha)
 
 
 def _n_min(n_generators: int, alpha_max: float) -> float:
@@ -42,8 +41,7 @@ def block_bound(n_generators: int, alpha_max: float, n_rounds: int):
     """
     d_gen = _integer(n_generators, "generator count", 0)
     n_rounds = _integer(n_rounds, "round count", 1)
-    if isinstance(alpha_max, (bool, np.bool_)) or not 0.0 <= alpha_max < np.inf:  # NaN fails too
-        raise ValueError(f"alpha_max must be finite and >= 0, got {alpha_max}")
+    alpha_max = _finite_real(alpha_max, "alpha_max", 0)
     value = (8.0 * d_gen**2 * alpha_max**2
              + 4.0 * np.pi**2 * E_MINUS_2 * (d_gen + 1)) / n_rounds**2
     return float(value), n_rounds >= _n_min(d_gen, alpha_max)

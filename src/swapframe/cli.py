@@ -7,8 +7,9 @@ from the config seed, so identical config + seed produce byte-identical
 output files.
 
 Exit status: 0 on pass, 1 when a validity-flagged bound or inequality is
-violated, 2 on config errors, 3 on any other error, such as a MemoryError,
-with one ``internal error: <Type>: <message>`` line.
+violated, 2 on config errors and on a result that is not finite (no output
+file is written then), 3 on any other error, such as a MemoryError, with one
+``internal error: <Type>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -147,15 +148,13 @@ def load_basis(config: dict, d: int) -> OperatorBasis:
     name = _get(config, "basis", str, "default")
     if name == "default":
         return build_state_basis(d)
-    try:
-        text = Path(name).read_text()
+    try:  # bad UTF-8 is a ValueError, and nesting past the recursion limit is malformed too
+        basis = OperatorBasis.from_json(Path(name).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read basis file: {exc}") from None
-    try:
-        basis = OperatorBasis.from_json(text)
     except KeyError as exc:
         raise ConfigError(f"basis file {name!r} lacks field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"basis file {name!r} is malformed: {exc}") from None
     if basis.dim != d:
         raise ConfigError(f"basis file has dimension {basis.dim}, config says {d}")
@@ -173,6 +172,12 @@ def _protocol_spec(config: dict, n_rounds: int, rng, charged: bool = False) -> P
     target = parse_unitary(_get(config, "unitary", dict), d, rng)
     rho = parse_state(_get(config, "state", dict, {"plus": True}), d, rng)
     return ProtocolSpec(target=target, n_rounds=n_rounds, basis=basis, rho_s=rho, charges=charges)
+
+
+def _document(mode: str, doc: dict) -> str:
+    """The text of ``<mode>.json``: ``doc`` with the schema and mode, with no NaN or infinity."""
+    return json.dumps({**doc, "schema": SCHEMA_VERSION, "mode": mode}, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
@@ -194,7 +199,7 @@ def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
     }
     summary = (f"{len(table.rows)} round counts, slope {table.slope:+.3f}, "
                f"{len(violations)} bound violation(s)")
-    return doc, summary, not violations
+    return _document("converge", doc), summary, not violations
 
 
 def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
@@ -202,7 +207,8 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
     result = _protocol_runs(spec, (spec.n_rounds,))[0]
     ledger, residual = result.ledger, result.ledger.max_closure_residual()
     # the entries, one per (round, slot, charge), as one row template at their depth in the file
-    # and one %: labels are pre-encoded arguments, and %r of a finite float is json's own text
+    # and one %: labels are pre-encoded arguments, and %r of a finite float is json's own text;
+    # a non-finite entry makes the residual non-finite, which the dump below refuses
     n, size, k = ledger.frame.shape
     values = [None] * (5 * ledger.frame.size)  # in the template's sorted-key order
     values[0::5] = [json.dumps(label) for label in ledger.charges] * (n * size)
@@ -212,18 +218,19 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
     values[4::5] = ledger.system.ravel().tolist()
     row = ('\n      {\n        "charge": %s,\n        "frame_delta": %r,\n'
            '        "round": %d,\n        "slot": %d,\n        "system_delta": %r\n      }')
-    entries = _Text("[" + ",".join([row] * ledger.frame.size) % tuple(values) + "\n    ]")
+    entries = '"entries": [' + ",".join([row] * ledger.frame.size) % tuple(values) + "\n    ]"
     doc = {
         "max_closure_residual": residual,
         "total_error": result.total_error,
         "total_bound": result.total_bound,
         "bound_valid": result.bound_valid,
         "ledger": {"cumulative": ledger.cumulative(), "max_closure_residual": residual,
-                   "entries": entries},
+                   "entries": []},
     }
     summary = f"{ledger.frame.size} collision entries, max closure residual {residual:.3e}"
     ok = residual <= 1e-10 and not (result.bound_valid and result.total_error > result.total_bound)
-    return doc, summary, ok
+    # an encoded label escapes every '"', so only the ledger's own key reads '"entries": []'
+    return _document("conserve", doc).replace('"entries": []', entries, 1), summary, ok
 
 
 def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
@@ -256,7 +263,7 @@ def run_thermo(config: dict, out: Path, rng, verbose: bool) -> tuple:
         "records": [{**vars(r), "works": dict(r.works)} for r in records],
     }
     summary = f"{draws} random bath unitaries, worst second-law margin {worst:.3e}"
-    return doc, summary, worst >= -SECOND_LAW_SLACK
+    return _document("thermo", doc), summary, worst >= -SECOND_LAW_SLACK
 
 
 def run_battery(config: dict, out: Path, rng, verbose: bool) -> tuple:
@@ -278,7 +285,8 @@ def run_battery(config: dict, out: Path, rng, verbose: bool) -> tuple:
 
     worst = max(c["deviation"] for r in runs for c in r["checks"].values())
     summary = f"{len(runs)} run(s), worst ledger-vs-work deviation {worst:.3e}"
-    return {"runs": runs}, summary, all(c["passed"] for r in runs for c in r["checks"].values())
+    ok = all(c["passed"] for r in runs for c in r["checks"].values())
+    return _document("battery", {"runs": runs}), summary, ok
 
 
 MODES = {
@@ -297,25 +305,6 @@ _PARSER.add_argument("--out", default=None,
 _PARSER.add_argument("--seed", type=int, default=None, help="override the config seed")
 _PARSER.add_argument("--mode", default=None, choices=sorted(MODES), help="override the config mode")
 _PARSER.add_argument("--verbose", action="store_true")
-
-
-class _Text(str):
-    """JSON text already laid out at its depth in the file, which ``_json_text`` writes as it is."""
-
-
-def _json_text(doc, nl: str = "\n") -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte; ``nl`` is the break and indent.
-
-    Dicts recurse, a ``_Text`` is written as it is, the rest is the stdlib's text re-indented."""
-    if type(doc) is _Text:
-        return doc
-    if not isinstance(doc, (dict, list, tuple)) or not doc:
-        return json.dumps(doc)
-    if not isinstance(doc, dict):  # no encoded string holds a raw newline, so re-indenting is exact
-        return json.dumps(doc, indent=2, sort_keys=True).replace("\n", nl)
-    inner = nl + "  "
-    return "{" + inner + f",{inner}".join(f"{json.dumps({k: 0})[1:-4]}: {_json_text(v, inner)}"
-                                          for k, v in sorted(doc.items())) + nl + "}"
 
 
 def main(argv=None) -> int:
@@ -337,9 +326,9 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from None
-        doc, summary, ok = MODES[mode](config, out, rng_from_seed(seed), args.verbose)
-        doc.update(schema=SCHEMA_VERSION, mode=mode)
-        (out / f"{mode}.json").write_text(_json_text(doc) + "\n")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result exits 2
+            text, summary, ok = MODES[mode](config, out, rng_from_seed(seed), args.verbose)
+        (out / f"{mode}.json").write_text(text)
         print(f"{mode}: {summary}")
         return 0 if ok else 1
     except (ConfigError, ValueError) as exc:

@@ -32,12 +32,17 @@ def _integer(n, what: str, low: int) -> int:
     return int(n)
 
 
-def _finite_real(x, what: str):
-    """``x`` as a float, or a float array for an array, checked real, finite and bool-free."""
+def _finite_real(x, what: str, low: float | None = None):
+    """``x`` as a float, or a float array for an array, checked real, finite and bool-free (one
+    number by ``math.isfinite``, not numpy's reduction); with a ``low``, one number >= ``low``."""
     a = np.asarray(x)  # numpy reads [True, 0.5] as floats, so a list or tuple is read item by item
-    if (a.dtype.kind not in "iuf" or not np.isfinite(a).all() or isinstance(x, (list, tuple))
+    if (a.dtype.kind not in "iuf" or not (np.isfinite(a).all() if a.ndim else math.isfinite(a))
+            or isinstance(x, (list, tuple))
             and any(np.asarray(v).dtype == bool for v in np.asarray(x, dtype=object).flat)):
         raise ValueError(f"{what} must be finite and real, not a bool, got {x!r}")
+    if low is not None and (a.ndim or float(a) < low):
+        at_least = f" >= {low}" if low > -np.inf else ""
+        raise ValueError(f"{what} must be one number{at_least}, got {x!r}")
     return float(a) if a.ndim == 0 else a.astype(float)
 
 
@@ -147,7 +152,7 @@ def partial_trace(op, dims, keep) -> np.ndarray:
 
 def exp_neg_i(h, scale: float = 1.0) -> np.ndarray:
     """Unitary exp(-i * scale * H) for Hermitian H (checked at any scale), via eigh."""
-    scale = _finite_real(scale, "scale")
+    scale = _finite_real(scale, "scale", -np.inf)
     h = _as_square(h)
     adjoint = dagger(h)
     if np.abs(h - adjoint).max() > HERMITIAN_ATOL:

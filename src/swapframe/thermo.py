@@ -177,9 +177,7 @@ def battery_deviation_check(result, works: dict, epsilon: float, charges) -> dic
     """
     if result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")
-    epsilon = _finite_real(epsilon, "epsilon")  # no bool, NaN or inf
-    if np.ndim(epsilon) or epsilon < 0:
-        raise ValueError(f"epsilon must be one number >= 0, got {epsilon!r}")
+    epsilon = _finite_real(epsilon, "epsilon", 0)  # one number, no bool, NaN or inf
     cumulative, charges = result.ledger.cumulative(), tuple(charges)
     for charge in charges:
         if charge.label not in cumulative:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -46,9 +47,9 @@ def test_block_bound_generator_term_only():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: total_bound(3, -1.0, 100), "alpha_max must be finite and >= 0"),
-    (lambda: total_bound(3, np.nan, 100), "alpha_max must be finite and >= 0"),
-    (lambda: block_bound(3, np.inf, 100), "alpha_max must be finite and >= 0"),
+    (lambda: total_bound(3, -1.0, 100), "alpha_max must be one number >= 0"),
+    (lambda: total_bound(3, np.nan, 100), "alpha_max must be finite and real"),
+    (lambda: block_bound(3, np.inf, 100), "alpha_max must be finite and real"),
     (lambda: total_bound(-3, 1.0, 100), "generator count must be >= 0 and an integer"),
     (lambda: total_bound(2.5, 1.0, 10), "generator count must be >= 0 and an integer"),
     (lambda: block_bound(True, 1.0, 10), "generator count must be >= 0 and an integer"),
@@ -58,16 +59,32 @@ def test_block_bound_generator_term_only():
     (lambda: single_step_bound(np.True_, 10), "alpha must be finite"),
     (lambda: single_step_bound([True, 0.5], 10), "alpha must be finite and real, not a bool"),
     (lambda: single_step_bound(([0.5], (np.False_,)), 10), "alpha must be finite and real"),
-    (lambda: block_bound(3, True, 100), "alpha_max must be finite and >= 0"),
-    (lambda: total_bound(3, True, 100), "alpha_max must be finite and >= 0"),
-    (lambda: total_bound(3, np.True_, 100), "alpha_max must be finite and >= 0"),
+    (lambda: block_bound(3, True, 100), "alpha_max must be finite and real, not a bool"),
+    (lambda: total_bound(3, True, 100), "alpha_max must be finite and real, not a bool"),
+    (lambda: total_bound(3, np.True_, 100), "alpha_max must be finite and real, not a bool"),
+    (lambda: single_step_bound([1.0], 10), "alpha must be one number, got"),
+    (lambda: block_bound(3, [2.0], 10), "alpha_max must be one number >= 0"),
+    (lambda: total_bound(3, np.array([2.0, 2.0]), 10), "alpha_max must be one number >= 0"),
 ], ids=["negative-amax", "nan-amax", "inf-amax", "negative-count", "float-count", "bool-count",
         "nan-alpha", "inf-alpha", "bool-alpha", "numpy-bool-alpha", "bool-in-a-list-alpha",
-        "nested-numpy-bool-alpha", "bool-amax", "bool-amax-total", "numpy-bool-amax"])
+        "nested-numpy-bool-alpha", "bool-amax", "bool-amax-total", "numpy-bool-amax",
+        "list-alpha", "list-amax", "array-amax-total"])
 def test_bounds_reject_invalid_input(call, match):
     # each was once accepted; a negative amax or generator count certified valid=True at any N
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: single_step_bound(np.float64(1.0), np.int64(10)),
+    lambda: block_bound(3, np.float64(2.0), 10),
+    lambda: total_bound(np.int64(3), np.float64(2.0), np.int64(10)),
+], ids=["single-step", "block", "total"])
+def test_bounds_return_python_numbers(call):
+    # a numpy alpha once made the validity flag np.False_, which json.dumps cannot write
+    value, valid = call()
+    assert type(value) is float and type(valid) is bool
+    json.dumps([value, valid])
 
 
 def test_block_bound_quadratic_scaling():

@@ -426,6 +426,11 @@ def test_module_entry_point(tmp_path):
     assert "conserve" in proc.stdout
 
 
+# A charge whose ledger, works or thermal margin overflows float range: each such result once
+# reached the output file as NaN or Infinity, and set exit 1 or 0.
+BIG_CHARGE = {"matrix": [[[1.7e308, 0], [0, 0]], [[0, 0], [-1.7e308, 0]]], "label": "A"}
+
+
 @pytest.mark.parametrize("doc, named", [
     ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
       "basis": "no-such-basis.json"}, "no-such-basis.json"),
@@ -513,6 +518,16 @@ def test_module_entry_point(tmp_path):
       "state": {"matrix": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]}}, "true or false"),
     ({"mode": "thermo", "dimension": 1, "charges": [[[[1, 0]]]], "betas": [1.0],
       "bath_subsystems": 3}, "'dimension' must be an integer >= 2"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "basis": "{tmp}/deep.json"}, "deep.json' is malformed"),
+    ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
+      "basis": "{tmp}/latin1.json"}, "latin1.json' is malformed"),
+    ({"mode": "conserve", "dimension": 2, "N": 3, "unitary": {"exp": "X", "scale": 1.5707963},
+      "state": {"basis": 0}, "charges": [BIG_CHARGE]}, "not JSON compliant"),
+    ({"mode": "battery", "dimension": 2, "N": 20, "unitary": {"exp": "X", "scale": 0.7},
+      "charges": [BIG_CHARGE]}, "not JSON compliant"),
+    ({"mode": "thermo", "dimension": 2, "betas": [1e-300], "charges": [BIG_CHARGE], "draws": 3},
+     "not JSON compliant"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
@@ -524,12 +539,17 @@ def test_module_entry_point(tmp_path):
         "basis_state_out_of_range", "empty_state_spec", "basis_file_of_another_dimension",
         "huge_int_state_matrix", "huge_int_charge_matrix", "bool_charge_entry",
         "bool_unitary_matrix_entry", "bool_exp_entry", "bool_state_matrix_entry",
-        "thermo_dimension_1"])
+        "thermo_dimension_1", "basis_file_nested_past_the_recursion_limit",
+        "basis_file_not_utf8", "conserve_ledger_overflows", "battery_works_overflow",
+        "thermo_margin_overflows"])
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, named):
-    # "{tmp}" stands for the test's directory, which holds the config file itself and a
-    # valid basis file of dimension 3
+    # "{tmp}" stands for the test's directory, which holds the config file itself, a valid
+    # basis file of dimension 3, and two that no JSON reader takes: one nested past the
+    # recursion limit and one that is not UTF-8
     doc = json.loads(json.dumps(doc).replace("{tmp}", tmp_path.as_posix()))
     (tmp_path / "basis3.json").write_text(build_state_basis(3).to_json())
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    (tmp_path / "latin1.json").write_bytes(b'{"dimension": 2, "states": "\xe9"}')
     config = write_config(tmp_path / "c.json", doc)
     # a config that sets its own output directory is run without --out, which would override it
     out = [] if isinstance(doc, dict) and "out" in doc else ["--out", str(tmp_path / "out")]
@@ -542,8 +562,10 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, request, doc, na
     else:
         code, err = main(["--config", config, *out]), capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("error: ") and named in err
+    if isinstance(doc, dict) and "mode" in doc:
+        assert not (tmp_path / "out" / f"{doc['mode']}.json").exists()
 
 
 @pytest.mark.parametrize("n_list", [[10, 10, 10], [10, 20, 20], [40, 20, 10]])
@@ -806,48 +828,12 @@ def test_converge_output_is_strict_json_at_the_fp_floor(tmp_path):
     assert len(doc["rows"]) == 3
 
 
-# Keys and strings that the writer must carry through its key text and the stdlib's encoder.
-JSON_STRINGS = st.sampled_from(["", ", ", "\n", "%", "%s", "%%d", '"', "\\", "é", "\u2028",
-                                "a, b\nc"])
-JSON_KEYS = JSON_STRINGS | st.sampled_from(["a", "b", "a%b", "N"]) | st.text(max_size=4)
-JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**70, -(2**100)])
-                | st.floats() | JSON_STRINGS | st.text(max_size=6))
-
-
-@st.composite
-def _record_lists(draw, values):
-    """Records of one key set; when drawn, one record gets a stray key or a nested value."""
-    keys = draw(st.lists(JSON_KEYS, max_size=4, unique=True))
-    records = [{k: draw(JSON_SCALARS) for k in keys} for _ in range(draw(st.integers(0, 4)))]
-    if records and draw(st.booleans()):
-        records[draw(st.integers(0, len(records) - 1))][draw(JSON_KEYS)] = draw(values)
-    return records
-
-
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(JSON_KEYS, inner, max_size=3) | _record_lists(inner)),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=400)
-@given(JSON_VALUES)
-@example([{"n": 1, "x": -0.0, "%s": "%"}, {"n": True, "x": float("nan"), "%s": ", "}])
-@example({"rows": [{"a": float("inf"), "b": None}, {"a": -float("inf"), "b": 10**30}]})
-@example([{"a": [1, 2]}])
-@example([{"a": 1}, {"a": 2, "b": 3}])
-@example([{}, {}])
-@example(({"k": ()}, [], {}))
-def test_json_text_is_the_stdlib_indented_text(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-CONSERVE_CONFIG = {"dimension": 2, "N": 1, "unitary": {"exp": "Z"}, "charges": ["Z"]}
+CONSERVE_CONFIG = {"mode": "conserve", "dimension": 2, "N": 1, "unitary": {"exp": "Z"},
+                   "charges": ["Z"]}
 LEDGER_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e-5, 1e16, 1e22])
-LEDGER_LABELS = st.sampled_from(["%", "%s", '"', "\\", "é", "\u2028", "%%d"]) | st.text(max_size=3)
+LEDGER_LABELS = st.sampled_from(["%", "%s", '"', "\\", "é", "\u2028", "%%d", "entries",
+                                 'x"entries": []']) | st.text(max_size=3)
 
 
 @st.composite
@@ -863,34 +849,35 @@ def _ledgers(draw):
 @given(_ledgers())
 @example(BatteryLedger(("%", "%s", '"', "\\", "é", "\u2028"), np.full((1, 1, 6), -0.0),
                        np.array([[[5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1]]])))
+@example(BatteryLedger(("entries", 'x"entries": []'), np.zeros((1, 2, 2)),
+                       np.array([[[0.5, 1.5], [-0.5, 2.5]]])))
+@example(BatteryLedger(("A",), np.zeros((2, 1, 1)), np.full((2, 1, 1), 1.7e308)))
 def test_conserve_entries_are_the_stdlib_indented_text(ledger):
-    # conserve's entries, at their depth in conserve.json, as the stdlib indents their dicts;
+    # the whole conserve.json of a drawn ledger, with its entries spliced into the stdlib's text;
     # the protocol run is replaced by one that returns the drawn ledger
     result = SimpleNamespace(ledger=ledger, total_error=0.0, total_bound=1.0, bound_valid=True)
-    with mock.patch.object(cli, "_protocol_runs", lambda spec, n_list: [result]), \
-            np.errstate(over="ignore", invalid="ignore"):  # the summaries of a huge ledger
-        doc, _, _ = cli.run_conserve(CONSERVE_CONFIG, None, rng_from_seed(0), False)
+    with np.errstate(over="ignore", invalid="ignore"):  # the summaries of a huge ledger
+        residual, cumulative = ledger.max_closure_residual(), ledger.cumulative()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_protocol_runs", lambda spec, n_list: [result]):
+        out, stdout, stderr = Path(tmp, "out"), io.StringIO(), io.StringIO()
+        config = write_config(Path(tmp, "c.json"), CONSERVE_CONFIG)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--config", config, "--out", str(out)])
+        if not np.isfinite([residual, *cumulative.values()]).all():
+            # an overflowing sum is refused by the one dump, before any file is written
+            assert code == 2 and not (out / "conserve.json").exists()
+            err = stderr.getvalue().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            return
+        text = (out / "conserve.json").read_text()
+    assert code == (0 if residual <= 1e-10 else 1)
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     records = [{"round": t + 1, "slot": k, "charge": ledger.charges[j],
                 "system_delta": ledger.system[t, k, j].item(),
                 "frame_delta": ledger.frame[t, k, j].item()}
                for t, k, j in np.ndindex(ledger.frame.shape)]
-    entries = {"ledger": {"entries": doc["ledger"]["entries"]}}
-    assert cli._json_text(entries) == json.dumps({"ledger": {"entries": records}}, indent=2,
-                                                 sort_keys=True)
-
-
-def test_json_text_writes_non_str_keys_as_the_stdlib_does():
-    # int, float, bool and None keys are quoted as the stdlib quotes them, and records keyed so
-    # are written one by one (a record keyed 1.0 is not one keyed 1); a key of another type, or
-    # keys that do not sort, raise the stdlib's TypeError
-    for doc in ({1: "a", 2.5: [], False: {}}, {None: 0}, [{1: 0}, {1.0: 1}], [{True: 0}, {1: 1}],
-                {"a": {-1: 2}}):
-        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-    for doc in ({(1,): 0}, {1: 0, "a": 1}, [{"a": 1, 2: 3}]):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2, sort_keys=True)
-        with pytest.raises(TypeError):
-            cli._json_text(doc)
+    assert json.loads(text)["ledger"]["entries"] == records
 
 
 def test_main_builds_no_argument_parser(tmp_path, monkeypatch):

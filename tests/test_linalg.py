@@ -206,11 +206,16 @@ def test_exp_neg_i_zero_scale_exact_identity():
         exp_neg_i(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
-# float(True) is 1.0: a bool was once read as the scale 1
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, True, np.True_],
-                         ids=["nan", "inf", "-inf", "bool", "numpy_bool"])
-def test_exp_neg_i_rejects_a_non_finite_scale(scale):
-    with pytest.raises(ValueError, match="scale must be finite"):
+# float(True) is 1.0: a bool was once read as the scale 1; a one-item list was once read as
+# its item, and a longer one raised numpy's ambiguous truth value
+@pytest.mark.parametrize("scale, match", [
+    (np.nan, "scale must be finite"), (np.inf, "scale must be finite"),
+    (-np.inf, "scale must be finite"), (True, "scale must be finite"),
+    (np.True_, "scale must be finite"), ([0.5], "scale must be one number, got"),
+    ([0.5, 0.5], "scale must be one number, got"), (np.array([0.5]), "scale must be one number"),
+], ids=["nan", "inf", "-inf", "bool", "numpy_bool", "one_item_list", "list", "array"])
+def test_exp_neg_i_rejects_a_non_finite_scale(scale, match):
+    with pytest.raises(ValueError, match=match):
         exp_neg_i(Z, scale)
 
 
