@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import OperatorBasis, _matrix_from_pairs, build_state_basis
 from .bounds import convergence_sweep
-from .conservation import ExtensiveObservable
+from .conservation import ExtensiveObservable, _operator_norms
 from .linalg import BLOCK_ENTRIES, dagger, exp_neg_i, tensor
 from .protocol import ProtocolSpec, _protocol_runs
 from .rand import _haar_unitaries, haar_unitary, random_density, rng_from_seed
@@ -174,10 +174,22 @@ def _protocol_spec(config: dict, n_rounds: int, rng, charged: bool = False) -> P
     return ProtocolSpec(target=target, n_rounds=n_rounds, basis=basis, rho_s=rho, charges=charges)
 
 
+def _non_finite(node, path: str = "") -> str:
+    """Dotted key path of the first NaN or infinity in ``node``, in the file's key order, or ''."""
+    if isinstance(node, (dict, list)):  # lstrip: the root's keys, which no dot starts, take none
+        items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+        return next(filter(None, (_non_finite(v, f"{path}.{k}".lstrip(".")) for k, v in items)), "")
+    return path if isinstance(node, float) and not np.isfinite(node) else ""
+
+
 def _document(mode: str, doc: dict) -> str:
-    """The text of ``<mode>.json``: ``doc`` with the schema and mode, with no NaN or infinity."""
-    return json.dumps({**doc, "schema": SCHEMA_VERSION, "mode": mode}, indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """The text of ``<mode>.json``: ``doc`` with the schema and mode. A NaN or infinity in it
+    raises, naming the mode and its key path, so that result exits 2 and writes no file."""
+    doc = {**doc, "schema": SCHEMA_VERSION, "mode": mode}
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # only then walk the document: the walk costs about as much as the dump
+        raise ValueError(f"{mode}: {_non_finite(doc)!r} is not finite") from None
 
 
 def run_converge(config: dict, out: Path, rng, verbose: bool) -> tuple:
@@ -228,7 +240,9 @@ def run_conserve(config: dict, out: Path, rng, verbose: bool) -> tuple:
                    "entries": []},
     }
     summary = f"{ledger.frame.size} collision entries, max closure residual {residual:.3e}"
-    ok = residual <= 1e-10 and not (result.bound_valid and result.total_error > result.total_bound)
+    closure = np.max(np.abs(ledger.system + ledger.frame), axis=(0, 1))  # per charge, ≤ 1e-10·‖A‖
+    ok = (closure <= 1e-10 * np.array(_operator_norms(spec.charges))).all() and not (
+        result.bound_valid and result.total_error > result.total_bound)
     # an encoded label escapes every '"', so only the ledger's own key reads '"entries": []'
     return _document("conserve", doc).replace('"entries": []', entries, 1), summary, ok
 

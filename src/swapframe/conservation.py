@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_square, _integer, _subsystem_dims, is_hermitian
+from .linalg import _as_square, _integer, _singular_values, _subsystem_dims, is_hermitian
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +49,12 @@ def _charge_set(charges, d: int | None = None) -> tuple:
     if len(set(labels)) != len(labels):
         raise ValueError(f"charge labels are not distinct: {labels}")
     return charges
+
+
+def _operator_norms(charges) -> list:
+    """Each charge's operator norm ‖A_j‖, from one stacked spectrum: its unit in exit-1 rules."""
+    stack = [c.matrix for c in charges]
+    return np.max(_singular_values(np.stack(stack)), axis=-1).tolist() if stack else []
 
 
 def _slot_values(charges, op, dims, slots) -> np.ndarray:

@@ -11,13 +11,13 @@ is a fixed d²×d² map on vec(rho). One ``_slot_sweep`` writes the D slot maps 
 in that closed form, each term on its nonzeros alone, and chains them into M and the ledger
 functionals; per N, ``_protocol_runs`` doubles the N + 1 round-start states in ⌈log₂(N + 1)⌉
 products, and ``run_protocol`` its ideal trajectory beside them. A ``ProtocolSpec`` is checked
-once and read-only, so a run re-checks neither its target, the generator it decomposes, nor the
-states it builds and takes one stacked norm of.
+once, read-only, and holds its target's generator H, so a run takes only H's coefficients and
+re-checks neither its target nor the states it builds and takes one stacked norm of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,8 @@ class ProtocolSpec:
     """Target unitary, round count, ``OperatorBasis``, initial state, and audited charges.
 
     ``target`` and ``rho_s`` are read-only copies of the caller's arrays, checked once here, so a
-    run trusts them: changing the caller's arrays later changes no run.
+    run trusts them: changing the caller's arrays later changes no run. ``generator``, the target's
+    principal generator H (U = exp(-iH)), is taken once here, read-only, so no run takes it again.
     """
 
     target: np.ndarray
@@ -140,6 +141,7 @@ class ProtocolSpec:
     basis: object
     rho_s: np.ndarray
     charges: tuple = ()
+    generator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         target = check_unitary(np.array(self.target, dtype=complex))
@@ -151,9 +153,11 @@ class ProtocolSpec:
                 f"dimension mismatch: basis dim {d}, target {target.shape}, state {rho.shape}"
             )
         object.__setattr__(self, "charges", _charge_set(self.charges, d))
-        target.flags.writeable = rho.flags.writeable = False
+        generator = _principal_generator(target)
+        target.flags.writeable = rho.flags.writeable = generator.flags.writeable = False
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rho_s", rho)
+        object.__setattr__(self, "generator", generator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +185,7 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     the ideal states beside the real ones for ``round_errors``; else they are ``()`` and one stacked
     norm gives every total error, its stacks unchecked: they are built here, so finite."""
     basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
-    h = _principal_generator(spec.target)  # the spec checked its read-only target once
+    h = spec.generator  # the spec took it once, from its checked target
     alphas = _coefficients(h, basis)[1:]
     final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
     n_min = _n_min(basis.size, basis.alpha_max)

@@ -19,12 +19,12 @@ from operator import mul
 
 import numpy as np
 
-from .conservation import _charge_change, _charge_set, _slot_values, _uniform_dims
-from .linalg import _entropy, _finite_real, _reduce, _singular_values, hermitize
+from .conservation import _charge_change, _charge_set, _operator_norms, _slot_values, _uniform_dims
+from .linalg import _entropy, _finite_real, _reduce, hermitize
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
 SECOND_LAW_SLACK = 1e-9
-# Ledger cumulants are long fp sums; deviations within this of the bound pass.
+# Ledger cumulants are long fp sums; deviations within this times ‖A‖ of the bound pass.
 BATTERY_FP_SLACK = 1e-12
 
 
@@ -184,12 +184,9 @@ def battery_deviation_check(result, works: dict, epsilon: float, charges) -> dic
             raise ValueError(f"ledger has no entries for charge {charge.label!r}")
         if charge.label not in works:
             raise ValueError(f"works has no entry for charge {charge.label!r}")
-    # every operator norm from one stacked spectrum; LAPACK still takes each charge on its own
-    norms = (np.max(_singular_values(np.stack([c.matrix for c in charges])), axis=-1).tolist()
-             if charges else [])
     checks = {}
-    for charge, norm in zip(charges, norms):
+    for charge, norm in zip(charges, _operator_norms(charges)):
         deviation = abs(cumulative[charge.label] - works[charge.label])
-        bound = epsilon * norm
-        checks[charge.label] = BatteryCheck(deviation, bound, deviation <= bound + BATTERY_FP_SLACK)
+        passed = deviation <= (epsilon + BATTERY_FP_SLACK) * norm  # the slack in A's units too
+        checks[charge.label] = BatteryCheck(deviation, epsilon * norm, passed)
     return checks

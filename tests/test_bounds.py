@@ -240,6 +240,8 @@ def test_convergence_sweep_takes_numpy_integer_round_counts():
 
 
 def test_convergence_sweep_prepares_the_target_once(monkeypatch):
+    # the spec takes its target's generator once, when it is built; a sweep or a run of it takes
+    # only the generator's coefficients
     calls = {"_principal_generator": 0, "_coefficients": 0}
 
     def counted(name):
@@ -252,6 +254,11 @@ def test_convergence_sweep_prepares_the_target_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(swapframe.protocol, name, counted(name))
-    table = convergence_sweep(_sweep_spec(exp_neg_i(Z, 0.3)), SWEEP_N)
-    assert len(table.rows) == 5
-    assert calls == {"_principal_generator": 1, "_coefficients": 1}
+    spec = _sweep_spec(exp_neg_i(Z, 0.3))
+    for run in (lambda: convergence_sweep(spec, SWEEP_N), lambda: run_protocol(spec)):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == {"_principal_generator": 0, "_coefficients": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    _sweep_spec(exp_neg_i(Z, 0.3))
+    assert calls == {"_principal_generator": 1, "_coefficients": 0}

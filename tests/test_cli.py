@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from swapframe import cli, rand
+from swapframe import cli, protocol, rand
 from swapframe.basis import build_state_basis
 from swapframe.bounds import convergence_sweep
 from swapframe.cli import ConfigError, main, parse_matrix
@@ -523,11 +523,12 @@ BIG_CHARGE = {"matrix": [[[1.7e308, 0], [0, 0]], [[0, 0], [-1.7e308, 0]]], "labe
     ({"mode": "converge", "dimension": 2, "N_list": [10, 20, 40], "unitary": {"exp": "Z"},
       "basis": "{tmp}/latin1.json"}, "latin1.json' is malformed"),
     ({"mode": "conserve", "dimension": 2, "N": 3, "unitary": {"exp": "X", "scale": 1.5707963},
-      "state": {"basis": 0}, "charges": [BIG_CHARGE]}, "not JSON compliant"),
+      "state": {"basis": 0}, "charges": [BIG_CHARGE]},
+     "conserve: 'ledger.cumulative.A' is not finite"),
     ({"mode": "battery", "dimension": 2, "N": 20, "unitary": {"exp": "X", "scale": 0.7},
-      "charges": [BIG_CHARGE]}, "not JSON compliant"),
+      "charges": [BIG_CHARGE]}, "battery: 'runs.0.checks.A.bound' is not finite"),
     ({"mode": "thermo", "dimension": 2, "betas": [1e-300], "charges": [BIG_CHARGE], "draws": 3},
-     "not JSON compliant"),
+     "thermo: 'records.0.margin_bath_only' is not finite"),
 ], ids=["missing_basis_file", "scalar_betas", "top_level_list", "zero_bath_subsystems",
         "scalar_N_list", "list_dimension", "empty_N_list", "battery_scalar_N_list", "zero_draws",
         "list_scale", "list_state_basis", "list_seed", "nested_betas", "scalar_charges",
@@ -740,22 +741,33 @@ def _run_mode(tmp_path, doc):
     return status, json.loads((out / f"{doc['mode']}.json").read_text())
 
 
-@pytest.mark.parametrize("residual, status", [(1e-9, 1), (1e-11, 0)], ids=["10x", "0.1x"])
-def test_conserve_exits_1_past_a_closure_residual_of_1e_10(tmp_path, monkeypatch, residual, status):
+def _scaled(name, norm):
+    """The Pauli charge ``name`` times ``norm``, as a config charge labelled ``name``."""
+    m = norm * cli.PAULI[name]
+    return {"matrix": np.stack([m.real, m.imag], -1).tolist(), "label": name}
+
+
+# Each threshold is in units of the charge's operator norm, so the rows at ||A|| = 1e6 inject
+# the unit rows' faults times 1e6.
+@pytest.mark.parametrize("residual, status, norm", [
+    (1e-9, 1, 1.0), (1e-11, 0, 1.0), (1e-9, 1, 1e6), (1e-11, 0, 1e6),
+], ids=["10x", "0.1x", "10x_norm_1e6", "0.1x_norm_1e6"])
+def test_conserve_exits_1_past_a_closure_residual_of_1e_10(tmp_path, monkeypatch, residual, status,
+                                                            norm):
     runs = cli._protocol_runs
 
     def faulty(spec, n_list):  # one particle's charge gain moved off the system's loss
         results = runs(spec, n_list)
         for result in results:
-            result.ledger.frame[0, 0, 0] += residual
+            result.ledger.frame[0, 0, 0] += residual * norm
         return results
 
     monkeypatch.setattr(cli, "_protocol_runs", faulty)
     got, doc = _run_mode(tmp_path, {
         "mode": "conserve", "dimension": 2, "N": 50, "unitary": {"exp": "X", "scale": 0.6},
-        "state": {"basis": 0}, "charges": ["X", "Z"]})
+        "state": {"basis": 0}, "charges": [_scaled("X", norm), _scaled("Z", norm)]})
     assert got == status
-    assert doc["max_closure_residual"] == pytest.approx(residual, rel=1e-3)
+    assert doc["max_closure_residual"] == pytest.approx(residual * norm, rel=1e-3)
 
 
 @pytest.mark.parametrize("margin, status", [(-1e-8, 1), (-1e-10, 0)], ids=["10x", "0.1x"])
@@ -773,28 +785,83 @@ def test_thermo_exits_1_past_a_second_law_margin_of_minus_1e_9(tmp_path, monkeyp
     assert doc["worst_margin"] == margin
 
 
-@pytest.mark.parametrize("excess, status", [(1e-11, 1), (1e-13, 0)], ids=["10x", "0.1x"])
-def test_battery_fails_a_deviation_1e_12_past_its_bound(tmp_path, monkeypatch, excess, status):
+@pytest.mark.parametrize("excess, status, norm", [
+    (1e-11, 1, 1.0), (1e-13, 0, 1.0), (1e-11, 1, 1e6), (1e-13, 0, 1e6),
+], ids=["10x", "0.1x", "10x_norm_1e6", "0.1x_norm_1e6"])
+def test_battery_fails_a_deviation_1e_12_past_its_bound(tmp_path, monkeypatch, excess, status,
+                                                         norm):
     runs = cli._protocol_runs
 
-    def faulty(spec, n_list):  # the ledger moved to its bound, total_error·||Z||, plus ``excess``
+    def faulty(spec, n_list):  # the ledger moved to its bound, total_error·||Z||, plus excess·||Z||
         works = implicit_work(spec.rho_s, spec.target @ spec.rho_s @ dagger(spec.target),
                               spec.charges)
         results = runs(spec, n_list)
         for result in results:
             cumulative = result.ledger.cumulative()["Z"]
-            result.ledger.frame[0, 0, 0] += works["Z"] + result.total_error - cumulative + excess
+            result.ledger.frame[0, 0, 0] += (works["Z"] - cumulative
+                                             + (result.total_error + excess) * norm)
         return results
 
     monkeypatch.setattr(cli, "_protocol_runs", faulty)
     got, doc = _run_mode(tmp_path, {
         "mode": "battery", "dimension": 2, "N": 100, "unitary": {"exp": "X", "scale": np.pi / 4},
-        "state": {"matrix": GENERIC_STATE}, "charges": ["Z"]})
+        "state": {"matrix": GENERIC_STATE}, "charges": [_scaled("Z", norm)]})
     assert got == status
     check = doc["runs"][0]["checks"]["Z"]
-    assert check["bound"] > 1e-4  # a real bound, not a zero one
-    assert check["deviation"] - check["bound"] == pytest.approx(excess, rel=1e-2)
+    assert check["bound"] > 1e-4 * norm  # a real bound, not a zero one
+    assert check["deviation"] - check["bound"] == pytest.approx(excess * norm, rel=1e-2)
     assert check["passed"] is (status == 0)
+
+
+def _scaled_configs(s):
+    """One config per mode whose charges are s·Z and s·X, with thermo's betas scaled by 1/s."""
+    charges, target = [_scaled("Z", s), _scaled("X", s)], {"exp": "X", "scale": 0.7}
+    return {
+        "conserve": {"mode": "conserve", "dimension": 2, "N": 20, "unitary": target,
+                     "state": {"basis": 0}, "charges": charges},
+        "battery": {"mode": "battery", "dimension": 2, "N_list": [20, 200], "unitary": target,
+                    "state": {"basis": 0}, "charges": charges},
+        "thermo": {"mode": "thermo", "dimension": 2, "charges": charges,
+                   "betas": [0.4 / s, 0.7 / s], "bath_subsystems": 2, "draws": 5, "seed": 3},
+    }
+
+
+def _exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        return main(["--config", write_config(Path(tmp, "c.json"), doc), "--out", tmp])
+
+
+# A charge written in other units, A -> s·A, is the same physics, so it exits with the same code:
+# each exit-1 slack is in units of the charge's operator norm (thermo's margin has no units when
+# the betas scale as 1/s). At an absolute slack, rounding alone exited 1 from s = 1e10 on.
+@settings(max_examples=12)
+@given(k=st.integers(-30, 30))
+@example(k=10)
+@example(k=30)
+@example(k=-30)
+@pytest.mark.parametrize("mode", ["conserve", "battery", "thermo"])
+def test_exit_codes_do_not_depend_on_the_units_of_the_charges(mode, k):
+    assert _exit_code(_scaled_configs(10.0**k)[mode]) == _exit_code(_scaled_configs(1.0)[mode]) == 0
+
+
+# A planted fault, the particle's ledger functional scaled by 1.5, misbooks half of each charge's
+# flow. It must exit 1 at every scale: at an absolute slack it passed from s = 1e-12 down.
+@settings(max_examples=8)
+@given(k=st.integers(-30, 30))
+@example(k=-12)
+@example(k=-30)
+@example(k=30)
+@pytest.mark.parametrize("mode", ["conserve", "battery"])
+def test_a_misbooked_frame_ledger_exits_1_at_every_charge_scale(mode, k):
+    sweep = protocol._slot_sweep
+
+    def faulty(*args):
+        round_maps, functionals = sweep(*args)
+        functionals[:, 1] *= 1.5  # [N, side, column, slot, charge], side 1 the particle
+        return round_maps, functionals
+
+    with mock.patch.object(protocol, "_slot_sweep", faulty):
+        assert _exit_code(_scaled_configs(10.0**k)[mode]) == 1
 
 
 def _reject_constant(name):
@@ -846,22 +913,28 @@ def _ledgers(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_ledgers())
+@given(_ledgers(), st.sampled_from([1e-6, 1.0, 1e6]))
 @example(BatteryLedger(("%", "%s", '"', "\\", "é", "\u2028"), np.full((1, 1, 6), -0.0),
-                       np.array([[[5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1]]])))
+                       np.array([[[5e-324, 1e-5, 1e16, 1e22, -1e22, 0.1]]])), 1.0)
 @example(BatteryLedger(("entries", 'x"entries": []'), np.zeros((1, 2, 2)),
-                       np.array([[[0.5, 1.5], [-0.5, 2.5]]])))
-@example(BatteryLedger(("A",), np.zeros((2, 1, 1)), np.full((2, 1, 1), 1.7e308)))
-def test_conserve_entries_are_the_stdlib_indented_text(ledger):
+                       np.array([[[0.5, 1.5], [-0.5, 2.5]]])), 1.0)
+@example(BatteryLedger(("A",), np.zeros((2, 1, 1)), np.full((2, 1, 1), 1.7e308)), 1.0)
+@example(BatteryLedger(("A", "B"), np.zeros((1, 1, 2)), np.array([[[0.0, 1.5e-10]]])), 1.0)
+@example(BatteryLedger(("A", "B"), np.zeros((1, 1, 2)), np.array([[[1.5e-10, 0.0]]])), 1.0)
+def test_conserve_entries_are_the_stdlib_indented_text(ledger, scale):
     # the whole conserve.json of a drawn ledger, with its entries spliced into the stdlib's text;
-    # the protocol run is replaced by one that returns the drawn ledger
+    # the protocol run is replaced by one that returns the drawn ledger, whose j-th label names
+    # the config's charge scale·(j + 1)·Z, so each charge has its own norm for the closure rule
     result = SimpleNamespace(ledger=ledger, total_error=0.0, total_bound=1.0, bound_valid=True)
+    norms = scale * np.arange(1, len(ledger.charges) + 1)
+    charges = [{**_scaled("Z", norm), "label": label} for norm, label in zip(norms, ledger.charges)]
     with np.errstate(over="ignore", invalid="ignore"):  # the summaries of a huge ledger
         residual, cumulative = ledger.max_closure_residual(), ledger.cumulative()
+        closure = np.max(np.abs(ledger.system + ledger.frame), axis=(0, 1))  # per charge
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(cli, "_protocol_runs", lambda spec, n_list: [result]):
         out, stdout, stderr = Path(tmp, "out"), io.StringIO(), io.StringIO()
-        config = write_config(Path(tmp, "c.json"), CONSERVE_CONFIG)
+        config = write_config(Path(tmp, "c.json"), {**CONSERVE_CONFIG, "charges": charges})
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["--config", config, "--out", str(out)])
         if not np.isfinite([residual, *cumulative.values()]).all():
@@ -871,7 +944,7 @@ def test_conserve_entries_are_the_stdlib_indented_text(ledger):
             assert len(err) == 1 and err[0].startswith("error: ")
             return
         text = (out / "conserve.json").read_text()
-    assert code == (0 if residual <= 1e-10 else 1)
+    assert code == (0 if (closure <= 1e-10 * norms).all() else 1)
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     records = [{"round": t + 1, "slot": k, "charge": ledger.charges[j],
                 "system_delta": ledger.system[t, k, j].item(),
@@ -924,11 +997,17 @@ def _fuzz_paths(node, path=()):
         yield from _fuzz_paths(child, path + (key,))
 
 
-def _records_violation(doc):
+def _records_violation(doc, config):
     if doc["mode"] == "converge":
         return doc["violations"] > 0
-    if doc["mode"] == "conserve":
-        return doc["max_closure_residual"] > 1e-10 or (
+    if doc["mode"] == "conserve":  # each charge's closure residual against 1e-10·||A||
+        norms = {c.label: np.linalg.norm(c.matrix, 2)
+                 for c in cli.parse_charges(config["charges"], config["dimension"])}
+        closure = dict.fromkeys(norms, 0.0)
+        for e in doc["ledger"]["entries"]:
+            residual = abs(e["system_delta"] + e["frame_delta"])
+            closure[e["charge"]] = max(closure[e["charge"]], residual)
+        return any(closure[label] > 1e-10 * norm for label, norm in norms.items()) or (
             doc["bound_valid"] and doc["total_error"] > doc["total_bound"])
     if doc["mode"] == "thermo":
         return doc["worst_margin"] < -SECOND_LAW_SLACK
@@ -958,5 +1037,5 @@ def test_fuzzed_config_keeps_the_exit_contract(data):
         if code in (0, 1):
             (written,) = out.glob("*.json")
             text = written.read_text()
-            assert _records_violation(json.loads(text)) == (code == 1)
+            assert _records_violation(json.loads(text), config) == (code == 1)
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

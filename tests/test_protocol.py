@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -664,10 +665,41 @@ def test_a_spec_keeps_read_only_copies_of_its_arrays():
     assert kept.round_errors == fresh.round_errors and kept.total_error == fresh.total_error
     assert np.array_equal(kept.ledger.system, fresh.ledger.system)
     assert np.array_equal(kept.ledger.frame, fresh.ledger.frame)
-    for array in (specs[0].target, specs[0].rho_s):
+    assert np.array_equal(specs[0].generator, specs[1].generator)
+    for array in (specs[0].target, specs[0].rho_s, specs[0].generator):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        specs[0].generator = specs[1].generator
+    # replace builds a new spec, which takes the new target's generator
+    other = haar_unitary(3, rng)
+    assert np.array_equal(replace(specs[0], target=other).generator, principal_generator(other))
+
+
+SPEC_BASES = {d: build_state_basis(d) for d in range(2, 6)}
+
+
+@settings(max_examples=30)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), offset=st.floats(-1e-13, 1e-13),
+       at_cut=st.integers(0, 5), clusters=st.integers(0, 4))
+@example(d=2, seed=0, offset=0.0, at_cut=2, clusters=0)
+@example(d=4, seed=1, offset=-1e-13, at_cut=1, clusters=1)
+@example(d=3, seed=2, offset=1e-13, at_cut=2, clusters=1)
+@example(d=5, seed=3, offset=0.0, at_cut=0, clusters=0)
+def test_a_spec_holds_its_targets_principal_generator_bit_for_bit(d, seed, offset, at_cut,
+                                                                  clusters):
+    # Haar-like targets (at_cut = 0, clusters = 0), and targets with eigenphases at the branch
+    # cut -pi (within 1e-13) or drawn from a few degenerate values
+    rng = rng_from_seed(seed)
+    phases = rng.uniform(-np.pi, np.pi, d)
+    phases[:at_cut] = -np.pi + offset
+    if clusters:
+        phases[at_cut:] = rng.choice(rng.uniform(-np.pi, np.pi, clusters), d)[at_cut:]
+    v = haar_unitary(d, rng)
+    target = (v * np.exp(-1j * phases)) @ dagger(v)
+    spec = ProtocolSpec(target=target, n_rounds=3, basis=SPEC_BASES[d], rho_s=np.eye(d) / d)
+    assert np.array_equal(spec.generator, principal_generator(target))
 
 
 def test_run_protocol_below_threshold_flagged():
