@@ -8,7 +8,7 @@ user-supplied Hermitians, deliberately not tied to any symmetry group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,11 +17,12 @@ from .linalg import _as_square, _integer, _singular_values, _subsystem_dims, is_
 
 @dataclass(frozen=True, eq=False)
 class ExtensiveObservable:
-    """A single-subsystem Hermitian charge with a label for reports; ``matrix`` is a read-only
-    copy of the caller's, checked once here."""
+    """A single-subsystem Hermitian charge with a report label; taken once, here: ``matrix``, a
+    checked read-only copy of the caller's, and ``norm``, ‖A‖, the unit of every exit-1 rule."""
 
     matrix: np.ndarray
     label: str = "A"
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -29,6 +30,7 @@ class ExtensiveObservable:
             raise ValueError(f"charge {self.label!r} is not Hermitian")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "norm", float(np.max(_singular_values(m))))
 
     @property
     def dim(self) -> int:
@@ -49,12 +51,6 @@ def _charge_set(charges, d: int | None = None) -> tuple:
     if len(set(labels)) != len(labels):
         raise ValueError(f"charge labels are not distinct: {labels}")
     return charges
-
-
-def _operator_norms(charges) -> list:
-    """Each charge's operator norm ‖A_j‖, from one stacked spectrum: its unit in exit-1 rules."""
-    stack = [c.matrix for c in charges]
-    return np.max(_singular_values(np.stack(stack)), axis=-1).tolist() if stack else []
 
 
 def _slot_values(charges, op, dims, slots) -> np.ndarray:

@@ -11,13 +11,14 @@ is a fixed d²×d² map on vec(rho). One ``_slot_sweep`` writes the D slot maps 
 in that closed form, each term on its nonzeros alone, and chains them into M and the ledger
 functionals; per N, ``_protocol_runs`` doubles the N + 1 round-start states in ⌈log₂(N + 1)⌉
 products, and ``run_protocol`` its ideal trajectory beside them. A ``ProtocolSpec`` is checked
-once, read-only, and holds its target's generator H, so a run takes only H's coefficients and
-re-checks neither its target nor the states it builds and takes one stacked norm of.
+once, read-only, and holds what a run reads of its target: H, H's coefficients and U·rho·U†; a
+run re-checks neither its target nor the states it builds and takes one stacked norm of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,8 +133,9 @@ class ProtocolSpec:
     """Target unitary, round count, ``OperatorBasis``, initial state, and audited charges.
 
     ``target`` and ``rho_s`` are read-only copies of the caller's arrays, checked once here, so a
-    run trusts them: changing the caller's arrays later changes no run. ``generator``, the target's
-    principal generator H (U = exp(-iH)), is taken once here, read-only, so no run takes it again.
+    run trusts them: changing the caller's arrays later changes no run. What a run reads of them is
+    read-only and taken once here: ``generator``, the principal H of U = exp(-iH); ``alphas``,
+    H's alpha_k over the basis; ``final_ideal``, U·rho·U†; and ``generator_eigh``, on first use.
     """
 
     target: np.ndarray
@@ -142,6 +144,8 @@ class ProtocolSpec:
     rho_s: np.ndarray
     charges: tuple = ()
     generator: np.ndarray = field(init=False, repr=False)
+    alphas: np.ndarray = field(init=False, repr=False)
+    final_ideal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         target = check_unitary(np.array(self.target, dtype=complex))
@@ -149,15 +153,22 @@ class ProtocolSpec:
         object.__setattr__(self, "n_rounds", _integer(self.n_rounds, "round count", 1))
         d = self.basis.dim
         if target.shape != (d, d) or rho.shape != (d, d):
-            raise ValueError(
-                f"dimension mismatch: basis dim {d}, target {target.shape}, state {rho.shape}"
-            )
+            raise ValueError(f"dimension mismatch: basis dim {d}, target {target.shape}, "
+                             f"state {rho.shape}")
         object.__setattr__(self, "charges", _charge_set(self.charges, d))
         generator = _principal_generator(target)
-        target.flags.writeable = rho.flags.writeable = generator.flags.writeable = False
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rho_s", rho)
-        object.__setattr__(self, "generator", generator)
+        for name, array in (("target", target), ("rho_s", rho), ("generator", generator),
+                            ("alphas", _coefficients(generator, self.basis)[1:].copy()),
+                            ("final_ideal", target @ rho @ dagger(target))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    @cached_property
+    def generator_eigh(self) -> tuple:
+        """Read-only ``eigh`` (w, v) of the exactly Hermitian ``generator``, taken on first use."""
+        w, v = np.linalg.eigh(self.generator)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,20 +196,16 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
     the ideal states beside the real ones for ``round_errors``; else they are ``()`` and one stacked
     norm gives every total error, its stacks unchecked: they are built here, so finite."""
     basis, d, labels = spec.basis, spec.basis.dim, tuple(c.label for c in spec.charges)
-    h = spec.generator  # the spec took it once, from its checked target
-    alphas = _coefficients(h, basis)[1:]
-    final_ideal = spec.target @ spec.rho_s @ dagger(spec.target)
     n_min = _n_min(basis.size, basis.alpha_max)
-    if trajectory:  # h is exactly Hermitian, so no check or hermitize is needed
-        w, v = np.linalg.eigh(h)
     bounds = [total_bound(basis.size, basis.alpha_max, n) for n in n_list]  # raises for n < 1
-    round_maps, functionals = _slot_sweep(basis.states, alphas, n_list, spec.charges)
+    round_maps, functionals = _slot_sweep(basis.states, spec.alphas, n_list, spec.charges)
     finals, errors, ledgers = np.empty((len(n_list), d, d), dtype=complex), [], []
     for i, (n, round_map) in enumerate(zip(n_list, round_maps)):
         states = np.empty((1 + trajectory, n + 1, d * d), dtype=complex)  # real, then ideal
         states[:, 0], real = spec.rho_s.reshape(-1), states[0]
         steps = [2**j for j in range(int(n).bit_length())]  # rows m..2m-1 = rows 0..m-1 · (M^m)ᵀ
         if trajectory:  # each U^m from the eigenphases: squaring U⊗U* would compound rounding
+            w, v = spec.generator_eigh
             u = (v * np.exp(np.outer(steps, w * (-1j / n)))[:, None]) @ dagger(v)
             ideals = (u.swapaxes(1, 2)[:, :, None, :, None] * dagger(u)[:, None, :, None]).reshape(
                 len(steps), d * d, d * d)  # (U^m⊗U^m*)ᵀ = U^mᵀ⊗U^m†, every step in one broadcast
@@ -211,10 +218,10 @@ def _protocol_runs(spec: ProtocolSpec, n_list, trajectory: bool = False) -> list
             2, n, basis.size, -1) if labels else np.empty((2, n, basis.size, 0)))
         finals[i] = real[-1].reshape(d, d)
         if trajectory:  # row t >= 1: round t against the ideal; row 0: the end against the target
-            states[:, 0] = real[-1], final_ideal.reshape(-1)
+            states[:, 0] = real[-1], spec.final_ideal.reshape(-1)
             errors.append(_singular_values((states[0] - states[1]).reshape(n + 1, d, d)).sum(-1))
     if not trajectory:
-        errors = _singular_values(finals - final_ideal).sum(-1)[:, None]
+        errors = _singular_values(finals - spec.final_ideal).sum(-1)[:, None]
     return [ProtocolResult(final_state=final, round_errors=tuple(e[1:].tolist()),
                            total_error=float(e[0]), total_bound=bound, bound_valid=valid,
                            n_min=n_min, ledger=BatteryLedger(labels, *ledger))
@@ -227,8 +234,8 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     Every round is the same linear map M on vec(rho), built with its ledger functionals by
     ``_slot_sweep``; doubling gives the round-start states, and one contraction with them the
     ledger. The ideal states exp(-iHt/N)·rho·exp(+iHt/N) take the same doubling, each step's
-    U^m⊗U^m* built in one broadcast from one eigendecomposition; one stacked trace norm gives the
-    N round errors and the total error. Identical specs give identical results.
+    U^m⊗U^m* built in one broadcast from the spec's ``generator_eigh``; one stacked trace norm
+    gives the N round errors and the total error. Identical specs give identical results.
     """
     return _protocol_runs(spec, (spec.n_rounds,), trajectory=True)[0]
 

@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from .conservation import _charge_change, _charge_set, _operator_norms, _slot_values, _uniform_dims
+from .conservation import _charge_change, _charge_set, _slot_values, _uniform_dims
 from .linalg import _entropy, _finite_real, _reduce, hermitize
 
 # Absorbs fp noise in inequality checks; violations beyond this are real.
@@ -174,19 +174,19 @@ def battery_deviation_check(result, works: dict, epsilon: float, charges) -> dic
     For each charge: |ledger cumulative - W| must not exceed epsilon times the
     operator norm of the charge, with epsilon the measured trace error of the
     same run, ``result`` (a ``protocol.ProtocolResult``): one finite number >= 0, not a bool.
+    The charges pass the specs' charge-set check at the run's dimension.
     """
     if result.ledger.frame.size == 0:
         raise ValueError("protocol result carries no battery ledger")
     epsilon = _finite_real(epsilon, "epsilon", 0)  # one number, no bool, NaN or inf
-    cumulative, charges = result.ledger.cumulative(), tuple(charges)
+    cumulative, charges = result.ledger.cumulative(), _charge_set(charges, len(result.final_state))
+    checks = {}
     for charge in charges:
         if charge.label not in cumulative:
             raise ValueError(f"ledger has no entries for charge {charge.label!r}")
         if charge.label not in works:
             raise ValueError(f"works has no entry for charge {charge.label!r}")
-    checks = {}
-    for charge, norm in zip(charges, _operator_norms(charges)):
         deviation = abs(cumulative[charge.label] - works[charge.label])
-        passed = deviation <= (epsilon + BATTERY_FP_SLACK) * norm  # the slack in A's units too
-        checks[charge.label] = BatteryCheck(deviation, epsilon * norm, passed)
+        passed = deviation <= (epsilon + BATTERY_FP_SLACK) * charge.norm  # the slack in A's units
+        checks[charge.label] = BatteryCheck(deviation, epsilon * charge.norm, passed)
     return checks

@@ -240,25 +240,28 @@ def test_convergence_sweep_takes_numpy_integer_round_counts():
 
 
 def test_convergence_sweep_prepares_the_target_once(monkeypatch):
-    # the spec takes its target's generator once, when it is built; a sweep or a run of it takes
-    # only the generator's coefficients
-    calls = {"_principal_generator": 0, "_coefficients": 0}
+    # the spec takes its target's generator and the generator's coefficients once, when it is
+    # built, and the generator's eigh on its first trajectory run alone; a sweep takes none
+    calls = {"_principal_generator": 0, "_coefficients": 0, "eigh": 0}
 
-    def counted(name):
-        inner = getattr(swapframe.protocol, name)
+    def counted(owner, name):
+        inner = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(swapframe.protocol, name, counted(name))
-    spec = _sweep_spec(exp_neg_i(Z, 0.3))
-    for run in (lambda: convergence_sweep(spec, SWEEP_N), lambda: run_protocol(spec)):
+    target = exp_neg_i(Z, 0.3)  # eigh once, before counting
+    for name in ("_principal_generator", "_coefficients"):
+        monkeypatch.setattr(swapframe.protocol, name, counted(swapframe.protocol, name))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg, "eigh"))
+    specs = []
+    for step, expected in ((lambda: specs.append(_sweep_spec(target)), (1, 1, 0)),
+                           (lambda: convergence_sweep(specs[0], SWEEP_N), (0, 0, 0)),
+                           (lambda: run_protocol(specs[0]), (0, 0, 1)),
+                           (lambda: run_protocol(specs[0]), (0, 0, 0)),
+                           (lambda: convergence_sweep(specs[0], SWEEP_N), (0, 0, 0))):
         calls.update(dict.fromkeys(calls, 0))
-        run()
-        assert calls == {"_principal_generator": 0, "_coefficients": 1}
-    calls.update(dict.fromkeys(calls, 0))
-    _sweep_spec(exp_neg_i(Z, 0.3))
-    assert calls == {"_principal_generator": 1, "_coefficients": 0}
+        step()
+        assert tuple(calls.values()) == expected

@@ -324,6 +324,19 @@ def test_battery_duplicate_charge_labels_exit_2(tmp_path):
     assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("mode, rounds", [("converge", {"N_list": [10, 20, 40]}),
+                                         ("conserve", {"N": 20}),
+                                         ("battery", {"N_list": [20, 40]})])
+def test_cli_protocol_modes_take_no_eigh(tmp_path, monkeypatch, mode, rounds):
+    # no CLI mode runs a trajectory, so none takes the generator's eigh; the target is a
+    # 'matrix' one, since an 'exp' target is itself built by an eigh
+    calls, inner = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: calls.append(1) or inner(*args))
+    status, _ = _run_mode(tmp_path, {"mode": mode, "dimension": 2, "unitary": {"matrix": "H"},
+                                     "state": {"random": True}, "charges": ["Z", "X"], **rounds})
+    assert status == 0 and calls == []
+
+
 def test_mode_override(tmp_path):
     config = write_config(tmp_path / "c.json", {
         "mode": "converge",

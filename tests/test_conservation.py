@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from dense_oracle import commutator_norm, lift, partial_swap
 from swapframe import conservation
 from swapframe.conservation import ExtensiveObservable
-from swapframe.linalg import dagger, exp_neg_i, partial_trace, tensor
+from swapframe.linalg import dagger, exp_neg_i, operator_norm, partial_trace, tensor
 from swapframe.rand import gaussian_matrix, random_density, random_hermitian, rng_from_seed
 from swapframe.thermo import implicit_work
 
@@ -35,6 +36,22 @@ def test_extensive_observable_keeps_a_read_only_copy():
     assert np.array_equal(obs.matrix, Z) and not obs.matrix.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         obs.matrix[0, 1] = 5.0
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_a_charge_holds_its_operator_norm_bit_for_bit(d, scale):
+    matrix = scale * random_hermitian(d, rng_from_seed(d))
+    drift = matrix + (1e-12 * np.triu(np.ones((d, d)), 1) if scale == 1.0 else 0.0)
+    for m in (matrix, drift):  # exactly Hermitian, and Hermitian within the 1e-10 tolerance only
+        charge = ExtensiveObservable(m, "A")
+        assert type(charge.norm) is float and charge.norm == operator_norm(m)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        charge.norm = 1.0
+    with pytest.raises(TypeError):  # a derived field, so no caller can pass one
+        ExtensiveObservable(matrix, "A", 1.0)
+    # replace builds a new charge, which takes the new matrix's norm
+    assert dataclasses.replace(charge, matrix=2 * matrix).norm == operator_norm(2 * matrix)
 
 
 def test_lift_single_slot_is_identity_map():

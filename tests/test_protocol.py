@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import commutator_norm, lift, partial_swap, rounds_ld, swap
-from swapframe.basis import build_state_basis, decompose_generator
+from swapframe.basis import _coefficients, build_state_basis, decompose_generator
 from swapframe.bounds import block_bound, convergence_sweep, single_step_bound, total_bound
 from swapframe.conservation import ExtensiveObservable
 from swapframe import cli, protocol
@@ -665,16 +665,26 @@ def test_a_spec_keeps_read_only_copies_of_its_arrays():
     assert kept.round_errors == fresh.round_errors and kept.total_error == fresh.total_error
     assert np.array_equal(kept.ledger.system, fresh.ledger.system)
     assert np.array_equal(kept.ledger.frame, fresh.ledger.frame)
-    assert np.array_equal(specs[0].generator, specs[1].generator)
-    for array in (specs[0].target, specs[0].rho_s, specs[0].generator):
+    derived = ("generator", "alphas", "final_ideal", "generator_eigh")
+    for name in derived[:3]:
+        assert np.array_equal(getattr(specs[0], name), getattr(specs[1], name))
+    for array in (specs[0].target, specs[0].rho_s, specs[0].generator, specs[0].alphas,
+                  specs[0].final_ideal, *specs[0].generator_eigh):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.0
-    with pytest.raises(AttributeError):
-        specs[0].generator = specs[1].generator
-    # replace builds a new spec, which takes the new target's generator
+            array[(0,) * array.ndim] = 0.0
+    for name in derived:
+        with pytest.raises(AttributeError):
+            setattr(specs[0], name, getattr(specs[1], name))
+    assert all(map(np.array_equal, specs[0].generator_eigh, np.linalg.eigh(specs[0].generator)))
+    # replace builds a new spec, which takes the new target's generator, coefficients, ideal
+    # final state and eigh
     other = haar_unitary(3, rng)
-    assert np.array_equal(replace(specs[0], target=other).generator, principal_generator(other))
+    fresh = replace(specs[0], target=other)
+    assert np.array_equal(fresh.generator, principal_generator(other))
+    assert np.array_equal(fresh.alphas, _coefficients(fresh.generator, basis)[1:])
+    assert np.array_equal(fresh.final_ideal, other @ specs[0].rho_s @ dagger(other))
+    assert all(map(np.array_equal, fresh.generator_eigh, np.linalg.eigh(fresh.generator)))
 
 
 SPEC_BASES = {d: build_state_basis(d) for d in range(2, 6)}

@@ -424,6 +424,23 @@ def test_battery_bounds_equal_per_charge_operator_norms():
     assert battery_deviation_check(result, works, result.total_error, ()) == {}
 
 
+def test_battery_deviation_check_refuses_charges_that_do_not_fit_the_run():
+    # each once passed, or raised only inside numpy: a charge of another dimension under a ledger
+    # label, with a bound in the wrong units; two charges with one label, which kept the last
+    # one's check alone; and charges of mixed dimensions
+    spec = ProtocolSpec(target=exp_neg_i(X, 0.4), n_rounds=5, basis=build_state_basis(2),
+                        rho_s=random_density(2, rng_from_seed(77)), charges=(CHARGE_Z, CHARGE_X))
+    result, works = run_protocol(spec), {"Z": 0.0, "X": 0.0}
+    wide = ExtensiveObservable(np.diag([1.0, -1.0, 1.0, -1.0]), "Z")
+    for charges, match in (((wide,), "charge 'Z' has dimension 4, expected 2"),
+                           ((CHARGE_Z, ExtensiveObservable(2 * Z, "Z")), "not distinct"),
+                           ((CHARGE_X, wide), "charge 'Z' has dimension 4, expected 2")):
+        with pytest.raises(ValueError, match=match):
+            battery_deviation_check(result, works, 0.01, charges)
+    assert battery_deviation_check(result, works, 0.01, ()) == {}
+    assert list(battery_deviation_check(result, works, 0.01, [CHARGE_X, CHARGE_Z])) == ["X", "Z"]
+
+
 def test_work_accounting_reads_slots_and_dims_as_integers():
     # each of these was once truncated to a valid slot or dimension and booked silently
     joint = np.eye(4, dtype=complex) / 4
